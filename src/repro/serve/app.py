@@ -30,41 +30,28 @@ running batch, flush a final metrics snapshot, close the listener.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
-import signal
-import sys
-import threading
-import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.perf import PerfCounters
-from repro.resilience.faults import (
-    FaultPlan,
-    InjectedFault,
-    active_plan,
-    arm,
-    fault_point,
-)
+from repro.resilience.faults import InjectedFault, fault_point
 from repro.resilience.journal import JobJournal
 from repro.serve.httpcore import (
+    BaseServer,
     ProtocolError,
-    flag as _query_flag,
-    read_request,
-    write_response,
+    Response,
+    flag,
+    json_object,
+    remember,
 )
 from repro.serve.batcher import MicroBatcher
-from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
-    JobSpecError,
     cache_key,
     key_and_fingerprint,
     normalize_spec,
     spec_fingerprint,
 )
-from repro.serve.metrics import Metrics
 from repro.serve.queue import (
     Job,
     JobFailed,
@@ -113,21 +100,17 @@ class ServeConfig:
     fault_seed: int = 0
 
 
-class ServeApp:
+class ServeApp(BaseServer):
     """One synthesis service instance (cache + queue + batcher + HTTP)."""
 
+    config_class = ServeConfig
+
     def __init__(self, config: Optional[ServeConfig] = None, **overrides) -> None:
-        if config is None:
-            config = ServeConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass either a ServeConfig or keyword overrides")
-        self.config = config
+        super().__init__(config, **overrides)
+        config = self.config
         self.perf = PerfCounters()
-        self.metrics = Metrics()
-        self.cache = ResultCache(config.cache_entries, metrics=self.metrics)
         self.queue = JobQueue(config.queue_size)
         self.inflight: Dict[str, Job] = {}
-        self.jobs: "OrderedDict[str, Job]" = OrderedDict()
         self.batcher = MicroBatcher(
             self.queue,
             resolve=self._resolve,
@@ -145,17 +128,6 @@ class ServeApp:
             self.journal = JobJournal(
                 os.path.join(config.state_dir, JOURNAL_FILENAME)
             )
-        self.fault_plan: Optional[FaultPlan] = None
-        if config.faults:
-            self.fault_plan = FaultPlan.parse(
-                config.faults, seed=config.fault_seed
-            )
-        self.draining = False
-        self.started_monotonic: Optional[float] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._drain_on_stop = True
-        self._announce = sys.stderr
         self._describe_metrics()
 
     def _describe_metrics(self) -> None:
@@ -170,7 +142,6 @@ class ServeApp:
         m.describe("cache_evictions", "LRU evictions from the result cache.")
         m.describe("singleflight_followers", "Submissions coalesced onto an identical in-flight job.")
         m.describe("backpressure", "Submissions rejected with 429 (queue full).")
-        m.describe("http_requests", "HTTP requests, by method/route/status.")
         m.describe("journal_writes", "Write-ahead journal records fsync'd.")
         m.describe("journal_errors", "Journal writes that failed (job still served).")
         m.describe("recovered_jobs", "Jobs replayed from the journal at startup, by kind.")
@@ -178,63 +149,21 @@ class ServeApp:
         m.describe("cache_put_errors", "Result-cache insertions that failed (result still served).")
         m.gauge("queue_depth", self.queue.depth)
         m.gauge("inflight", lambda: len(self.inflight))
-        m.gauge("cache_entries", lambda: len(self.cache))
-        m.gauge("draining", lambda: 1 if self.draining else 0)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the listener and start the dispatch loop.
-
-        Journal replay runs first — recovered jobs are queued before the
-        batcher starts and before the listener port is announced, so by
-        the time a client can reconnect every previously admitted job is
-        either served from the journal or back in the pipeline.
-        """
-        if self.fault_plan is not None:
-            arm(self.fault_plan)
-        self._recover()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+    def _after_listen(self) -> None:
         self.batcher.start()
-        self.started_monotonic = time.monotonic()
-        if self.config.port_file:
-            self._write_port_file(self.config.port_file)
 
-    def _write_port_file(self, path: str) -> None:
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        temp_path = f"{path}.tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            handle.write(f"{self.port}\n")
-        os.replace(temp_path, path)
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` to the ephemeral choice)."""
-        if self._server is None:
-            return self.config.port
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
-
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop the service; with ``drain``, finish all accepted work first."""
-        self.draining = True
+    async def _stop_work(self, drain: bool) -> None:
         if drain:
             await self.batcher.drain()
             while self.inflight:
                 await asyncio.sleep(0.02)
         await self.batcher.stop()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+
+    def _release(self, drain: bool) -> None:
         if self.journal is not None:
             if drain:
                 try:
@@ -242,81 +171,6 @@ class ServeApp:
                 except Exception:
                     self.metrics.incr("journal_errors")
             self.journal.close()
-        if self.fault_plan is not None and active_plan() is self.fault_plan:
-            arm(None)
-        if self._announce is not None:
-            # The final snapshot an operator sees after SIGTERM.
-            print(self.metrics.render(self.perf), file=self._announce, end="")
-            print("drained and stopped", file=self._announce, flush=True)
-
-    def serve_forever(
-        self, announce=sys.stderr, install_signals: bool = True
-    ) -> int:
-        """Blocking entry point of ``repro-hls serve``.
-
-        SIGTERM/SIGINT trigger a graceful drain: stop admitting (503),
-        finish in-flight batches, flush metrics, exit 0.
-        """
-        self._announce = announce
-        return asyncio.run(self._serve_forever(install_signals))
-
-    async def _serve_forever(self, install_signals: bool) -> int:
-        await self.start()
-        self._stop_event = asyncio.Event()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, self.request_stop)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass  # non-Unix platform or nested loop
-        if self._announce is not None:
-            print(f"serving on {self.url}", file=self._announce, flush=True)
-        await self._stop_event.wait()
-        await self.shutdown(drain=self._drain_on_stop)
-        return 0
-
-    def request_stop(self, drain: bool = True) -> None:
-        """Ask the serving loop to drain and exit (signal-handler safe)."""
-        self.draining = True
-        self._drain_on_stop = drain
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    # -- threaded harness (tests, docs, benchmarks) --------------------
-    def start_in_thread(self) -> "ServeHandle":
-        """Run this app on a dedicated event-loop thread; returns a handle.
-
-        The embedded-server harness used by the test suite, the runnable
-        documentation examples and the throughput benchmark.
-        """
-        ready = threading.Event()
-        failure: Dict[str, BaseException] = {}
-
-        def _runner() -> None:
-            try:
-                asyncio.run(self._thread_main(ready))
-            except BaseException as error:  # pragma: no cover - startup bugs
-                failure["error"] = error
-                ready.set()
-
-        thread = threading.Thread(
-            target=_runner, name="repro-serve", daemon=True
-        )
-        thread.start()
-        ready.wait(timeout=30)
-        if "error" in failure:
-            raise RuntimeError("service failed to start") from failure["error"]
-        return ServeHandle(self, thread)
-
-    async def _thread_main(self, ready: threading.Event) -> None:
-        self._announce = None
-        await self.start()
-        self._stop_event = asyncio.Event()
-        self._thread_loop = asyncio.get_running_loop()
-        ready.set()
-        await self._stop_event.wait()
-        await self.shutdown(drain=self._drain_on_stop)
 
     # ------------------------------------------------------------------
     # submission pipeline
@@ -391,9 +245,7 @@ class ServeApp:
             self.metrics.incr("journal_errors")
 
     def _register(self, job: Job) -> None:
-        self.jobs[job.id] = job
-        while len(self.jobs) > self.config.job_history:
-            self.jobs.popitem(last=False)
+        remember(self.jobs, job.id, job, self.config.job_history)
 
         def _on_terminal(_future: asyncio.Future) -> None:
             self.metrics.incr("jobs", status=job.status)
@@ -425,8 +277,13 @@ class ServeApp:
     # ------------------------------------------------------------------
     # crash recovery
     # ------------------------------------------------------------------
-    def _recover(self) -> None:
+    async def _before_listen(self) -> None:
         """Replay the journal into the cache, job table and queue.
+
+        Runs before the batcher starts and before the listener port is
+        announced, so by the time a client can reconnect every
+        previously admitted job is either served from the journal or
+        back in the pipeline.
 
         Completed jobs are resurrected as terminal :class:`Job` records
         (their ``GET /v1/jobs/<id>`` answers survive the crash) and
@@ -467,9 +324,7 @@ class ServeApp:
                 # Nothing awaits a resurrected failure; a cancelled
                 # future is silent on collection, an exception is not.
                 job.future.cancel()
-            self.jobs[job.id] = job
-            while len(self.jobs) > self.config.job_history:
-                self.jobs.popitem(last=False)
+            remember(self.jobs, job.id, job, self.config.job_history)
             self.metrics.incr("recovered_jobs", kind="completed")
         for entry in state.pending:
             if entry.spec is None or entry.job_id in self.jobs:
@@ -532,87 +387,12 @@ class ServeApp:
     # ------------------------------------------------------------------
     # HTTP layer
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        method = route = "-"
-        status = 500
-        try:
-            try:
-                request = await read_request(
-                    reader, self.config.max_body_bytes
-                )
-                if request is None:
-                    return
-                method, path, query, body = request
-                route, (status, headers, payload) = await self._route(
-                    method, path, query, body
-                )
-            except ProtocolError as error:
-                status, headers, payload = (
-                    error.status,
-                    {},
-                    {"error": str(error)},
-                )
-            except JobSpecError as error:
-                status, headers, payload = 400, {}, {"error": str(error)}
-            except QueueFull as error:
-                status = 429
-                headers = {"Retry-After": f"{error.retry_after:g}"}
-                payload = {
-                    "error": "queue full",
-                    "queue_depth": error.depth,
-                    "queue_size": error.maxsize,
-                    "retry_after": error.retry_after,
-                }
-            except Exception as error:  # pragma: no cover - defensive
-                status, headers, payload = (
-                    500,
-                    {},
-                    {"error": f"{type(error).__name__}: {error}"},
-                )
-            await write_response(writer, status, headers, payload)
-        finally:
-            self.metrics.incr(
-                "http_requests", method=method, route=route, status=str(status)
-            )
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    @staticmethod
-    def _flag(query: Mapping[str, str], name: str) -> bool:
-        return _query_flag(query, name)
-
     async def _route(
-        self,
-        method: str,
-        path: str,
-        query: Mapping[str, str],
-        body: bytes,
-    ) -> Tuple[str, Tuple[int, Dict[str, str], Any]]:
-        if path in ("/v1/schedule", "/v1/synth"):
-            if method != "POST":
-                return path, (405, {}, {"error": "POST required"})
-            algorithm = "mfs" if path == "/v1/schedule" else "mfsa"
-            return path, await self._handle_submit(algorithm, query, body)
-        if path.startswith("/v1/jobs/"):
-            if method != "GET":
-                return "/v1/jobs", (405, {}, {"error": "GET required"})
-            return "/v1/jobs", self._handle_job(path[len("/v1/jobs/"):])
-        if path == "/healthz":
-            return path, (200, {}, self._health())
-        if path == "/metrics":
-            return path, (
-                200,
-                {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
-                self.metrics.render(self.perf),
-            )
+        self, method: str, path: str, query: Mapping[str, str], body: bytes
+    ) -> Tuple[str, Response]:
         if path.startswith("/admin/cache/"):
             return path, self._handle_admin_cache(method, path, query, body)
-        return "-", (404, {}, {"error": f"no route for {method} {path}"})
+        return await super()._route(method, path, query, body)
 
     def _handle_admin_cache(
         self,
@@ -620,7 +400,7 @@ class ServeApp:
         path: str,
         query: Mapping[str, str],
         body: bytes,
-    ) -> Tuple[int, Dict[str, str], Any]:
+    ) -> Response:
         """Cache transfer endpoints backing the router's reshard handoff.
 
         * ``GET  /admin/cache/index``  — every entry's ``(key, tag)``;
@@ -653,10 +433,7 @@ class ServeApp:
         if sub in ("export", "import"):
             if method != "POST":
                 return 405, {}, {"error": "POST required"}
-            try:
-                parsed = json.loads(body.decode("utf-8") or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise ProtocolError(400, f"request body is not JSON: {error}")
+            parsed = json_object(body)
             if sub == "export":
                 keys = parsed.get("keys")
                 if not isinstance(keys, list):
@@ -691,14 +468,9 @@ class ServeApp:
         return 404, {}, {"error": f"unknown admin resource {sub!r}"}
 
     async def _handle_submit(
-        self, algorithm: str, query: Mapping[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, str], Any]:
-        if self.draining:
-            return 503, {}, {"error": "draining; not accepting new work"}
-        try:
-            parsed = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ProtocolError(400, f"request body is not JSON: {error}")
+        self, algorithm: str, path: str, query: Mapping[str, str], body: bytes
+    ) -> Response:
+        parsed = self._admit(body)
         timeout_s: Optional[float] = None
         if "timeout" in query:
             try:
@@ -708,82 +480,26 @@ class ServeApp:
         job = self.submit(
             algorithm,
             parsed,
-            verify=self._flag(query, "verify"),
-            trace=self._flag(query, "trace"),
+            verify=flag(query, "verify"),
+            trace=flag(query, "trace"),
             timeout_s=timeout_s,
         )
-        if not self._flag(query, "wait"):
+        if not flag(query, "wait"):
             return 202, {}, {"job": job.describe()}
         try:
-            text = await asyncio.shield(job.future)
+            await asyncio.shield(job.future)
         except JobTimeout:
             return 504, {}, {"job": job.describe()}
         except (JobFailed, asyncio.CancelledError):
-            response: Dict[str, Any] = {"job": job.describe()}
-            stored = getattr(job, "response_text", None)
-            if stored is not None:
-                response["result"] = json.loads(stored)
-            return 500, {}, response
-        return 200, {}, {"job": job.describe(), "result": json.loads(text)}
+            return 500, {}, self._job_payload(job)
+        return 200, {}, self._job_payload(job)
 
-    def _handle_job(self, tail: str) -> Tuple[int, Dict[str, str], Any]:
-        job_id, _sep, sub = tail.partition("/")
-        job = self.jobs.get(job_id)
-        if job is None:
-            return 404, {}, {"error": f"unknown job {job_id!r}"}
-        text = getattr(job, "response_text", None)
-        if sub == "result":
-            if text is None:
-                return 404, {}, {"error": f"job {job_id} has no result yet"}
-            # Raw stored bytes: cold and cached responses are comparable
-            # byte for byte on this endpoint.
-            return 200, {"X-Raw-Body": "1"}, text
-        if sub:
-            return 404, {}, {"error": f"unknown job subresource {sub!r}"}
-        response: Dict[str, Any] = {"job": job.describe()}
-        if text is not None:
-            response["result"] = json.loads(text)
-        return 200, {}, response
-
-    def _health(self) -> Dict[str, Any]:
-        uptime = (
-            time.monotonic() - self.started_monotonic
-            if self.started_monotonic is not None
-            else 0.0
-        )
+    def _health_fields(self) -> Dict[str, Any]:
         return {
-            "status": "draining" if self.draining else "ok",
             "queue_depth": self.queue.depth(),
             "queue_size": self.config.queue_size,
             "inflight": len(self.inflight),
-            "cache_entries": len(self.cache),
-            "uptime_seconds": round(uptime, 3),
         }
 
-class ServeHandle:
-    """Control handle for a :meth:`ServeApp.start_in_thread` instance."""
-
-    def __init__(self, app: ServeApp, thread: threading.Thread) -> None:
-        self.app = app
-        self._thread = thread
-
-    @property
-    def url(self) -> str:
-        return self.app.url
-
-    @property
-    def port(self) -> int:
-        return self.app.port
-
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Drain (optionally) and stop the server thread."""
-        loop = getattr(self.app, "_thread_loop", None)
-        if loop is not None and self._thread.is_alive():
-            loop.call_soon_threadsafe(self.app.request_stop, drain)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "ServeHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    def _own_metrics(self) -> str:
+        return self.metrics.render(self.perf)

@@ -73,36 +73,28 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import urlencode
 
-from repro.resilience.faults import (
-    FaultPlan,
-    InjectedFault,
-    active_plan,
-    arm,
-    fault_point,
-)
+from repro.resilience.faults import InjectedFault, fault_point
 from repro.resilience.retry import RetryPolicy
-from repro.serve.cache import ResultCache
 from repro.serve.hashring import HashRing, moved_keys
 from repro.serve.httpcore import (
-    ProtocolError,
-    flag as _query_flag,
+    BaseServer,
+    Response,
+    flag,
     proxy_request,
-    read_request,
-    write_response,
+    remember,
 )
 from repro.serve.jobs import (
-    JobSpecError,
     key_and_fingerprint,
     normalize_spec,
     response_text,
 )
-from repro.serve.metrics import Metrics, merge_expositions, relabel_exposition
+from repro.serve.metrics import merge_expositions, relabel_exposition
 from repro.serve.queue import Job
 
 
@@ -224,29 +216,26 @@ class ShardProcess:
         return info
 
 
-class ShardRouter:
-    """Front end of a sharded fleet: routing, shared cache, supervision."""
+class ShardRouter(BaseServer):
+    """Front end of a sharded fleet: routing, shared cache, supervision.
+
+    Its :attr:`jobs` are the router-answered ones (shared-cache hits).
+    """
+
+    config_class = RouterConfig
+    #: A fleet boots N subprocesses and drains N journals.
+    start_timeout_s = 120.0
+    stop_timeout_s = 60.0
 
     def __init__(self, config: Optional[RouterConfig] = None, **overrides) -> None:
-        if config is None:
-            config = RouterConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass either a RouterConfig or keyword overrides")
+        super().__init__(config, **overrides)
+        config = self.config
         if config.shards < 1:
             raise ValueError(f"shards must be >= 1, got {config.shards}")
-        self.config = config
-        self.metrics = Metrics()
-        self.cache = ResultCache(config.cache_entries, metrics=self.metrics)
         self.ring = HashRing(f"shard-{i}" for i in range(config.shards))
         self.shards: Dict[str, ShardProcess] = {}
-        #: Router-answered jobs (shared-cache hits), by id.
-        self.jobs: "Dict[str, Job]" = {}
-        self._job_order: List[str] = []
         #: Which shard answered which job id (forwarded submissions).
-        self.job_locations: Dict[str, str] = {}
-        self.fault_plan: Optional[FaultPlan] = None
-        if config.faults:
-            self.fault_plan = FaultPlan.parse(config.faults, seed=config.fault_seed)
+        self.job_locations: "OrderedDict[str, str]" = OrderedDict()
         #: Names are never reused: the next admin-added shard gets this.
         self._next_index = config.shards
         #: Serializes admin reshards (a second one answers 409).
@@ -258,14 +247,8 @@ class ShardRouter:
         #: import per ``replica_flush_s`` window (re-puts dedupe by key).
         self._replica_buffer: Dict[str, Dict[str, Dict[str, Any]]] = {}
         self._replica_flush_scheduled = False
-        self.draining = False
-        self.started_monotonic: Optional[float] = None
         self._scratch: Optional[tempfile.TemporaryDirectory] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stop_event: Optional[asyncio.Event] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._drain_on_stop = True
-        self._announce = sys.stderr
         self._describe_metrics()
 
     def _describe_metrics(self) -> None:
@@ -273,7 +256,6 @@ class ShardRouter:
         m.describe("cache_hits", "Shared (L2) result-cache hits at the router.")
         m.describe("cache_misses", "Shared (L2) result-cache misses at the router.")
         m.describe("cache_evictions", "LRU evictions from the shared cache.")
-        m.describe("http_requests", "HTTP requests, by method/route/status.")
         m.describe("router_forwards", "Requests forwarded, by target shard.")
         m.describe("router_forward_errors", "Forward attempts that failed, by target shard.")
         m.describe("router_failovers", "Submissions re-routed off their owner shard.")
@@ -292,8 +274,6 @@ class ShardRouter:
             "healthy_shards",
             lambda: sum(1 for s in self.shards.values() if s.healthy),
         )
-        m.gauge("cache_entries", lambda: len(self.cache))
-        m.gauge("draining", lambda: 1 if self.draining else 0)
 
     # ------------------------------------------------------------------
     # shard lifecycle
@@ -400,42 +380,20 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Spawn the fleet, wait for every shard, bind the listener."""
-        if self.fault_plan is not None:
-            arm(self.fault_plan)
+    async def _before_listen(self) -> None:
+        """Spawn the fleet and wait for every shard's port."""
         for index in range(self.config.shards):
             shard = self._new_shard(f"shard-{index}", index)
             self._spawn(shard)
         for shard in list(self.shards.values()):
             await self._await_port(shard)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+
+    def _after_listen(self) -> None:
         self._health_task = asyncio.create_task(self._health_loop())
-        self.started_monotonic = time.monotonic()
-        if self.config.port_file:
-            directory = os.path.dirname(self.config.port_file)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            temp_path = f"{self.config.port_file}.tmp"
-            with open(temp_path, "w", encoding="utf-8") as handle:
-                handle.write(f"{self.port}\n")
-            os.replace(temp_path, self.config.port_file)
+        self._log(f"{self.config.shards} shard(s) up")
 
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            return self.config.port
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
-
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop the fleet; with ``drain``, let every shard finish first."""
-        self.draining = True
+    async def _stop_work(self, drain: bool) -> None:
+        """Stop supervision and replica flushes, then the shards."""
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -453,100 +411,36 @@ class ShardRouter:
                 task.cancel()
             await asyncio.gather(*pending, return_exceptions=True)
             self._background.clear()
-        for shard in list(self.shards.values()):
-            if shard.alive:
-                shard.process.send_signal(
-                    signal.SIGTERM if drain else signal.SIGKILL
-                )
+        signum = signal.SIGTERM if drain else signal.SIGKILL
         deadline = time.monotonic() + self.config.drain_timeout_s
-        for shard in list(self.shards.values()):
-            if shard.process is None:
-                continue
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                await asyncio.to_thread(shard.process.wait, remaining)
-            except subprocess.TimeoutExpired:  # pragma: no cover - slow drain
-                shard.process.kill()
-                await asyncio.to_thread(shard.process.wait)
-            shard.healthy = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self.fault_plan is not None and active_plan() is self.fault_plan:
-            arm(None)
+        await asyncio.gather(
+            *(
+                self._stop_process(shard, signum, deadline)
+                for shard in list(self.shards.values())
+            )
+        )
+
+    def _release(self, drain: bool) -> None:
         if self._scratch is not None:
             self._scratch.cleanup()
             self._scratch = None
-        if self._announce is not None:
-            print(
-                relabel_exposition(self.metrics.render(), shard="router"),
-                file=self._announce,
-                end="",
-            )
-            print("drained and stopped", file=self._announce, flush=True)
 
-    def serve_forever(self, announce=sys.stderr, install_signals: bool = True) -> int:
-        """Blocking entry point of ``repro-hls serve --shards N``."""
-        self._announce = announce
-        return asyncio.run(self._serve_forever(install_signals))
-
-    async def _serve_forever(self, install_signals: bool) -> int:
-        await self.start()
-        self._stop_event = asyncio.Event()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, self.request_stop)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
-        if self._announce is not None:
-            print(
-                f"router: {self.config.shards} shard(s) up",
-                file=self._announce,
-                flush=True,
-            )
-            print(f"serving on {self.url}", file=self._announce, flush=True)
-        await self._stop_event.wait()
-        await self.shutdown(drain=self._drain_on_stop)
-        return 0
-
-    def request_stop(self, drain: bool = True) -> None:
-        """Ask the router loop to drain the fleet and exit."""
-        self.draining = True
-        self._drain_on_stop = drain
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    # -- threaded harness (tests, docs, benchmarks) --------------------
-    def start_in_thread(self) -> "RouterHandle":
-        """Run this router on a dedicated event-loop thread."""
-        ready = threading.Event()
-        failure: Dict[str, BaseException] = {}
-
-        def _runner() -> None:
-            try:
-                asyncio.run(self._thread_main(ready))
-            except BaseException as error:  # pragma: no cover - startup bugs
-                failure["error"] = error
-                ready.set()
-
-        thread = threading.Thread(target=_runner, name="repro-router", daemon=True)
-        thread.start()
-        ready.wait(timeout=120)
-        if "error" in failure:
-            raise RuntimeError("router failed to start") from failure["error"]
-        return RouterHandle(self, thread)
-
-    async def _thread_main(self, ready: threading.Event) -> None:
-        self._announce = None
-        await self.start()
-        self._stop_event = asyncio.Event()
-        self._thread_loop = asyncio.get_running_loop()
-        ready.set()
-        await self._stop_event.wait()
-        await self.shutdown(drain=self._drain_on_stop)
+    async def _stop_process(
+        self, shard: ShardProcess, signum: int, deadline: float
+    ) -> None:
+        """Signal one shard and wait for it until ``deadline``; SIGKILL
+        past it."""
+        if shard.process is None:
+            return
+        if shard.alive:
+            shard.process.send_signal(signum)
+        remaining = max(0.1, deadline - time.monotonic())
+        try:
+            await asyncio.to_thread(shard.process.wait, remaining)
+        except subprocess.TimeoutExpired:  # pragma: no cover - slow drain
+            shard.process.kill()
+            await asyncio.to_thread(shard.process.wait)
+        shard.healthy = False
 
     # ------------------------------------------------------------------
     # supervision
@@ -562,8 +456,7 @@ class ShardRouter:
             await asyncio.sleep(self.config.health_interval_s)
 
     def _log(self, message: str) -> None:
-        if self._announce is not None:
-            print(f"router: {message}", file=self._announce, flush=True)
+        self._say(f"router: {message}")
 
     def _demote(self, shard: ShardProcess) -> None:
         """Crash-loop verdict: take the shard out of service for good."""
@@ -631,23 +524,15 @@ class ShardRouter:
             shard.port = self._read_port(shard)
             if shard.port is None:
                 return  # still booting (journal replay runs pre-listener)
-        try:
-            status, _headers, body = await proxy_request(
-                self.config.host,
-                shard.port,
-                "GET",
-                "/healthz",
-                timeout_s=self.config.health_timeout_s,
-            )
-            if status != 200:
-                raise ConnectionError(f"healthz answered {status}")
-            shard.last_health = json.loads(body.decode("utf-8"))
-            shard.healthy = True
-            shard.failures = 0
-        except (OSError, asyncio.TimeoutError, ValueError):
+        health = await self._fetch_health(shard)
+        if health is None:
             shard.failures += 1
             if shard.failures >= self.config.health_failures:
                 shard.healthy = False
+            return
+        shard.last_health = health
+        shard.healthy = True
+        shard.failures = 0
 
     # ------------------------------------------------------------------
     # routing
@@ -697,38 +582,17 @@ class ShardRouter:
     def _target(path: str, query: Mapping[str, str]) -> str:
         return f"{path}?{urlencode(dict(query))}" if query else path
 
-    def _remember_job(self, job: Job) -> None:
-        self.jobs[job.id] = job
-        self._job_order.append(job.id)
-        while len(self._job_order) > self.config.job_history:
-            self.jobs.pop(self._job_order.pop(0), None)
-
-    def _remember_location(self, payload: Any, shard: ShardProcess) -> None:
-        """Pin job ids from a shard response to that shard for ``GET``s."""
-        if not isinstance(payload, Mapping):
-            return
-        info = payload.get("job")
-        if isinstance(info, Mapping) and isinstance(info.get("id"), str):
-            self.job_locations[info["id"]] = shard.name
-            while len(self.job_locations) > self.config.job_history:
-                oldest = next(iter(self.job_locations))
-                self.job_locations.pop(oldest)
-
     def _absorb_result(
-        self, payload: Any
+        self, info: Mapping[str, Any], result: Any
     ) -> Optional[Tuple[str, Optional[str], str]]:
-        """Populate the shared L2 cache from a shard's finished response.
+        """Populate the shared L2 cache from a shard's finished response
+        (its ``job`` description and ``result``).
 
         Returns the absorbed ``(key, fingerprint, text)`` so the caller
         can fan the entry out to its replica holders.
         """
-        if not isinstance(payload, Mapping):
-            return None
-        info = payload.get("job")
-        result = payload.get("result")
         if (
-            isinstance(info, Mapping)
-            and info.get("status") == "done"
+            info.get("status") == "done"
             and isinstance(info.get("key"), str)
             and isinstance(result, Mapping)
         ):
@@ -761,7 +625,9 @@ class ShardRouter:
         """
         try:
             fault_point("shard.replica.put")
-            await self._import_entries(shard, entries)
+            await self._shard_call(
+                shard, "POST", "/admin/cache/import", {"entries": entries}
+            )
         except (OSError, asyncio.TimeoutError, InjectedFault):
             self.metrics.incr(
                 "replica_put_errors", len(entries), target=shard.name
@@ -832,16 +698,10 @@ class ShardRouter:
             if shard is None or shard.port is None or not shard.alive:
                 continue
             try:
-                status, _headers, raw = await proxy_request(
-                    self.config.host,
-                    shard.port,
-                    "GET",
-                    f"/admin/cache/entry?{urlencode({'key': key})}",
-                    timeout_s=self.config.health_timeout_s,
+                raw = await self._shard_call(
+                    shard, "GET", f"/admin/cache/entry?{urlencode({'key': key})}"
                 )
             except (OSError, asyncio.TimeoutError):
-                continue
-            if status != 200:
                 continue
             self.metrics.incr("replica_probe_hits", target=name)
             return raw.decode("utf-8")
@@ -850,71 +710,53 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # online reshard
     # ------------------------------------------------------------------
-    async def _import_entries(
-        self, shard: ShardProcess, entries: List[Dict[str, Any]]
-    ) -> None:
-        """POST a batch of cache entries into one shard's L1."""
-        status, _headers, _raw = await proxy_request(
+    async def _shard_call(
+        self,
+        shard: ShardProcess,
+        method: str,
+        target: str,
+        payload: Optional[Mapping[str, Any]] = None,
+    ) -> bytes:
+        """One router-originated admin or health request to a shard.
+
+        Returns the body of a 200 answer; any other status raises
+        ``ConnectionError``, so callers treat it like a transport
+        failure (``OSError``/``asyncio.TimeoutError``).
+        """
+        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        status, _headers, raw = await proxy_request(
             self.config.host,
             shard.port,
-            "POST",
-            "/admin/cache/import",
-            body=json.dumps({"entries": entries}).encode("utf-8"),
+            method,
+            target,
+            body=body,
             timeout_s=self.config.health_timeout_s,
         )
         if status != 200:
-            raise ConnectionError(f"cache import answered {status}")
+            raise ConnectionError(f"{method} {target} answered {status}")
+        return raw
 
-    async def _fetch_cache_index(
-        self, shard: ShardProcess
-    ) -> List[Dict[str, str]]:
-        """One shard's ``(key, tag)`` cache index; empty on any failure."""
-        try:
-            status, _headers, raw = await proxy_request(
-                self.config.host,
-                shard.port,
-                "GET",
-                "/admin/cache/index",
-                timeout_s=self.config.health_timeout_s,
-            )
-            if status != 200:
-                return []
-            payload = json.loads(raw.decode("utf-8"))
-        except (OSError, asyncio.TimeoutError, ValueError):
-            return []
-        return [
-            item
-            for item in payload.get("entries", ())
-            if isinstance(item, Mapping)
-            and isinstance(item.get("key"), str)
-            and isinstance(item.get("tag"), str)
-        ]
-
-    async def _export_entries(
-        self, shard: ShardProcess, keys: List[str]
+    async def _shard_entries(
+        self,
+        shard: ShardProcess,
+        method: str,
+        target: str,
+        fields: Tuple[str, ...],
+        payload: Optional[Mapping[str, Any]] = None,
     ) -> List[Dict[str, Any]]:
-        """Pull full cache entries for ``keys`` from one shard."""
+        """The well-formed ``entries`` of a shard's cache index or export
+        answer (every ``fields`` value a string); empty on any failure."""
         try:
-            status, _headers, raw = await proxy_request(
-                self.config.host,
-                shard.port,
-                "POST",
-                "/admin/cache/export",
-                body=json.dumps({"keys": keys}).encode("utf-8"),
-                timeout_s=self.config.health_timeout_s,
+            answer = json.loads(
+                await self._shard_call(shard, method, target, payload)
             )
-            if status != 200:
-                return []
-            payload = json.loads(raw.decode("utf-8"))
         except (OSError, asyncio.TimeoutError, ValueError):
             return []
         return [
             item
-            for item in payload.get("entries", ())
+            for item in answer.get("entries", ())
             if isinstance(item, Mapping)
-            and isinstance(item.get("key"), str)
-            and isinstance(item.get("text"), str)
-            and isinstance(item.get("tag"), str)
+            and all(isinstance(item.get(name), str) for name in fields)
         ]
 
     async def _relocated_entries(
@@ -933,7 +775,9 @@ class ShardRouter:
         for shard in list(self.shards.values()):
             if shard.port is None or not shard.alive or shard.demoted:
                 continue
-            index = await self._fetch_cache_index(shard)
+            index = await self._shard_entries(
+                shard, "GET", "/admin/cache/index", ("key", "tag")
+            )
             indexes.append((shard, index))
             tags.update(item["tag"] for item in index)
         moved = moved_keys(self.ring, after, sorted(tags))
@@ -949,7 +793,14 @@ class ShardRouter:
             ]
             if not wanted:
                 continue
-            for item in await self._export_entries(shard, wanted):
+            exported = await self._shard_entries(
+                shard,
+                "POST",
+                "/admin/cache/export",
+                ("key", "text", "tag"),
+                {"keys": wanted},
+            )
+            for item in exported:
                 entries.setdefault(item["key"], dict(item))
         return list(entries.values())
 
@@ -983,7 +834,9 @@ class ShardRouter:
                 chunk = batch[start:start + 64]
                 try:
                     fault_point("router.handoff")
-                    await self._import_entries(shard, chunk)
+                    await self._shard_call(
+                        shard, "POST", "/admin/cache/import", {"entries": chunk}
+                    )
                 except (OSError, asyncio.TimeoutError, InjectedFault):
                     self.metrics.incr(
                         "handoff_errors", amount=len(chunk), target=owner
@@ -1059,16 +912,7 @@ class ShardRouter:
         if shard.port is None:
             return None
         try:
-            status, _headers, raw = await proxy_request(
-                self.config.host,
-                shard.port,
-                "GET",
-                "/healthz",
-                timeout_s=self.config.health_timeout_s,
-            )
-            if status != 200:
-                return None
-            return json.loads(raw.decode("utf-8"))
+            return json.loads(await self._shard_call(shard, "GET", "/healthz"))
         except (OSError, asyncio.TimeoutError, ValueError):
             return None
 
@@ -1091,84 +935,21 @@ class ShardRouter:
             ):
                 break
             await asyncio.sleep(0.05)
-        if shard.alive:
-            shard.process.send_signal(signal.SIGTERM)
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                await asyncio.to_thread(shard.process.wait, remaining)
-            except subprocess.TimeoutExpired:  # pragma: no cover - slow drain
-                shard.process.kill()
-                await asyncio.to_thread(shard.process.wait)
+        await self._stop_process(shard, signal.SIGTERM, deadline)
 
     # ------------------------------------------------------------------
     # HTTP layer
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        method = route = "-"
-        status = 500
-        try:
-            try:
-                request = await read_request(reader, self.config.max_body_bytes)
-                if request is None:
-                    return
-                method, path, query, body = request
-                route, (status, headers, payload) = await self._route(
-                    method, path, query, body
-                )
-            except ProtocolError as error:
-                status, headers, payload = error.status, {}, {"error": str(error)}
-            except JobSpecError as error:
-                status, headers, payload = 400, {}, {"error": str(error)}
-            except Exception as error:  # pragma: no cover - defensive
-                status, headers, payload = (
-                    500,
-                    {},
-                    {"error": f"{type(error).__name__}: {error}"},
-                )
-            await write_response(writer, status, headers, payload)
-        finally:
-            self.metrics.incr(
-                "http_requests", method=method, route=route, status=str(status)
-            )
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
-
     async def _route(
-        self,
-        method: str,
-        path: str,
-        query: Mapping[str, str],
-        body: bytes,
-    ) -> Tuple[str, Tuple[int, Dict[str, str], Any]]:
-        if path in ("/v1/schedule", "/v1/synth"):
-            if method != "POST":
-                return path, (405, {}, {"error": "POST required"})
-            algorithm = "mfs" if path == "/v1/schedule" else "mfsa"
-            return path, await self._handle_submit(algorithm, path, query, body)
-        if path.startswith("/v1/jobs/"):
-            if method != "GET":
-                return "/v1/jobs", (405, {}, {"error": "GET required"})
-            return "/v1/jobs", await self._handle_job(path, path[len("/v1/jobs/"):])
-        if path == "/healthz":
-            return path, (200, {}, self._health())
-        if path == "/metrics":
-            return path, (
-                200,
-                {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
-                await self._merged_metrics(),
-            )
-        if path == "/admin/shards":
-            if method == "GET":
-                return path, (200, {}, self._admin_status())
-            if method != "POST":
-                return path, (405, {}, {"error": "GET or POST required"})
-            return path, await self._handle_admin_shards(body)
-        return "-", (404, {}, {"error": f"no route for {method} {path}"})
+        self, method: str, path: str, query: Mapping[str, str], body: bytes
+    ) -> Tuple[str, Response]:
+        if path != "/admin/shards":
+            return await super()._route(method, path, query, body)
+        if method == "GET":
+            return path, (200, {}, self._admin_status())
+        if method != "POST":
+            return path, (405, {}, {"error": "GET or POST required"})
+        return path, await self._handle_admin_shards(body)
 
     def _admin_status(self) -> Dict[str, Any]:
         return {
@@ -1179,16 +960,9 @@ class ShardRouter:
             },
         }
 
-    async def _handle_admin_shards(
-        self, body: bytes
-    ) -> Tuple[int, Dict[str, str], Any]:
-        if self.draining:
-            return 503, {}, {"error": "draining; not accepting admin work"}
-        try:
-            parsed = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ProtocolError(400, f"request body is not JSON: {error}")
-        action = parsed.get("action") if isinstance(parsed, Mapping) else None
+    async def _handle_admin_shards(self, body: bytes) -> Response:
+        parsed = self._admit(body, "admin work")
+        action = parsed.get("action")
         if action not in ("add", "remove"):
             return 400, {}, {"error": "'action' must be 'add' or 'remove'"}
         if self._reshard_lock.locked():
@@ -1204,20 +978,15 @@ class ShardRouter:
 
     async def _handle_submit(
         self, algorithm: str, path: str, query: Mapping[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, str], Any]:
-        if self.draining:
-            return 503, {}, {"error": "draining; not accepting new work"}
-        try:
-            parsed = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ProtocolError(400, f"request body is not JSON: {error}")
+    ) -> Response:
+        parsed = self._admit(body)
         # Validate at the edge: a malformed design 400s here without
         # burning a forward, and normalisation gives the routing key.
         spec = normalize_spec(
             algorithm,
             parsed,
-            verify=_query_flag(query, "verify"),
-            trace=_query_flag(query, "trace"),
+            verify=flag(query, "verify"),
+            trace=flag(query, "trace"),
         )
         key, fingerprint = key_and_fingerprint(spec)
 
@@ -1244,12 +1013,10 @@ class ShardRouter:
             job.cache = "hit"
             job.mark_running()
             job.finish(True, cached)
-            self._remember_job(job)
-            info = job.describe()
-            info["shard"] = "router"
-            if _query_flag(query, "wait"):
-                return 200, {}, {"job": info, "result": json.loads(cached)}
-            return 202, {}, {"job": info}
+            remember(self.jobs, job.id, job, self.config.job_history)
+            if flag(query, "wait"):
+                return 200, {}, self._job_payload(job)
+            return 202, {}, {"job": self._describe_job(job)}
 
         owner = self.ring.node_for(fingerprint)
         target = self._target(path, query)
@@ -1275,7 +1042,7 @@ class ShardRouter:
         headers: Mapping[str, str],
         raw: bytes,
         shard: ShardProcess,
-    ) -> Tuple[int, Dict[str, str], Any]:
+    ) -> Response:
         """Pass a shard's JSON response through, annotated and absorbed."""
         out_headers: Dict[str, str] = {}
         if "retry-after" in headers:
@@ -1284,9 +1051,17 @@ class ShardRouter:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return status, out_headers, raw
-        self._remember_location(payload, shard)
+        info = payload.get("job") if isinstance(payload, Mapping) else None
+        if not isinstance(info, Mapping):
+            return status, out_headers, payload
+        if isinstance(info.get("id"), str):
+            # Pin the id to this shard for later ``GET``s.
+            remember(
+                self.job_locations, info["id"], shard.name,
+                self.config.job_history,
+            )
         if status == 200:
-            absorbed = self._absorb_result(payload)
+            absorbed = self._absorb_result(info, payload.get("result"))
             if absorbed is not None:
                 # Replica writes never sit on the response path: the
                 # result is buffered here (pure dict ops) and flushed
@@ -1297,32 +1072,14 @@ class ShardRouter:
                 self._queue_replica(
                     key, fingerprint, text, served_by=shard.name
                 )
-        if isinstance(payload, Mapping) and isinstance(payload.get("job"), Mapping):
-            payload = dict(payload)
-            payload["job"] = dict(payload["job"])
-            payload["job"]["shard"] = shard.name
-        return status, out_headers, payload
+        return status, out_headers, {**payload, "job": {**info, "shard": shard.name}}
 
-    async def _handle_job(
-        self, path: str, tail: str
-    ) -> Tuple[int, Dict[str, str], Any]:
-        job_id, _sep, sub = tail.partition("/")
-        job = self.jobs.get(job_id)
-        if job is not None:
-            text = job.response_text
-            if sub == "result":
-                if text is None:  # pragma: no cover - router jobs are terminal
-                    return 404, {}, {"error": f"job {job_id} has no result yet"}
-                return 200, {"X-Raw-Body": "1"}, text
-            if sub:
-                return 404, {}, {"error": f"unknown job subresource {sub!r}"}
-            info = job.describe()
-            info["shard"] = "router"
-            response: Dict[str, Any] = {"job": info}
-            if text is not None:
-                response["result"] = json.loads(text)
-            return 200, {}, response
+    def _describe_job(self, job: Job) -> Dict[str, Any]:
+        info = job.describe()
+        info["shard"] = "router"
+        return info
 
+    async def _find_job(self, path: str, job_id: str, sub: str) -> Response:
         # Try the shard that admitted the id, then every other shard —
         # after a crash the id may only exist in a replayed journal.
         ordered: List[ShardProcess] = []
@@ -1345,32 +1102,22 @@ class ShardRouter:
                 # Raw bytes straight through: byte-identity is the
                 # contract on this endpoint.
                 return status, {"X-Raw-Body": "1"}, raw.decode("utf-8")
-            self.job_locations[job_id] = shard.name
             return await self._relay(status, headers, raw, shard)
         return last_status, {}, {"error": f"unknown job {job_id!r}"}
 
-    def _health(self) -> Dict[str, Any]:
-        uptime = (
-            time.monotonic() - self.started_monotonic
-            if self.started_monotonic is not None
-            else 0.0
-        )
+    def _health_fields(self) -> Dict[str, Any]:
         return {
-            "status": "draining" if self.draining else "ok",
             "role": "router",
-            "ring": list(self.ring.nodes),
-            "replication": self.config.replication,
-            "shards": {
-                name: shard.describe() for name, shard in self.shards.items()
-            },
             "healthy_shards": sum(1 for s in self.shards.values() if s.healthy),
-            "cache_entries": len(self.cache),
-            "uptime_seconds": round(uptime, 3),
+            **self._admin_status(),
         }
 
-    async def _merged_metrics(self) -> str:
+    def _own_metrics(self) -> str:
+        return relabel_exposition(self.metrics.render(), shard="router")
+
+    async def _scrape(self) -> str:
         """Fleet exposition: router series + every reachable shard's."""
-        parts = [relabel_exposition(self.metrics.render(), shard="router")]
+        parts = [self._own_metrics()]
 
         async def _scrape(shard: ShardProcess) -> Optional[str]:
             if shard.port is None or not shard.alive:
@@ -1391,31 +1138,3 @@ class ShardRouter:
         parts += [scrape for scrape in scrapes if scrape]
         return merge_expositions(parts)
 
-
-class RouterHandle:
-    """Control handle for a :meth:`ShardRouter.start_in_thread` instance."""
-
-    def __init__(self, router: ShardRouter, thread: threading.Thread) -> None:
-        self.router = router
-        self._thread = thread
-
-    @property
-    def url(self) -> str:
-        return self.router.url
-
-    @property
-    def port(self) -> int:
-        return self.router.port
-
-    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
-        """Drain (optionally) the fleet and stop the router thread."""
-        loop = getattr(self.router, "_thread_loop", None)
-        if loop is not None and self._thread.is_alive():
-            loop.call_soon_threadsafe(self.router.request_stop, drain)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "RouterHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -339,3 +339,46 @@ class TestReshardUnderLoad:
         drill = [o.get("fingerprint") for o in report.outcomes]
         serial = [o.get("fingerprint") for o in reference.outcomes]
         assert drill == serial
+
+
+class TestElasticFaultDrills:
+    """Drills for the router-side elastic-fleet fault sites: a failed
+    replica write or handoff push is counted, never fatal."""
+
+    def test_failed_replica_write_is_counted_and_result_served(self):
+        with fleet(faults="shard.replica.put:n=1") as (router, client):
+            source = _source(201)
+            out = client.schedule(source=source, name="replica-drill")
+            assert out["job"]["status"] == "done"
+
+            def errors():
+                return sum(
+                    router.metrics.counter_value("replica_put_errors", target=name)
+                    for name in router.shards
+                )
+
+            assert _wait_until(lambda: errors() == 1)
+            assert router.fault_plan.fired("shard.replica.put") == 1
+            assert client.result_text(out["job"]["id"]) == _expected_text(
+                source, "replica-drill"
+            )
+
+    def test_failed_handoff_push_is_counted_and_reshard_completes(self):
+        with fleet(
+            faults="router.handoff:n=1", cache_entries=1, replication=1
+        ) as (router, client):
+            designs = _warm(client, 12, prefix="handoff")
+            out = client.admin_add_shard()
+            assert out["action"] == "add"
+            assert router.fault_plan.fired("router.handoff") == 1
+            assert sum(
+                router.metrics.counter_value("handoff_errors", target=name)
+                for name in router.shards
+            ) >= 1
+            # A lost handoff push costs a cache hit, never a result.
+            for source, name in designs:
+                again = client.schedule(source=source, name=name)
+                assert again["job"]["status"] == "done"
+                assert client.result_text(
+                    again["job"]["id"]
+                ) == _expected_text(source, name)

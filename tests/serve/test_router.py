@@ -12,6 +12,7 @@ The byte-identity oracle is the one the whole serve tier is built on:
 served result — cold, cached, failed-over — must equal.
 """
 
+import http.client
 import os
 import signal
 import time
@@ -152,6 +153,28 @@ class TestFleetHealthAndMetrics:
             line for line in text.splitlines() if line.startswith("# TYPE ")
         ]
         assert len(type_lines) == len(set(type_lines))
+
+
+class TestMalformedRequests:
+    """The router reads requests through the shard's parser: a bad
+    ``Content-Length`` is the client's error (400), never a 500."""
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, shared_fleet, length):
+        _router, client = shared_fleet
+        connection = http.client.HTTPConnection(
+            client.host, client.port, timeout=10
+        )
+        try:
+            connection.request(
+                "POST", "/v1/schedule", body=b"{}",
+                headers={"Content-Length": length},
+            )
+            response = connection.getresponse()
+            assert response.status == 400
+            assert b"non-negative integer" in response.read()
+        finally:
+            connection.close()
 
 
 class TestCrossShardCache:

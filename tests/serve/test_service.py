@@ -358,3 +358,14 @@ class TestAdminCacheEndpoints:
             assert status == 400
             status = client._request("POST", "/admin/cache/index")[0]
             assert status == 405
+
+    def test_non_object_json_is_400(self):
+        with service() as (_app, client):
+            for path in ("/admin/cache/import", "/admin/cache/export"):
+                status, _headers, payload = client._request(
+                    "POST", path, body=[]
+                )
+                assert status == 400, path
+                assert payload == {
+                    "error": "request body must be a JSON object"
+                }
