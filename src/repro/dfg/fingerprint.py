@@ -48,9 +48,15 @@ from repro.library.cells import CellLibrary
 FINGERPRINT_VERSION = 1
 
 
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` builds
+#: exactly this encoder on every call; one shared instance (it holds no
+#: per-call state) produces the same text without the rebuild.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def sha256_of(obj: Any) -> str:
     """sha256 hex digest of a JSON-canonicalised python value."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    text = _CANONICAL_JSON.encode(obj)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -90,7 +90,12 @@ BranchPath = Tuple[Tuple[str, bool], ...]
 
 @dataclass
 class Node:
-    """One operation node of a DFG."""
+    """One operation node of a DFG.
+
+    A node's operands are fixed once it is built: the DFG never rewires
+    a node (copies and renames build new ones), so the predecessor tuple
+    is derived once, here, instead of on every query.
+    """
 
     name: str
     kind: str
@@ -101,6 +106,11 @@ class Node:
         self.kind = str(self.kind)
         self.operands = tuple(self.operands)
         self.branch = tuple(self.branch)
+        seen: List[str] = []
+        for port in self.operands:
+            if port.is_node and port.name not in seen:
+                seen.append(port.name)
+        self._predecessors = tuple(seen)
 
     def operand_names(self) -> Tuple[str, ...]:
         """Signal names of the operand ports (mux-sharing keys)."""
@@ -108,11 +118,7 @@ class Node:
 
     def predecessor_names(self) -> Tuple[str, ...]:
         """Names of operation nodes feeding this node (deduplicated, ordered)."""
-        seen: List[str] = []
-        for port in self.operands:
-            if port.is_node and port.name not in seen:
-                seen.append(port.name)
-        return tuple(seen)
+        return self._predecessors
 
 
 def branches_mutually_exclusive(a: BranchPath, b: BranchPath) -> bool:
@@ -136,9 +142,13 @@ class DFG:
     def __init__(self, name: str = "dfg") -> None:
         self.name = name
         self._nodes: Dict[str, Node] = {}
-        self._inputs: List[str] = []
+        # An ordered set: declaration order plus O(1) port checks.
+        self._inputs: Dict[str, None] = {}
         self._outputs: Dict[str, Port] = {}
         self._successors: Dict[str, List[str]] = {}
+        # Decode validation, scheduler validation, ASAP, ALAP and the
+        # fingerprint all ask for the same order; add_op clears it.
+        self._topological: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -147,7 +157,7 @@ class DFG:
         """Declare a primary input and return a port referencing it."""
         if name in self._inputs:
             raise DFGError(f"primary input {name!r} already declared")
-        self._inputs.append(name)
+        self._inputs[name] = None
         return Port.input(name)
 
     def add_op(
@@ -173,6 +183,7 @@ class DFG:
         self._successors[name] = []
         for pred in node.predecessor_names():
             self._successors[pred].append(name)
+        self._topological = None
         return Port.node(name)
 
     def set_output(self, name: str, port: Port) -> None:
@@ -269,7 +280,12 @@ class DFG:
         if the graph was mutated behind the API's back, since ``add_op``
         only allows references to existing nodes).
         """
-        in_degree = {name: len(self.predecessors(name)) for name in self._nodes}
+        if self._topological is not None:
+            return self._topological
+        in_degree = {
+            name: len(node.predecessor_names())
+            for name, node in self._nodes.items()
+        }
         ready = [name for name, degree in in_degree.items() if degree == 0]
         order: List[str] = []
         cursor = 0
@@ -283,7 +299,8 @@ class DFG:
                     ready.append(succ)
         if len(order) != len(self._nodes):
             raise CycleError(f"DFG {self.name!r} contains a dependency cycle")
-        return tuple(order)
+        self._topological = tuple(order)
+        return self._topological
 
     def validate(self, ops: Optional[OperationSet] = None) -> None:
         """Check structural invariants; with ``ops``, also arity and kinds.
@@ -332,7 +349,7 @@ class DFG:
     def copy(self, name: Optional[str] = None) -> "DFG":
         """Deep copy of the graph (nodes are immutable-ish, ports frozen)."""
         clone = DFG(name or self.name)
-        clone._inputs = list(self._inputs)
+        clone._inputs = dict(self._inputs)
         for node in self:
             clone._nodes[node.name] = Node(
                 name=node.name,
@@ -350,7 +367,7 @@ class DFG:
     def renamed(self, prefix: str) -> "DFG":
         """Copy with every node name prefixed (used by loop unfolding)."""
         clone = DFG(f"{prefix}{self.name}")
-        clone._inputs = list(self._inputs)
+        clone._inputs = dict(self._inputs)
 
         def rename_port(port: Port) -> Port:
             if port.is_node:

@@ -3,7 +3,8 @@
 Round-trippable formats so designs and results can be stored, diffed and
 exchanged:
 
-* :func:`dfg_to_json` / :func:`dfg_from_json` — complete graph round trip;
+* :func:`dfg_to_json` / :func:`dfg_from_json` — complete graph round trip
+  (:func:`dfg_from_obj` decodes an already-parsed document);
 * :func:`schedule_to_json` — schedule with FU usage (consumable without
   this library);
 * :func:`synthesis_to_json` — the full MFSA result summary (ALUs,
@@ -65,7 +66,15 @@ def dfg_to_json(dfg: DFG, indent: Optional[int] = 2) -> str:
 
 def dfg_from_json(text: str) -> DFG:
     """Reconstruct a DFG from :func:`dfg_to_json` output."""
-    payload = json.loads(text)
+    return dfg_from_obj(json.loads(text))
+
+
+def dfg_from_obj(payload: Dict[str, Any]) -> DFG:
+    """Reconstruct a DFG from an already-parsed ``repro-dfg`` document.
+
+    Every check of :func:`dfg_from_json` applies; a caller holding the
+    decoded object (an HTTP request body) skips the text round trip.
+    """
     if payload.get("format") != "repro-dfg":
         raise DFGError("not a repro-dfg JSON document")
     if payload.get("version") != FORMAT_VERSION:

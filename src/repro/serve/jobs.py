@@ -22,6 +22,7 @@ up.
 from __future__ import annotations
 
 import json
+import threading
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.dfg.analysis import TimingModel, critical_path_length
@@ -34,7 +35,8 @@ from repro.dfg.fingerprint import (
 from repro.dfg.graph import DFG
 from repro.dfg.ops import standard_operation_set
 from repro.dfg.parser import parse_behavior
-from repro.io.jsonio import dfg_from_json, dfg_to_json
+from repro.errors import DFGError, LibraryError
+from repro.io.jsonio import dfg_from_json, dfg_from_obj, dfg_to_json
 from repro.perf import PerfCounters
 from repro.resilience.faults import fault_point
 from repro.sweep import worker_cached
@@ -44,6 +46,17 @@ ALGORITHMS = ("mfs", "mfsa")
 
 #: Spec schema version (part of every cache key).
 SPEC_VERSION = 1
+
+#: How many admissions :func:`normalize_spec` remembers.  Both server
+#: roles (and the benchmark) call it and then :func:`key_and_fingerprint`
+#: back to back on one thread, so a handful of entries covers them all.
+ADMISSION_MEMO_ENTRIES = 8
+
+#: Exact ``spec["dfg_json"]`` text → ``(design name, dfg_fingerprint)``.
+#: Both values are pure functions of the text, so a miss (a
+#: journal-recovered or hand-built spec) only costs a parse.
+_admitted: Dict[str, Tuple[str, str]] = {}
+_admitted_lock = threading.Lock()
 
 
 class JobSpecError(ValueError):
@@ -73,7 +86,7 @@ def parse_design(body: Mapping[str, Any], name: str = "design") -> DFG:
         if source is not None:
             _require(isinstance(source, str), "'source' must be a string")
             return parse_behavior(source, name=str(body.get("name", name)))
-        return dfg_from_json(json.dumps(dfg_obj))
+        return dfg_from_obj(dfg_obj)
     except JobSpecError:
         raise
     except Exception as error:
@@ -90,17 +103,36 @@ def normalize_spec(
 
     The canonicalisation matters: two requests describing the same job
     (isomorphic designs, same parameters in any spelling) normalise to
-    specs with the same :func:`cache_key`.
+    specs with the same :func:`cache_key`.  Every operation is checked
+    against the standard operation set (kind and operand count) and, for
+    ``mfsa``, against the default cell library, so a design no worker
+    could run is refused here rather than failing in the pool.
     """
     _require(algorithm in ALGORITHMS, f"unknown algorithm {algorithm!r}")
     _require(isinstance(body, Mapping), "request body must be a JSON object")
     dfg = parse_design(body)
     _require(len(dfg) > 0, "design has no operations")
+    try:
+        dfg.validate(worker_cached(("serve.ops",), standard_operation_set))
+        if algorithm == "mfsa":
+            _default_library().check_covers(dfg.kinds_used())
+    except (DFGError, LibraryError) as error:
+        raise JobSpecError(f"unsupported design: {error}") from error
 
     def _opt_number(key: str, cast, minimum=None):
         value = body.get(key)
         if value is None:
             return None
+        # int() would turn true into 1 and truncate 2.7 to 2.
+        _require(
+            not isinstance(value, bool)
+            and not (
+                cast is int
+                and isinstance(value, float)
+                and not value.is_integer()
+            ),
+            f"{key!r} must be a {cast.__name__}",
+        )
         try:
             value = cast(value)
         except (TypeError, ValueError):
@@ -111,7 +143,9 @@ def normalize_spec(
         )
         return value
 
-    style = _opt_number("style", int) or 1
+    style = _opt_number("style", int)
+    if style is None:
+        style = 1
     _require(style in (1, 2), "'style' must be 1 or 2")
     pipelined = body.get("pipelined", [])
     if isinstance(pipelined, str):
@@ -121,10 +155,12 @@ def normalize_spec(
         and all(isinstance(k, str) for k in pipelined),
         "'pipelined' must be a list of kind names",
     )
+    dfg_json = dfg_to_json(dfg, indent=None)
+    _remember_admission(dfg_json, (dfg.name, dfg_fingerprint(dfg)))
     spec = {
         "version": SPEC_VERSION,
         "algorithm": algorithm,
-        "dfg_json": dfg_to_json(dfg, indent=None),
+        "dfg_json": dfg_json,
         "cs": _opt_number("cs", int, minimum=1),
         "style": style,
         "mul_latency": _opt_number("mul_latency", int, minimum=1) or 1,
@@ -138,6 +174,30 @@ def normalize_spec(
     return spec
 
 
+def _default_library():
+    from repro.library.ncr import datapath_library
+
+    return worker_cached(("serve.library",), datapath_library)
+
+
+def _remember_admission(dfg_json: str, identity: Tuple[str, str]) -> None:
+    with _admitted_lock:
+        _admitted.pop(dfg_json, None)
+        _admitted[dfg_json] = identity
+        if len(_admitted) > ADMISSION_MEMO_ENTRIES:
+            del _admitted[next(iter(_admitted))]
+
+
+def _design_identity(dfg_json: str) -> Tuple[str, str]:
+    """``(design name, dfg_fingerprint)`` of a spec's ``dfg_json``."""
+    identity = _admitted.get(dfg_json)
+    if identity is None:
+        dfg = dfg_from_json(dfg_json)
+        identity = (dfg.name, dfg_fingerprint(dfg))
+        _remember_admission(dfg_json, identity)
+    return identity
+
+
 def cache_key(spec: Mapping[str, Any]) -> str:
     """Content address of a job spec (the result-cache key)."""
     return key_and_fingerprint(spec)[0]
@@ -145,11 +205,11 @@ def cache_key(spec: Mapping[str, Any]) -> str:
 
 def spec_fingerprint(spec: Mapping[str, Any]) -> str:
     """The canonical DFG fingerprint of a spec (the ring routing key)."""
-    return dfg_fingerprint(dfg_from_json(spec["dfg_json"]))
+    return _design_identity(spec["dfg_json"])[1]
 
 
 def key_and_fingerprint(spec: Mapping[str, Any]) -> Tuple[str, str]:
-    """``(cache_key, dfg_fingerprint)`` of a job spec in one DFG parse.
+    """``(cache_key, dfg_fingerprint)`` of a job spec.
 
     The cache key combines the canonical DFG fingerprint
     (renaming/insertion-order free), the full parameter tuple, and — for
@@ -159,13 +219,15 @@ def key_and_fingerprint(spec: Mapping[str, Any]) -> Tuple[str, str]:
     responses are returned byte-identical.  The fingerprint is returned
     alongside because it is the *routing* key: the hash ring places jobs
     and cache entries by it, and every cache write tags the entry with
-    it so a ring resize can compute the handoff set.
+    it so a ring resize can compute the handoff set.  A spec fresh from
+    :func:`normalize_spec` is not parsed again: its design's name and
+    fingerprint come from the admission memo.
     """
-    dfg = dfg_from_json(spec["dfg_json"])
+    design_name, fingerprint = _design_identity(spec["dfg_json"])
     params = {
         # The design name is erased by the structural fingerprint but
         # embedded in the response bytes, so it must key the cache.
-        "design_name": dfg.name,
+        "design_name": design_name,
     }
     params.update(
         (key, spec[key])
@@ -185,10 +247,10 @@ def key_and_fingerprint(spec: Mapping[str, Any]) -> Tuple[str, str]:
     )
     library_digest = None
     if spec["algorithm"] == "mfsa":
-        from repro.library.ncr import datapath_library
-
-        library_digest = library_fingerprint(datapath_library())
-    fingerprint = dfg_fingerprint(dfg)
+        library_digest = worker_cached(
+            ("serve.library_digest",),
+            lambda: library_fingerprint(_default_library()),
+        )
     key = sha256_of(
         [
             "repro-serve-key",
@@ -229,7 +291,6 @@ def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
     from repro.core.mfs import MFSScheduler
     from repro.core.mfsa import MFSAScheduler
     from repro.io.jsonio import schedule_to_json, synthesis_to_json
-    from repro.library.ncr import datapath_library
 
     dfg = dfg_from_json(spec["dfg_json"])
     # Warm-worker caches: the timing model and cell library are pure
@@ -271,7 +332,7 @@ def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
         result = MFSAScheduler(
             dfg,
             timing,
-            worker_cached(("serve.library",), datapath_library),
+            _default_library(),
             cs=cs,
             style=spec["style"],
             latency_l=spec["latency_l"],

@@ -176,6 +176,27 @@ class TestMalformedRequests:
         finally:
             connection.close()
 
+    def test_unrunnable_design_is_400_without_a_forward(
+        self, shared_fleet, unrunnable
+    ):
+        router, client = shared_fleet
+        algorithm, design, message = unrunnable
+
+        def forwards():
+            return sum(
+                router.metrics.counter_value("router_forwards", target=name)
+                for name in router.shards
+            )
+
+        before = forwards()
+        submit = client.schedule if algorithm == "mfs" else client.synth
+        with pytest.raises(ServiceError) as excinfo:
+            submit(dfg=design, wait=True)
+        assert excinfo.value.status == 400
+        assert message in excinfo.value.payload["error"]
+        assert forwards() == before
+        assert 'status="500"' not in client.metrics_text()
+
 
 class TestCrossShardCache:
     def test_hit_survives_owner_shard_death_byte_identically(self):

@@ -19,6 +19,7 @@ from contextlib import contextmanager
 import pytest
 
 import repro.serve.batcher as batcher_module
+from repro.resilience.journal import load_records
 from repro.serve import Backpressure, Client, ServeApp, ServiceError
 from repro.serve.jobs import execute_spec
 
@@ -295,6 +296,21 @@ class TestHttpSurface:
             assert "repro_serve_queue_depth 0" in text
             assert "repro_serve_batch_size_count" in text
             assert "repro_perf_counter_total" in text
+
+    def test_unrunnable_design_is_400_before_any_work(self, tmp_path, unrunnable):
+        algorithm, design, message = unrunnable
+        with service(state_dir=str(tmp_path)) as (app, client):
+            submit = client.schedule if algorithm == "mfs" else client.synth
+            with pytest.raises(ServiceError) as exc:
+                submit(dfg=design, wait=True)
+            assert exc.value.status == 400
+            assert message in exc.value.payload["error"]
+            assert app.jobs == {}
+            assert app.metrics.counter_value("journal_writes") == 0
+            assert app.metrics.counter_value("jobs_executed") == 0
+            assert 'status="500"' not in client.metrics_text()
+        journal = tmp_path / "jobs.journal.jsonl"
+        assert load_records(str(journal)) == ([], False)
 
     def test_healthz_reports_shape(self):
         with service() as (_app, client):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 
 import pytest
 
@@ -56,6 +57,62 @@ class TestSpecs:
             normalize_spec("mfs", {"source": SRC, "cs": "six"})
         with pytest.raises(JobSpecError):
             normalize_spec("mfs", {"source": SRC, "cs": 0})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("style", 0),
+            ("style", True),
+            ("style", 1.9),
+            ("cs", 2.7),
+            ("cs", True),
+            ("cs", float("inf")),
+            ("mul_latency", 1.5),
+            ("mul_latency", True),
+            ("latency_l", 2.5),
+            ("seed", 0.5),
+            ("seed", False),
+            ("clock_ns", True),
+        ],
+    )
+    def test_normalize_rejects_coerced_numbers(self, field, value):
+        with pytest.raises(JobSpecError, match=field):
+            normalize_spec("mfsa", {"source": SRC, field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cs", 8),
+            ("style", 2),
+            ("mul_latency", 2),
+            ("latency_l", 3),
+            ("seed", 5),
+        ],
+    )
+    def test_integral_floats_keep_their_cache_key(self, field, value):
+        as_int = _spec(algorithm="mfsa", body={field: value})
+        as_float = _spec(algorithm="mfsa", body={field: float(value)})
+        assert as_float == as_int
+        assert cache_key(as_float) == cache_key(as_int)
+
+    def test_only_an_absent_style_defaults_to_1(self):
+        assert _spec(algorithm="mfsa")["style"] == 1
+        assert _spec(algorithm="mfsa", body={"style": None})["style"] == 1
+
+    def test_normalize_rejects_unrunnable_operations(self, unrunnable):
+        algorithm, design, message = unrunnable
+        with pytest.raises(JobSpecError, match=re.escape(message)):
+            normalize_spec(algorithm, {"dfg": design})
+        if algorithm == "mfs":
+            # Kind and arity do not depend on the algorithm.
+            with pytest.raises(JobSpecError, match=re.escape(message)):
+                normalize_spec("mfsa", {"dfg": design})
+
+    def test_schedule_accepts_kinds_the_library_lacks(self, unrunnable_designs):
+        # MFS needs no cell library; only /v1/synth checks coverage.
+        _algorithm, design, _message = unrunnable_designs["no-library-cell"]
+        spec = normalize_spec("mfs", {"dfg": design})
+        assert execute_spec(spec)[0]["ok"] is True
 
     def test_cache_key_ignores_parameter_spelling(self):
         assert cache_key(_spec(body={"cs": 4})) == cache_key(
