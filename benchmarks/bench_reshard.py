@@ -1,6 +1,6 @@
-"""Reshard-cost harness: hit retention, handoff time, replication cost.
+"""Reshard-cost harness: hit retention, handoff time, cold throughput.
 
-Measures the three numbers the elastic-fleet PR budgets, against a real
+Measures three numbers of the elastic fleet, against a real
 :class:`~repro.serve.router.ShardRouter` fleet over sockets:
 
 * **cache-hit retention** — warm a 2-shard fleet with distinct designs,
@@ -12,17 +12,10 @@ Measures the three numbers the elastic-fleet PR budgets, against a real
   flip, not best-effort invalidation).
 * **handoff wall time** — how long the warm push itself took, from the
   router's ``handoff_seconds`` summary.
-* **replication overhead** — cache-cold jobs/s through a 2-shard fleet
-  at ``--replication 1`` vs the default ``--replication 2``.  Replica
-  writes are buffered on the router and flushed as one coalesced
-  cache-import POST per target shard per ``replica_flush_s`` window,
-  entirely off the response path; budgeted at **< 5 %** when there is
-  a spare core for the flush to run on.  The measurement alternates
-  rf1/rf2 trials and keeps the best rate of each, which cancels
-  run-ordering warm-up bias — but on a single-CPU container (see the
-  ``cpus`` field in the recorded entry) the flush still time-shares
-  the one core with serial synthesis, so the measured fraction there
-  is an upper bound, not the quiet-box cost.
+* **cold throughput** — cache-cold jobs/s through a fresh 2-shard
+  fleet, best of ``--trials`` runs (best-of-N is the standard estimate
+  of uncontended capability for a throughput microbenchmark).  Compare
+  it only with entries recorded on the same ``cpus``.
 
 Results are appended to the ``history`` list of ``BENCH_core.json``;
 ``--smoke`` runs the retention drill only, gated on the retention floor
@@ -104,13 +97,12 @@ def measure_retention(entries, cs):
         handle.stop()
 
 
-def _replication_trial(replication, jobs, clients, cs, salt):
+def _cold_trial(jobs, clients, cs, salt):
     """One cache-cold throughput run: jobs/s through a fresh fleet."""
     router = ShardRouter(
         RouterConfig(
             port=0,
             shards=2,
-            replication=replication,
             shard_args=("--serial", "--batch-wait-ms", "2",
                         "--queue-size", str(max(64, jobs))),
         )
@@ -135,22 +127,12 @@ def _replication_trial(replication, jobs, clients, cs, salt):
         handle.stop()
 
 
-def measure_replication_overhead(jobs, clients, cs, trials=3):
-    """Cache-cold jobs/s at replication 1 vs 2 on a 2-shard fleet.
-
-    Trials alternate rf1/rf2 and the best rate per factor wins: a
-    single back-to-back pair confounds the comparison with whichever
-    run the OS warmed up first, and best-of-N is the standard estimate
-    of uncontended capability for a throughput microbenchmark.
-    """
-    best = {1: 0.0, 2: 0.0}
-    for trial in range(trials):
-        for replication in (1, 2):
-            salt = 20_000 * (trial + 1) + 1000 * replication
-            rate = _replication_trial(replication, jobs, clients, cs, salt)
-            best[replication] = max(best[replication], rate)
-    overhead = best[1] / best[2] - 1.0 if best[2] > 0 else 0.0
-    return best, overhead
+def measure_cold_throughput(jobs, clients, cs, trials=3):
+    """Best cache-cold jobs/s of ``trials`` fresh 2-shard fleets."""
+    return max(
+        _cold_trial(jobs, clients, cs, salt=20_000 * (trial + 1))
+        for trial in range(trials)
+    )
 
 
 def main(argv=None):
@@ -163,12 +145,12 @@ def main(argv=None):
     parser.add_argument("--entries", type=int, default=None,
                         help="warm cache entries (default 200, smoke 24)")
     parser.add_argument("--jobs", type=int, default=32,
-                        help="cold jobs per replication run (default 32)")
+                        help="jobs per cold-throughput trial (default 32)")
     parser.add_argument("--clients", type=int, default=8,
                         help="concurrent client threads (default 8)")
     parser.add_argument("--cs", type=int, default=4)
     parser.add_argument("--trials", type=int, default=3,
-                        help="alternating rf1/rf2 trials, best-of wins "
+                        help="cold-throughput trials, best-of wins "
                              "(default 3)")
     parser.add_argument("--budget", type=float, default=180.0,
                         help="smoke wall-time budget in seconds (default 180)")
@@ -212,13 +194,10 @@ def main(argv=None):
         print(f"smoke OK ({wall:.1f} s <= {args.budget:g} s budget)")
         return 0
 
-    rates, overhead = measure_replication_overhead(
+    rate = measure_cold_throughput(
         args.jobs, args.clients, args.cs, trials=args.trials
     )
-    print(
-        f"replication: rf1 {rates[1]:.1f} jobs/s, rf2 {rates[2]:.1f} jobs/s "
-        f"({overhead:+.1%} overhead, best of {args.trials} trials each)"
-    )
+    print(f"cold throughput: {rate:.1f} jobs/s (best of {args.trials} trials)")
     assert retention["retention_pct"] >= RETENTION_FLOOR_PCT, retention
 
     entry = {
@@ -234,9 +213,7 @@ def main(argv=None):
         "handoff_entries": retention["handoff_entries"],
         "handoff_seconds": retention["handoff_seconds"],
         "reshard_seconds": retention["reshard_seconds"],
-        "rf1_jobs_per_s": round(rates[1], 2),
-        "rf2_jobs_per_s": round(rates[2], 2),
-        "replication_overhead_fraction": round(overhead, 4),
+        "cold_jobs_per_s": round(rate, 2),
     }
     out = append_entry(entry, "reshard", Path(args.out))
     print(f"wrote {out}")

@@ -474,7 +474,6 @@ def _command_serve_sharded(args) -> int:
         host=args.host,
         port=args.port,
         shards=args.shards,
-        replication=args.replication,
         state_dir=args.state_dir,
         cache_entries=args.cache_entries,
         forward_timeout_s=args.timeout + 60.0,
@@ -901,9 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=None,
                    help="spawn N worker-shard subprocesses behind a "
                    "consistent-hash router (default: single process)")
-    p.add_argument("--replication", type=int, default=2,
-                   help="with --shards: cache copies per result (owner + "
-                   "ring successors; 1 disables replication; default 2)")
     p.add_argument("--port-file", default=None,
                    help="write the bound port to this file once up "
                    "(how the shard router finds its workers)")

@@ -17,7 +17,7 @@ import json
 from typing import Any, Dict, Optional
 
 from repro.errors import DFGError
-from repro.dfg.graph import DFG, Port
+from repro.dfg.graph import DFG, BranchPath, Port
 from repro.schedule.types import Schedule
 
 FORMAT_VERSION = 1
@@ -39,6 +39,22 @@ def _port_from_obj(obj: Dict[str, Any]) -> Port:
     if "node" in obj:
         return Port.node(obj["node"])
     raise DFGError(f"malformed port object: {obj!r}")
+
+
+def _branch_from_obj(node: str, pairs: Any) -> BranchPath:
+    """Decode ``[[condition, arm], ...]``: string conditions, boolean arms."""
+    path = []
+    for cond, arm in pairs:
+        if not isinstance(cond, str):
+            raise DFGError(
+                f"node {node!r}: branch condition must be a string, got {cond!r}"
+            )
+        if not isinstance(arm, bool):
+            raise DFGError(
+                f"node {node!r}: branch arm must be true or false, got {arm!r}"
+            )
+        path.append((cond, arm))
+    return tuple(path)
 
 
 def dfg_to_json(dfg: DFG, indent: Optional[int] = 2) -> str:
@@ -89,7 +105,7 @@ def dfg_from_obj(payload: Dict[str, Any]) -> DFG:
             node["kind"],
             [_port_from_obj(obj) for obj in node["operands"]],
             name=node["name"],
-            branch=tuple((cond, bool(arm)) for cond, arm in node.get("branch", [])),
+            branch=_branch_from_obj(node["name"], node.get("branch", [])),
         )
     for out_name, obj in payload.get("outputs", {}).items():
         dfg.set_output(out_name, _port_from_obj(obj))

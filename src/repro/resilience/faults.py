@@ -57,7 +57,6 @@ FAULT_SITES = (
     "scheduler.run",        # execute_spec, before the scheduler runs
     "router.forward",       # ShardRouter, before proxying to a shard
     "router.handoff",       # ShardRouter, before pushing a reshard handoff batch
-    "shard.replica.put",    # ShardRouter, before a replica cache write
 )
 
 

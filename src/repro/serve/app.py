@@ -247,7 +247,12 @@ class ServeApp(BaseServer):
     def _register(self, job: Job) -> None:
         remember(self.jobs, job.id, job, self.config.job_history)
 
-        def _on_terminal(_future: asyncio.Future) -> None:
+        def _on_terminal(future: asyncio.Future) -> None:
+            if not future.cancelled():
+                # Mark a failure retrieved: it lives on in ``job.error``,
+                # and a ``wait=0`` job's future has no other reader, so
+                # asyncio would log it as never retrieved on collection.
+                future.exception()
             self.metrics.incr("jobs", status=job.status)
             total = job.total_seconds()
             if total is not None:
@@ -391,15 +396,11 @@ class ServeApp(BaseServer):
         self, method: str, path: str, query: Mapping[str, str], body: bytes
     ) -> Tuple[str, Response]:
         if path.startswith("/admin/cache/"):
-            return path, self._handle_admin_cache(method, path, query, body)
+            return path, self._handle_admin_cache(method, path, body)
         return await super()._route(method, path, query, body)
 
     def _handle_admin_cache(
-        self,
-        method: str,
-        path: str,
-        query: Mapping[str, str],
-        body: bytes,
+        self, method: str, path: str, body: bytes
     ) -> Response:
         """Cache transfer endpoints backing the router's reshard handoff.
 
@@ -407,9 +408,7 @@ class ServeApp(BaseServer):
         * ``POST /admin/cache/export`` — ``{"keys": [...]}`` → full
           entries for the keys still cached;
         * ``POST /admin/cache/import`` — ``{"entries": [...]}`` → puts,
-          returning ``{"imported": n}`` (replica writes land here too);
-        * ``GET  /admin/cache/entry?key=`` — one raw stored payload, the
-          router's replica read-path probe.
+          returning ``{"imported": n}``.
         """
         sub = path[len("/admin/cache/"):]
         if sub == "index":
@@ -420,16 +419,6 @@ class ServeApp(BaseServer):
                 for key, tag, _text in self.cache.tagged_entries()
             ]
             return 200, {}, {"entries": entries, "total": len(self.cache)}
-        if sub == "entry":
-            if method != "GET":
-                return 405, {}, {"error": "GET required"}
-            key = query.get("key", "")
-            if not key:
-                return 400, {}, {"error": "'key' query parameter required"}
-            text = self.cache.peek(key)
-            if text is None:
-                return 404, {}, {"error": "not cached"}
-            return 200, {"X-Raw-Body": "1"}, text
         if sub in ("export", "import"):
             if method != "POST":
                 return 405, {}, {"error": "POST required"}

@@ -75,8 +75,9 @@ class Job:
         self.spec = dict(spec)
         self.key = key
         #: Canonical DFG fingerprint — the hash-ring routing key.  Set
-        #: by the app when it parses the spec; the router reads it from
-        #: job payloads to place replica cache writes on the ring.
+        #: by the app when it parses the spec; it tags the job's L1 and
+        #: router-L2 cache entries, which the reshard handoff moves by
+        #: ring owner.
         self.fingerprint: Optional[str] = None
         self.timeout_s = timeout_s
         self.status = "queued"

@@ -46,13 +46,6 @@ Design choices, and why:
   hits across the resize), and only then flips the live ring; a removed
   shard finishes its in-flight jobs and compacts its journal before the
   process exits.
-* **Results are replicated.**  Each fresh result is written to its
-  owner *and* the next ``replication - 1`` shards in ring order — as a
-  coalesced background flush (one import POST per target per
-  ``replica_flush_s`` window), never on the response path; on a
-  router-L2 miss the read path probes the replica holders before
-  recomputing and read-repairs what it finds, so ``kill -9`` on a shard
-  no longer costs the fleet its hottest cache entries.
 * **Supervision is crash-loop safe.**  A dead shard respawns after a
   capped exponential backoff with seeded *equal* jitter (monotone
   non-decreasing gaps, :class:`repro.resilience.retry.RetryPolicy`);
@@ -135,13 +128,6 @@ class RouterConfig:
     #: Consecutive rapid deaths before a shard is permanently demoted
     #: (the ring routes around it; only an admin remove cleans it up).
     crash_loop_threshold: int = 5
-    #: Cache copies per result: the owner plus ``replication - 1`` ring
-    #: successors.  ``1`` disables replica writes and read-path probes.
-    replication: int = 2
-    #: Coalescing window for replica writes: results absorbed within one
-    #: window ride a single cache-import POST per target shard, so the
-    #: per-result replication cost amortises away under load.
-    replica_flush_s: float = 0.02
     #: Budget for one forwarded request (covers ``?wait=1`` synthesis).
     forward_timeout_s: float = 120.0
     #: Budget for every shard to drain after fleet SIGTERM.
@@ -240,13 +226,6 @@ class ShardRouter(BaseServer):
         self._next_index = config.shards
         #: Serializes admin reshards (a second one answers 409).
         self._reshard_lock = asyncio.Lock()
-        #: In-flight background work (replica flushes), kept referenced.
-        self._background: set = set()
-        #: Replica writes awaiting a flush: target shard → key → entry.
-        #: Coalescing per target turns N per-result POSTs into one
-        #: import per ``replica_flush_s`` window (re-puts dedupe by key).
-        self._replica_buffer: Dict[str, Dict[str, Dict[str, Any]]] = {}
-        self._replica_flush_scheduled = False
         self._scratch: Optional[tempfile.TemporaryDirectory] = None
         self._health_task: Optional[asyncio.Task] = None
         self._describe_metrics()
@@ -262,9 +241,6 @@ class ShardRouter(BaseServer):
         m.describe("shard_restarts", "Shard subprocesses respawned, by target shard.")
         m.describe("shard_demoted", "Shards permanently demoted by the crash-loop detector.")
         m.describe("shard_respawn_backoff_seconds", "Current respawn backoff delay, by shard.")
-        m.describe("replica_puts", "Replica cache writes, by target shard.")
-        m.describe("replica_put_errors", "Replica cache writes that failed, by target shard.")
-        m.describe("replica_probe_hits", "Submissions served from a replica shard's cache.")
         m.describe("reshards", "Ring resizes completed, by action.")
         m.describe("handoff_entries", "Cache entries warm-pushed during reshards, by receiver.")
         m.describe("handoff_errors", "Handoff pushes that failed, by receiver.")
@@ -393,7 +369,7 @@ class ShardRouter(BaseServer):
         self._log(f"{self.config.shards} shard(s) up")
 
     async def _stop_work(self, drain: bool) -> None:
-        """Stop supervision and replica flushes, then the shards."""
+        """Stop supervision, then the shards."""
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -401,16 +377,6 @@ class ShardRouter(BaseServer):
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._background:
-            # Give in-flight replica writes one drain window, then cut.
-            pending = list(self._background)
-            _done, still_pending = await asyncio.wait(
-                pending, timeout=self.config.health_timeout_s
-            )
-            for task in still_pending:
-                task.cancel()
-            await asyncio.gather(*pending, return_exceptions=True)
-            self._background.clear()
         signum = signal.SIGTERM if drain else signal.SIGKILL
         deadline = time.monotonic() + self.config.drain_timeout_s
         await asyncio.gather(
@@ -582,15 +548,9 @@ class ShardRouter(BaseServer):
     def _target(path: str, query: Mapping[str, str]) -> str:
         return f"{path}?{urlencode(dict(query))}" if query else path
 
-    def _absorb_result(
-        self, info: Mapping[str, Any], result: Any
-    ) -> Optional[Tuple[str, Optional[str], str]]:
+    def _absorb_result(self, info: Mapping[str, Any], result: Any) -> None:
         """Populate the shared L2 cache from a shard's finished response
-        (its ``job`` description and ``result``).
-
-        Returns the absorbed ``(key, fingerprint, text)`` so the caller
-        can fan the entry out to its replica holders.
-        """
+        (its ``job`` description and ``result``)."""
         if (
             info.get("status") == "done"
             and isinstance(info.get("key"), str)
@@ -601,111 +561,7 @@ class ShardRouter(BaseServer):
             fingerprint = info.get("fingerprint")
             if not isinstance(fingerprint, str):
                 fingerprint = None
-            text = response_text(result)
-            self.cache.put(info["key"], text, tag=fingerprint)
-            return info["key"], fingerprint, text
-        return None
-
-    # ------------------------------------------------------------------
-    # replication
-    # ------------------------------------------------------------------
-    def _replica_names(self, fingerprint: str) -> List[str]:
-        """The shards holding copies of ``fingerprint``'s results."""
-        if self.config.replication < 2 or len(self.ring) < 2:
-            return []
-        return self.ring.ordered(fingerprint)[: self.config.replication]
-
-    async def _put_replica(
-        self, shard: ShardProcess, entries: List[Dict[str, Any]]
-    ) -> bool:
-        """Best-effort cache write into one shard's L1; never fatal.
-
-        Counters move by ``len(entries)`` — they track replicated
-        *results*, not POSTs, so coalescing does not skew them.
-        """
-        try:
-            fault_point("shard.replica.put")
-            await self._shard_call(
-                shard, "POST", "/admin/cache/import", {"entries": entries}
-            )
-        except (OSError, asyncio.TimeoutError, InjectedFault):
-            self.metrics.incr(
-                "replica_put_errors", len(entries), target=shard.name
-            )
-            return False
-        self.metrics.incr("replica_puts", len(entries), target=shard.name)
-        return True
-
-    def _spawn_background(self, coro) -> None:
-        """Run ``coro`` off the response path; the task set keeps it
-        referenced until done (cancelled wholesale at shutdown)."""
-        task = asyncio.get_running_loop().create_task(coro)
-        self._background.add(task)
-        task.add_done_callback(self._background.discard)
-
-    def _queue_replica(
-        self,
-        key: str,
-        fingerprint: Optional[str],
-        text: str,
-        served_by: str,
-    ) -> None:
-        """Buffer a fresh result for its other replica holders (RF ≥ 2).
-
-        Synchronous and allocation-only — nothing here touches the
-        network, so the response path pays nothing.  The first queued
-        entry arms one flush; everything absorbed within the window
-        rides the same per-target import POST.
-        """
-        if fingerprint is None:
-            return
-        entry = {"key": key, "tag": fingerprint, "text": text}
-        queued = False
-        for name in self._replica_names(fingerprint):
-            if name == served_by:
-                continue
-            self._replica_buffer.setdefault(name, {})[key] = entry
-            queued = True
-        if queued and not self._replica_flush_scheduled:
-            self._replica_flush_scheduled = True
-            self._spawn_background(self._flush_replicas())
-
-    async def _flush_replicas(self) -> None:
-        """Drain the replica buffer: one cache-import POST per target."""
-        await asyncio.sleep(self.config.replica_flush_s)
-        self._replica_flush_scheduled = False
-        buffered, self._replica_buffer = self._replica_buffer, {}
-        for name, entries in buffered.items():
-            shard = self.shards.get(name)
-            if shard is None or shard.port is None or not shard.alive:
-                continue
-            await self._put_replica(shard, list(entries.values()))
-
-    async def _probe_replicas(
-        self, key: str, fingerprint: str, skip: str
-    ) -> Optional[str]:
-        """Read-path fall-through: ask replica holders for a cached result.
-
-        Runs only on a router-L2 miss, before forwarding.  The forward
-        target serves its own L1 anyway, so only the *other* replica
-        holders are probed — this is what rescues the hottest entries
-        when their owner was SIGKILLed and came back cold.
-        """
-        for name in self._replica_names(fingerprint):
-            if name == skip:
-                continue
-            shard = self.shards.get(name)
-            if shard is None or shard.port is None or not shard.alive:
-                continue
-            try:
-                raw = await self._shard_call(
-                    shard, "GET", f"/admin/cache/entry?{urlencode({'key': key})}"
-                )
-            except (OSError, asyncio.TimeoutError):
-                continue
-            self.metrics.incr("replica_probe_hits", target=name)
-            return raw.decode("utf-8")
-        return None
+            self.cache.put(info["key"], response_text(result), tag=fingerprint)
 
     # ------------------------------------------------------------------
     # online reshard
@@ -954,7 +810,6 @@ class ShardRouter(BaseServer):
     def _admin_status(self) -> Dict[str, Any]:
         return {
             "ring": list(self.ring.nodes),
-            "replication": self.config.replication,
             "shards": {
                 name: shard.describe() for name, shard in self.shards.items()
             },
@@ -991,22 +846,6 @@ class ShardRouter(BaseServer):
         key, fingerprint = key_and_fingerprint(spec)
 
         cached = self.cache.get(key)
-        if cached is None:
-            candidates = self._candidates(fingerprint)
-            if not candidates:
-                return 503, {}, {"error": "no shard available"}
-            # L2 missed: before recomputing, ask the *other* replica
-            # holders (the forward target answers from its own L1).  A
-            # hit is read-repaired into the L2 and the forward target.
-            cached = await self._probe_replicas(
-                key, fingerprint, skip=candidates[0].name
-            )
-            if cached is not None:
-                self.cache.put(key, cached, tag=fingerprint)
-                await self._put_replica(
-                    candidates[0],
-                    [{"key": key, "tag": fingerprint, "text": cached}],
-                )
         if cached is not None:
             job = Job(spec, key, timeout_s=None, loop=asyncio.get_running_loop())
             job.fingerprint = fingerprint
@@ -1018,6 +857,9 @@ class ShardRouter(BaseServer):
                 return 200, {}, self._job_payload(job)
             return 202, {}, {"job": self._describe_job(job)}
 
+        candidates = self._candidates(fingerprint)
+        if not candidates:
+            return 503, {}, {"error": "no shard available"}
         owner = self.ring.node_for(fingerprint)
         target = self._target(path, query)
         last_error: Optional[BaseException] = None
@@ -1061,17 +903,7 @@ class ShardRouter(BaseServer):
                 self.config.job_history,
             )
         if status == 200:
-            absorbed = self._absorb_result(info, payload.get("result"))
-            if absorbed is not None:
-                # Replica writes never sit on the response path: the
-                # result is buffered here (pure dict ops) and flushed
-                # in coalesced per-target batches off-path.  Awaiting
-                # the POST inline measured >60% throughput cost —
-                # benchmarks/bench_reshard.py keeps the budget honest.
-                key, fingerprint, text = absorbed
-                self._queue_replica(
-                    key, fingerprint, text, served_by=shard.name
-                )
+            self._absorb_result(info, payload.get("result"))
         return status, out_headers, {**payload, "job": {**info, "shard": shard.name}}
 
     def _describe_job(self, job: Job) -> Dict[str, Any]:

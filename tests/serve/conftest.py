@@ -25,8 +25,19 @@ def one_op_design(kind: str, operands: int) -> dict:
     }
 
 
-#: Well-formed graphs no worker could run:
-#: name → (algorithm, design, fragment of the 400 message).
+def branch_design(condition, arm) -> dict:
+    """Two adds on opposite arms of ``condition`` (``n0`` takes ``arm``)."""
+    design = one_op_design("add", 2)
+    first = design["nodes"][0]
+    first["branch"] = [[condition, arm]]
+    second = dict(first, name="n1", branch=[[condition, False]])
+    design["nodes"].append(second)
+    design["outputs"]["y"] = {"node": "n1"}
+    return design
+
+
+#: Designs admission must refuse at the edge, because no worker could
+#: run them: name → (algorithm, design, fragment of the 400 message).
 UNRUNNABLE = {
     "unknown-kind": (
         "mfs",
@@ -35,6 +46,16 @@ UNRUNNABLE = {
     ),
     "wrong-arity": ("mfs", one_op_design("add", 3), "'n0' (add) has 3 operands"),
     "no-library-cell": ("mfsa", one_op_design("div", 2), "no cell for kind 'div'"),
+    "non-string-condition": (
+        "mfs",
+        branch_design(["c"], True),
+        "node 'n0': branch condition must be a string",
+    ),
+    "non-boolean-arm": (
+        "mfs",
+        branch_design("c", "yes"),
+        "node 'n0': branch arm must be true or false",
+    ),
 }
 
 

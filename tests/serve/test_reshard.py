@@ -1,14 +1,13 @@
-"""Elastic-fleet acceptance: online reshard, replicated L2, supervision.
+"""Elastic-fleet acceptance: online reshard, journal re-warm, supervision.
 
-The three robustness claims this PR makes about the shard router:
+The three robustness claims the shard router makes:
 
 * **zero-downtime reshard** — ``POST /admin/shards`` grows or drains
   the fleet at runtime, and the warm cache handoff runs *before* the
   ring flips, so repeat submissions stay cache hits across the resize;
-* **replicated results** — every fresh result lands on its owner *and*
-  a ring successor, so ``kill -9`` on a shard no longer costs the fleet
-  its hottest entries (forward-to-replica and read-path probe both
-  covered);
+* **journal re-warm** — a shard respawned after ``kill -9`` replays its
+  journal into its L1 before it listens, so a result the router L2 has
+  already evicted is still a cache hit, served by its owner;
 * **crash-loop-safe supervision** — respawns back off with monotone
   (equal-jitter) gaps, and a shard that keeps dying is demoted while
   the rest of the fleet keeps serving.
@@ -75,9 +74,8 @@ class TestOnlineReshard:
         """Scale-out acceptance: grow 2 → 3 under a tiny router L2, and
         every previously computed design is still answered as a cache
         hit — the relocated entries must have been warm-handed to the
-        new shard's L1 *before* the ring flipped (``replication=1``
-        keeps replica writes from masking a broken handoff)."""
-        with fleet(cache_entries=1, replication=1) as (router, client):
+        new shard's L1 *before* the ring flipped."""
+        with fleet(cache_entries=1) as (router, client):
             designs = _warm(client, 12)
 
             out = client.admin_add_shard()
@@ -109,7 +107,7 @@ class TestOnlineReshard:
         removal (handoff + L2 absorb) and its process exits cleanly
         after compacting its journal."""
         with fleet(
-            cache_entries=64, replication=1, state_dir=str(tmp_path)
+            cache_entries=64, state_dir=str(tmp_path)
         ) as (router, client):
             designs = _warm(client, 8)
             victim_process = router.shards["shard-0"].process
@@ -147,76 +145,30 @@ class TestOnlineReshard:
             assert err.value.status == 400
             status = client.admin_status()
             assert status["ring"] == ["shard-0"]
-            assert status["replication"] == 2
+            assert "replication" not in status
             assert status["shards"]["shard-0"]["status"] == "ok"
+            assert "replication" not in client.healthz()
 
 
-class TestReplicatedCache:
-    def test_replica_serves_after_owner_sigkill(self):
-        """Kill -9 the shard that computed a result (no respawn): the
-        repeat submission is still a cache *hit*, served from the ring
-        successor's L1 — which only holds the entry because the router
-        replicated the write."""
-        with fleet(cache_entries=1, replication=2, respawn=False) as (
-            router,
-            client,
-        ):
-            source, name = _source(77), "replica"
-            first = client.schedule(source=source, name=name)
-            assert first["job"]["status"] == "done"
-            owner = first["job"]["shard"]
-            assert owner in router.shards
-            survivor = next(n for n in router.shards if n != owner)
-            # Replica writes flush off-path in batches; wait to land.
-            assert _wait_until(
-                lambda: router.metrics.counter_value(
-                    "replica_puts", target=survivor
-                )
-                == 1,
-                timeout=10,
-            )
-
-            # Push the entry out of the router's 1-slot L2, then kill
-            # the owner: the only warm copy left is the replica.
-            client.schedule(source=_source(78), name="evict")
-            os.kill(router.shards[owner].process.pid, signal.SIGKILL)
-            assert _wait_until(
-                lambda: not router.shards[owner].alive, timeout=10
-            )
-
-            again = client.schedule(source=source, name=name)
-            assert again["job"]["status"] == "done"
-            assert again["job"]["cache"] == "hit", again["job"]
-            assert again["job"]["shard"] == survivor
-            assert client.result_text(again["job"]["id"]) == _expected_text(
-                source, name
-            )
-
-    def test_replica_probe_read_repairs_a_cold_respawned_owner(self):
-        """The read-path probe: the owner comes back from SIGKILL with a
-        cold L1 (no state dir), so on the L2 miss the router asks the
-        *other* replica holder, answers from its copy, and read-repairs
-        both tiers."""
+class TestJournalRewarm:
+    def test_respawned_owner_serves_an_l2_evicted_result(self, tmp_path):
+        """The guarantee behind two cache tiers: the router L2 has
+        evicted a result and its owner was SIGKILLed, yet the repeat is
+        a hit served by the owner itself — the respawned shard replayed
+        its journal into its L1 before it came back up."""
         with fleet(
             cache_entries=1,
-            replication=2,
+            state_dir=str(tmp_path),
             respawn_base_s=0.05,
             respawn_cap_s=0.2,
             crash_loop_threshold=10,
         ) as (router, client):
-            source, name = _source(91), "probe"
+            source, name = _source(91), "rewarm"
             first = client.schedule(source=source, name=name)
+            assert first["job"]["status"] == "done"
             owner = first["job"]["shard"]
+            assert owner in router.shards
             client.schedule(source=_source(92), name="evict")  # flush L2
-            # Both results' async replica writes must land before the kill.
-            assert _wait_until(
-                lambda: sum(
-                    router.metrics.counter_value("replica_puts", target=n)
-                    for n in router.shards
-                )
-                == 2,
-                timeout=10,
-            )
 
             shard = router.shards[owner]
             os.kill(shard.process.pid, signal.SIGKILL)
@@ -227,16 +179,10 @@ class TestReplicatedCache:
             again = client.schedule(source=source, name=name)
             assert again["job"]["status"] == "done"
             assert again["job"]["cache"] == "hit", again["job"]
-            # Served by the router itself, off the replica's answer.
-            assert again["job"]["shard"] == "router"
+            assert again["job"]["shard"] == owner
             assert client.result_text(again["job"]["id"]) == _expected_text(
                 source, name
             )
-            probe_hits = sum(
-                router.metrics.counter_value("replica_probe_hits", target=n)
-                for n in router.shards
-            )
-            assert probe_hits == 1
 
 
 class TestSupervision:
@@ -342,30 +288,12 @@ class TestReshardUnderLoad:
 
 
 class TestElasticFaultDrills:
-    """Drills for the router-side elastic-fleet fault sites: a failed
-    replica write or handoff push is counted, never fatal."""
-
-    def test_failed_replica_write_is_counted_and_result_served(self):
-        with fleet(faults="shard.replica.put:n=1") as (router, client):
-            source = _source(201)
-            out = client.schedule(source=source, name="replica-drill")
-            assert out["job"]["status"] == "done"
-
-            def errors():
-                return sum(
-                    router.metrics.counter_value("replica_put_errors", target=name)
-                    for name in router.shards
-                )
-
-            assert _wait_until(lambda: errors() == 1)
-            assert router.fault_plan.fired("shard.replica.put") == 1
-            assert client.result_text(out["job"]["id"]) == _expected_text(
-                source, "replica-drill"
-            )
+    """Drill for the router-side elastic-fleet fault site: a failed
+    handoff push is counted, never fatal."""
 
     def test_failed_handoff_push_is_counted_and_reshard_completes(self):
         with fleet(
-            faults="router.handoff:n=1", cache_entries=1, replication=1
+            faults="router.handoff:n=1", cache_entries=1
         ) as (router, client):
             designs = _warm(client, 12, prefix="handoff")
             out = client.admin_add_shard()
