@@ -30,7 +30,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +38,7 @@ from pathlib import Path
 from bench_record import append_entry
 
 from repro.serve import Client, RouterConfig, ShardRouter
+from repro.sweep import default_workers
 
 RETENTION_FLOOR_PCT = 90.0
 
@@ -63,7 +63,7 @@ def measure_retention(entries, cs):
             port=0,
             shards=2,
             cache_entries=1,  # the router L2 cannot mask a broken handoff
-            shard_args=("--serial", "--batch-wait-ms", "2",
+            shard_args=("--serial",
                         "--cache-entries", str(max(1024, 2 * entries))),
         )
     )
@@ -103,8 +103,7 @@ def _cold_trial(jobs, clients, cs, salt):
         RouterConfig(
             port=0,
             shards=2,
-            shard_args=("--serial", "--batch-wait-ms", "2",
-                        "--queue-size", str(max(64, jobs))),
+            shard_args=("--serial", "--queue-size", str(max(64, jobs))),
         )
     )
     handle = router.start_in_thread()
@@ -207,7 +206,7 @@ def main(argv=None):
         "jobs": args.jobs,
         "clients": args.clients,
         "trials": args.trials,
-        "cpus": os.cpu_count(),
+        "cpus": default_workers(),
         "cs": args.cs,
         "retention_pct": retention["retention_pct"],
         "handoff_entries": retention["handoff_entries"],

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -33,6 +32,7 @@ from pathlib import Path
 from bench_record import append_entry
 
 from repro.scenarios import expand_matrix, grid_payload, normalize_config, run_matrix
+from repro.sweep import default_workers
 
 MATRIX = {
     "name": "bench",
@@ -94,7 +94,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    cpus = os.cpu_count() or 1
+    cpus = default_workers()
     n_scenarios, serial_s, pooled_s = measure(1 if args.smoke else args.repeat)
     serial_rate = round(n_scenarios / serial_s, 2) if serial_s else 0.0
     pooled_rate = round(n_scenarios / pooled_s, 2) if pooled_s else 0.0

@@ -5,12 +5,9 @@ and measures, over real sockets:
 
 * **batching throughput** — jobs/sec for a fleet of distinct MFSA jobs
   submitted by concurrent clients, at ``max_batch`` 1 / 4 / 16.  At
-  batch 1 every job runs serially in-process; larger batches fan out
-  through the warm process pool, so the ratio is the measured gain of
-  micro-batched dispatch.  A fourth run enables the cost-aware
-  :class:`~repro.serve.batcher.AdaptiveBatchPolicy` at the same
-  ``max_batch=16`` cap, showing what the EWMA-sized batches recover
-  when fixed-size batching does not pay;
+  batch 1 every job runs serially in-process; larger batches (the jobs
+  queued behind a running one) fan out through the warm process pool,
+  so the ratio is the measured gain of micro-batched dispatch;
 * **cache-hit latency** — round-trip time of a repeated submission
   (served from the content-addressed cache) against the cold run of the
   same job, giving the cache-hit speedup.
@@ -36,6 +33,7 @@ from pathlib import Path
 from bench_record import append_entry
 
 from repro.serve import Client, ServeApp
+from repro.sweep import default_workers
 
 #: Distinct-by-constant behavioral designs: constant ``k`` lands in the
 #: DFG structure, so every job has its own fingerprint (no cache hits).
@@ -53,23 +51,16 @@ def _sources(count):
     return [DESIGN.format(k=3 + i, k2=5 + i) for i in range(count)]
 
 
-def measure_throughput(
-    jobs, clients, max_batch, cs, adaptive=False, target_batch_seconds=0.25
-):
+def measure_throughput(jobs, clients, max_batch, cs):
     """Jobs/sec for ``jobs`` distinct MFSA submissions at one batch size."""
-    app = ServeApp(
-        port=0,
-        max_batch=max_batch,
-        batch_wait_ms=5.0,
-        queue_size=max(64, jobs),
-        adaptive_batching=adaptive,
-        target_batch_seconds=target_batch_seconds,
-    )
+    app = ServeApp(port=0, max_batch=max_batch, queue_size=max(64, jobs))
     handle = app.start_in_thread()
     try:
         client = Client(handle.url)
         sources = _sources(jobs)
-        # One warm-up job boots the worker pool outside the timed region.
+        # The batcher dispatches nothing until its pool has started, so
+        # once this job is answered the timed region starts with a warm
+        # pool.  The lone job itself runs in-process.
         client.synth(source="input a b\nx = a * b\noutput x", cs=2)
 
         def submit(source):
@@ -115,14 +106,6 @@ def measure_cache_hit(repeat, cs):
         handle.stop()
 
 
-#: Adaptive-policy batch budget for the benchmark fleet.  These MFSA
-#: jobs cost a few milliseconds each, so a 50 ms budget lets the policy
-#: coalesce them up to the cap (matching the best fixed configuration)
-#: while still collapsing to immediate dispatch for any job stream
-#: whose measured cost reaches tens of milliseconds.
-ADAPTIVE_TARGET_S = 0.05
-
-
 def measure(jobs, clients, repeat, cs=6):
     throughput = {}
     for max_batch in (1, 4, 16):
@@ -132,36 +115,20 @@ def measure(jobs, clients, repeat, cs=6):
             f"max_batch={max_batch:>2}: {jobs} jobs in {elapsed:.2f} s "
             f"({jps:.1f} jobs/s, {batches} batches)"
         )
-    # Cost-aware batching against the fixed max_batch=16 configuration:
-    # same cap, but the policy is free to shrink batches when the
-    # measured per-job cost says the window will not pay.
-    adaptive_jps, elapsed, batches = measure_throughput(
-        jobs, clients, 16, cs,
-        adaptive=True, target_batch_seconds=ADAPTIVE_TARGET_S,
-    )
-    print(
-        f"adaptive(16): {jobs} jobs in {elapsed:.2f} s "
-        f"({adaptive_jps:.1f} jobs/s, {batches} batches)"
-    )
     cold_s, hit_s = measure_cache_hit(repeat, cs)
     print(
         f"cache: cold {cold_s * 1e3:.2f} ms, hit {hit_s * 1e3:.3f} ms "
         f"-> {cold_s / hit_s:.0f}x"
     )
-    import os
-
     return {
         "jobs": jobs,
         "clients": clients,
-        "cpus": os.cpu_count(),
+        "cpus": default_workers(),
         "cs": cs,
         "batch1_jobs_per_s": round(throughput[1], 2),
         "batch4_jobs_per_s": round(throughput[4], 2),
         "batch16_jobs_per_s": round(throughput[16], 2),
         "batching_gain": round(throughput[16] / throughput[1], 2),
-        "adaptive_jobs_per_s": round(adaptive_jps, 2),
-        "adaptive_target_s": ADAPTIVE_TARGET_S,
-        "adaptive_gain": round(adaptive_jps / throughput[16], 2),
         "cold_ms": round(cold_s * 1e3, 3),
         "cache_hit_ms": round(hit_s * 1e3, 3),
         "cache_speedup": round(cold_s / hit_s, 1),
@@ -177,7 +144,7 @@ def main(argv=None):
         help="quick CI variant: fewer jobs, sanity ceilings, no JSON write",
     )
     parser.add_argument("--jobs", type=int, default=None,
-                        help="distinct jobs per throughput run (default 48, smoke 8)")
+                        help="distinct jobs per throughput run (default 480, smoke 8)")
     parser.add_argument("--clients", type=int, default=16,
                         help="concurrent client threads (default 16)")
     parser.add_argument("--repeat", type=int, default=None,
@@ -190,7 +157,7 @@ def main(argv=None):
         help="output path (default: repo root BENCH_core.json)",
     )
     args = parser.parse_args(argv)
-    jobs = args.jobs or (8 if args.smoke else 48)
+    jobs = args.jobs or (8 if args.smoke else 480)
     repeat = args.repeat or (5 if args.smoke else 20)
 
     entry = measure(jobs, args.clients, repeat)

@@ -28,7 +28,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +36,7 @@ from pathlib import Path
 from bench_record import append_entry
 
 from repro.serve import Client, RouterConfig, ShardRouter
+from repro.sweep import default_workers
 
 #: Distinct-by-constant designs: the constants land in the DFG
 #: structure, so every job has its own fingerprint (cache-cold, and
@@ -61,8 +61,7 @@ def measure_fleet(shards, jobs, clients, cs):
         RouterConfig(
             port=0,
             shards=shards,
-            shard_args=("--serial", "--batch-wait-ms", "2",
-                        "--queue-size", str(max(64, jobs))),
+            shard_args=("--serial", "--queue-size", str(max(64, jobs))),
         )
     )
     handle = router.start_in_thread()
@@ -106,7 +105,7 @@ def measure(jobs, clients, cs=6, shard_counts=(1, 2, 4)):
         "benchmark": "shard_scaling",
         "jobs": jobs,
         "clients": clients,
-        "cpus": os.cpu_count(),
+        "cpus": default_workers(),
         "cs": cs,
     }
     for shards in shard_counts:

@@ -29,7 +29,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -42,7 +41,7 @@ from repro.dfg.analysis import TimingModel
 from repro.dfg.ops import standard_operation_set
 from repro.explore import default_budget_ladder, design_space
 from repro.library.ncr import datapath_library
-from repro.sweep import SweepExecutor
+from repro.sweep import SweepExecutor, default_workers
 
 EWF_KEY = "ex6"
 
@@ -141,7 +140,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    cpus = os.cpu_count() or 1
+    cpus = default_workers()
     maps = 2 if args.smoke else args.maps
     budgets, serial_s, process_s = measure_backends(
         1 if args.smoke else args.repeat

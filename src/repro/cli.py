@@ -431,9 +431,6 @@ def _command_serve(args) -> int:
         port=args.port,
         queue_size=args.queue_size,
         max_batch=args.max_batch,
-        batch_wait_ms=args.batch_wait_ms,
-        adaptive_batching=args.adaptive_batching,
-        target_batch_seconds=args.target_batch_seconds,
         workers=args.workers,
         backend="serial" if args.serial else "auto",
         cache_entries=args.cache_entries,
@@ -454,15 +451,9 @@ def _command_serve_sharded(args) -> int:
     shard_args = [
         "--queue-size", str(args.queue_size),
         "--max-batch", str(args.max_batch),
-        "--batch-wait-ms", str(args.batch_wait_ms),
         "--cache-entries", str(args.cache_entries),
         "--timeout", str(args.timeout),
     ]
-    if args.adaptive_batching:
-        shard_args += [
-            "--adaptive-batching",
-            "--target-batch-seconds", str(args.target_batch_seconds),
-        ]
     if args.workers is not None:
         shard_args += ["--workers", str(args.workers)]
     if args.serial:
@@ -906,15 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-size", type=int, default=64,
                    help="bounded queue capacity before 429s (default 64)")
     p.add_argument("--max-batch", type=int, default=8,
-                   help="jobs coalesced per dispatch batch (default 8)")
-    p.add_argument("--batch-wait-ms", type=float, default=10.0,
-                   help="micro-batch coalescing window (default 10 ms)")
-    p.add_argument("--adaptive-batching", action="store_true",
-                   help="size batches from the measured per-job cost EWMA "
-                        "(small jobs coalesce, big jobs dispatch at once)")
-    p.add_argument("--target-batch-seconds", type=float, default=0.25,
-                   help="wall-time budget one adaptive batch aims to fill "
-                        "(default 0.25 s)")
+                   help="most jobs dispatched as one batch: those queued "
+                   "behind a running batch (default 8)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool worker count (default: CPU count)")
     p.add_argument("--serial", action="store_true",

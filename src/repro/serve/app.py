@@ -9,6 +9,10 @@ dependency surface is the python standard library.  One
                                                        │
     response ◀── Job.future ◀── resolve ◀── MicroBatcher ◀────┘
 
+The :class:`~repro.serve.batcher.MicroBatcher` dispatches a queued job
+at once, batched with whatever queued behind the running batch; its
+pool workers start with it, when the listener comes up.
+
 API surface (see ``docs/SERVICE.md`` for the full reference):
 
 * ``POST /v1/schedule`` / ``POST /v1/synth`` — submit an MFS scheduling
@@ -71,15 +75,6 @@ class ServeConfig:
     port: int = 8421
     queue_size: int = 64
     max_batch: int = 8
-    batch_wait_ms: float = 10.0
-    #: Cost-aware batching: size batches from the measured per-job cost
-    #: EWMA (:class:`~repro.serve.batcher.AdaptiveBatchPolicy`) — small
-    #: jobs coalesce, big jobs dispatch immediately.  Live policy state
-    #: appears on ``/metrics`` as ``adaptive_batch_limit`` and
-    #: ``job_cost_ewma_seconds``.
-    adaptive_batching: bool = False
-    #: Wall-time budget one adaptive batch aims to fill.
-    target_batch_seconds: float = 0.25
     workers: Optional[int] = None
     backend: str = "auto"
     cache_entries: int = 1024
@@ -115,13 +110,10 @@ class ServeApp(BaseServer):
             self.queue,
             resolve=self._resolve,
             max_batch=config.max_batch,
-            max_wait_s=config.batch_wait_ms / 1000.0,
             backend=config.backend,
             workers=config.workers,
             perf=self.perf,
             metrics=self.metrics,
-            adaptive=config.adaptive_batching,
-            target_batch_seconds=config.target_batch_seconds,
         )
         self.journal: Optional[JobJournal] = None
         if config.state_dir:

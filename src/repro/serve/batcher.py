@@ -1,23 +1,15 @@
 """Micro-batching dispatcher: queue → :class:`~repro.sweep.SweepExecutor`.
 
-The throughput/latency trade the service makes is classic micro-batching:
-the dispatcher takes the first queued job immediately, then holds a short
-coalescing window (``max_wait_s``, default 10 ms) collecting up to
-``max_batch - 1`` more jobs before fanning the whole batch out through a
-*warm* process pool (``SweepExecutor(keep_pool=True)``).  Under light
-load a job therefore pays at most one window of extra latency; under
-heavy load batches fill instantly and throughput scales with cores.
-Single-job batches skip the pool entirely (the executor's ``auto``
-backend runs one item in-process), so an idle service answers with
-serial-CLI latency.
-
-With ``adaptive=True`` the batch size is *cost-aware* instead of fixed:
-:class:`AdaptiveBatchPolicy` tracks an EWMA of the measured per-job
-execute cost and holds the window only as long as batching actually pays
-— streams of small jobs coalesce up to ``max_batch``, big jobs dispatch
-immediately with no window at all.  The live policy state is surfaced on
-``/metrics`` as the ``adaptive_batch_limit`` and
-``job_cost_ewma_seconds`` gauges.
+The dispatcher takes the first queued job the moment it arrives, plus
+whatever is already queued behind it (up to ``max_batch``), and fans the
+batch out at once through a *warm* process pool
+(``SweepExecutor(keep_pool=True)``).  There is no coalescing window: an
+idle service answers with serial-CLI latency, and a multi-job batch
+forms exactly when jobs queue behind a running one, so under load
+throughput scales with cores.  Single-job batches skip the pool
+(the executor's ``auto`` backend runs one item in-process); the pool's
+workers are started when the dispatcher starts, off the event loop, so
+the first burst does not pay the fork.
 
 The batch map runs in a worker thread (``asyncio.to_thread``) so the
 event loop keeps serving requests, scrapes and health checks while
@@ -41,123 +33,40 @@ from repro.serve.queue import Job, JobQueue
 from repro.sweep import SweepExecutor
 
 
-class AdaptiveBatchPolicy:
-    """Cost-aware batch sizing from a measured per-job cost EWMA.
-
-    Fixed-size batching pays for itself only when jobs are cheap: holding
-    the coalescing window open in front of a 2-second synthesis job adds
-    latency without improving throughput, while a stream of 5-millisecond
-    jobs *needs* batching to amortise dispatch overhead.  The policy
-    therefore tracks an exponentially weighted moving average of the
-    measured per-job execute cost and sizes the next batch so its
-    predicted wall time stays near ``target_batch_seconds``:
-
-    * cheap jobs — ``target / ewma`` jobs per batch, capped at the
-      configured maximum;
-    * expensive jobs (EWMA at or above the target) — batch limit 1, and
-      the dispatcher skips the coalescing window entirely, so a big job
-      is on the CPU the moment it is dequeued.
-
-    The first batch (no measurement yet) uses the configured maximum,
-    matching the fixed policy until evidence arrives.
-    """
-
-    def __init__(
-        self,
-        max_batch: int,
-        target_batch_seconds: float = 0.25,
-        alpha: float = 0.3,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if target_batch_seconds <= 0:
-            raise ValueError(
-                "target_batch_seconds must be > 0, got "
-                f"{target_batch_seconds}"
-            )
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.max_batch = max_batch
-        self.target_batch_seconds = target_batch_seconds
-        self.alpha = alpha
-        self.cost_ewma: Optional[float] = None
-
-    def observe(self, per_job_seconds: float) -> None:
-        """Fold one batch's measured per-job cost into the EWMA."""
-        if per_job_seconds < 0:
-            return
-        if self.cost_ewma is None:
-            self.cost_ewma = per_job_seconds
-        else:
-            self.cost_ewma = (
-                self.alpha * per_job_seconds
-                + (1.0 - self.alpha) * self.cost_ewma
-            )
-
-    def batch_limit(self) -> int:
-        """Jobs the next batch should coalesce (1 = dispatch immediately)."""
-        if self.cost_ewma is None:
-            return self.max_batch
-        if self.cost_ewma <= 0:
-            return self.max_batch
-        predicted = int(self.target_batch_seconds / self.cost_ewma)
-        return max(1, min(self.max_batch, predicted))
-
-
 class MicroBatcher:
-    """Coalesces queued jobs into sweep batches and resolves them."""
+    """Dispatches queued jobs as sweep batches and resolves them."""
 
     def __init__(
         self,
         queue: JobQueue,
         resolve: Callable[[Job, dict, str], None],
         max_batch: int = 8,
-        max_wait_s: float = 0.010,
         backend: str = "auto",
         workers: Optional[int] = None,
         perf: Optional[PerfCounters] = None,
         metrics: Optional[Metrics] = None,
-        adaptive: bool = False,
-        target_batch_seconds: float = 0.25,
-        cost_alpha: float = 0.3,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self.queue = queue
         self.resolve = resolve
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
         self.perf = perf if perf is not None else PerfCounters()
         self.metrics = metrics
-        self.policy: Optional[AdaptiveBatchPolicy] = None
-        if adaptive:
-            self.policy = AdaptiveBatchPolicy(
-                max_batch,
-                target_batch_seconds=target_batch_seconds,
-                alpha=cost_alpha,
-            )
-            if metrics is not None:
-                metrics.gauge(
-                    "adaptive_batch_limit",
-                    lambda: float(self.policy.batch_limit()),
-                )
-                metrics.gauge(
-                    "job_cost_ewma_seconds",
-                    lambda: float(self.policy.cost_ewma or 0.0),
-                )
         self.executor = SweepExecutor(
             backend=backend, workers=workers, perf=self.perf, keep_pool=True
         )
         self._task: Optional[asyncio.Task] = None
+        self._pool_started: Optional[asyncio.Future] = None
         self._busy = False
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the dispatch loop on the running event loop."""
+        """Start the pool workers and the dispatch loop on the running loop."""
         if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._run())
+            loop = asyncio.get_running_loop()
+            self._pool_started = loop.run_in_executor(None, self.executor.start)
+            self._task = loop.create_task(self._run())
 
     async def stop(self) -> None:
         """Cancel the loop and release the warm pool."""
@@ -168,6 +77,8 @@ class MicroBatcher:
             except asyncio.CancelledError:
                 pass
             self._task = None
+            # A close racing a pool start would leave the started pool open.
+            await self._pool_started
         await asyncio.to_thread(self.executor.close)
 
     @property
@@ -183,34 +94,14 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
+        await asyncio.shield(self._pool_started)
         while True:
             batch = [await self.queue.get()]
-            # Cost-aware sizing: expensive jobs (limit 1) skip the
-            # coalescing window and hit the CPU immediately; cheap jobs
-            # coalesce up to the policy's limit.
-            limit = (
-                self.policy.batch_limit()
-                if self.policy is not None
-                else self.max_batch
-            )
-            if self.max_wait_s > 0 and limit > 1:
-                deadline = loop.time() + self.max_wait_s
-                while len(batch) < limit:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(self.queue.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            else:
-                while len(batch) < limit:
-                    job = self.queue.get_nowait()
-                    if job is None:
-                        break
-                    batch.append(job)
+            while len(batch) < self.max_batch:
+                job = self.queue.get_nowait()
+                if job is None:
+                    break
+                batch.append(job)
             self._busy = True
             try:
                 await self._dispatch(batch, loop)
@@ -259,8 +150,6 @@ class MicroBatcher:
             self.executor.map, execute_spec, specs
         )
         elapsed = loop.time() - started
-        if self.policy is not None:
-            self.policy.observe(elapsed / len(live))
         if self.metrics is not None:
             self.metrics.incr("batches")
             self.metrics.observe("batch_size", len(live))

@@ -47,6 +47,10 @@ ALGORITHMS = ("mfs", "mfsa")
 #: Spec schema version (part of every cache key).
 SPEC_VERSION = 1
 
+#: ``cs`` admitted for any design, however few its operations.  Above it
+#: the bound is the design's summed op latencies (see :func:`normalize_spec`).
+CS_FLOOR = 1024
+
 #: How many admissions :func:`normalize_spec` remembers.  Both server
 #: roles (and the benchmark) call it and then :func:`key_and_fingerprint`
 #: back to back on one thread, so a handful of entries covers them all.
@@ -107,6 +111,11 @@ def normalize_spec(
     against the standard operation set (kind and operand count) and, for
     ``mfsa``, against the default cell library, so a design no worker
     could run is refused here rather than failing in the pool.
+
+    ``cs`` is bounded by the larger of :data:`CS_FLOOR` and the design's
+    summed op latencies.  A longer schedule has a control step in which
+    nothing runs, and deleting that step changes no unit, register or
+    mux count, so a larger ``cs`` buys only a larger placement grid.
     """
     _require(algorithm in ALGORITHMS, f"unknown algorithm {algorithm!r}")
     _require(isinstance(body, Mapping), "request body must be a JSON object")
@@ -155,15 +164,26 @@ def normalize_spec(
         and all(isinstance(k, str) for k in pipelined),
         "'pipelined' must be a list of kind names",
     )
+    cs = _opt_number("cs", int, minimum=1)
+    mul_latency = _opt_number("mul_latency", int, minimum=1) or 1
+    if cs is not None and cs > CS_FLOOR:
+        ops = standard_operation_set(mul_latency=mul_latency)
+        total = sum(ops.latency(node.kind) for node in dfg)
+        bound = max(total, CS_FLOOR)
+        _require(
+            cs <= bound,
+            f"'cs' must be <= {bound}, the larger of {CS_FLOOR} and the "
+            f"design's summed op latencies ({total})",
+        )
     dfg_json = dfg_to_json(dfg, indent=None)
     _remember_admission(dfg_json, (dfg.name, dfg_fingerprint(dfg)))
     spec = {
         "version": SPEC_VERSION,
         "algorithm": algorithm,
         "dfg_json": dfg_json,
-        "cs": _opt_number("cs", int, minimum=1),
+        "cs": cs,
         "style": style,
-        "mul_latency": _opt_number("mul_latency", int, minimum=1) or 1,
+        "mul_latency": mul_latency,
         "clock_ns": _opt_number("clock_ns", float, minimum=0.0),
         "latency_l": _opt_number("latency_l", int, minimum=1),
         "pipelined": sorted(set(pipelined)),

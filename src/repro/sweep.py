@@ -53,8 +53,9 @@ round replays every item.
 
 Long-lived callers (the :mod:`repro.serve` micro-batcher) can pass
 ``keep_pool=True`` to reuse one warm process pool across many ``map``
-calls instead of paying pool start-up per batch; :meth:`SweepExecutor.close`
-(or use as a context manager) releases it.
+calls instead of paying pool start-up per batch, and call
+:meth:`SweepExecutor.start` to start its workers ahead of the first map;
+:meth:`SweepExecutor.close` (or use as a context manager) releases it.
 """
 
 from __future__ import annotations
@@ -522,6 +523,27 @@ class SweepExecutor:
             self.perf.incr(f"sweep.fallback.{reason}")
 
     # -- persistent pool ------------------------------------------------
+    def start(self) -> None:
+        """Start every pool worker now instead of at the first pooled map.
+
+        Returns once the pool has answered one no-op call per worker.
+        Runs no item and moves no ``sweep.*`` counter.  A no-op for
+        backends that never use the pool (``serial``, or ``auto`` on one
+        CPU); a pool that cannot start is left for the first map to retry
+        and record.
+        """
+        # A map of one item per worker is the smallest that fills the pool.
+        if not self._use_processes(self.workers):
+            return
+        try:
+            pool = self._warm_pool()
+            # One call per worker: a fork pool starts them all at the
+            # first submission, a spawn pool one per call while none idles.
+            for future in [pool.submit(os.getpid) for _ in range(self.workers)]:
+                future.result()
+        except (OSError, BrokenExecutor):
+            self._discard_pool()
+
     def _warm_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(

@@ -1,8 +1,15 @@
-"""Shared serve fixtures: designs admission must refuse at the edge."""
+"""Shared serve fixtures: requests admission must refuse at the edge,
+and a request slow enough to hold later jobs in a service's queue."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
+
+from repro.dfg.generators import layered_workload
+from repro.io.jsonio import dfg_to_json
+from repro.serve.jobs import CS_FLOOR
 
 
 def one_op_design(kind: str, operands: int) -> dict:
@@ -36,35 +43,61 @@ def branch_design(condition, arm) -> dict:
     return design
 
 
-#: Designs admission must refuse at the edge, because no worker could
-#: run them: name → (algorithm, design, fragment of the 400 message).
+THREE_OPS = "input a b c\nt = a + b\nu = t * c\nx = u - a\noutput x\n"
+
+#: Requests admission must refuse at the edge, because no worker could
+#: run them or because running them buys nothing: name → (algorithm,
+#: request body, fragment of the 400 message).
 UNRUNNABLE = {
     "unknown-kind": (
         "mfs",
-        one_op_design("frobnicate", 2),
+        {"dfg": one_op_design("frobnicate", 2)},
         "'frobnicate' is not registered",
     ),
-    "wrong-arity": ("mfs", one_op_design("add", 3), "'n0' (add) has 3 operands"),
-    "no-library-cell": ("mfsa", one_op_design("div", 2), "no cell for kind 'div'"),
+    "wrong-arity": (
+        "mfs",
+        {"dfg": one_op_design("add", 3)},
+        "'n0' (add) has 3 operands",
+    ),
+    "no-library-cell": (
+        "mfsa",
+        {"dfg": one_op_design("div", 2)},
+        "no cell for kind 'div'",
+    ),
     "non-string-condition": (
         "mfs",
-        branch_design(["c"], True),
+        {"dfg": branch_design(["c"], True)},
         "node 'n0': branch condition must be a string",
     ),
     "non-boolean-arm": (
         "mfs",
-        branch_design("c", "yes"),
+        {"dfg": branch_design("c", "yes")},
         "node 'n0': branch arm must be true or false",
+    ),
+    # Three unit-latency ops: the bound is the floor.
+    "cs-beyond-bound": (
+        "mfs",
+        {"source": THREE_OPS, "cs": 100_000},
+        f"'cs' must be <= {CS_FLOOR}",
     ),
 }
 
 
 @pytest.fixture
-def unrunnable_designs():
+def unrunnable_requests():
     return UNRUNNABLE
 
 
 @pytest.fixture(params=sorted(UNRUNNABLE))
 def unrunnable(request):
-    """``(algorithm, design, message)`` of one design admission refuses."""
+    """``(algorithm, body, message)`` of one request admission refuses."""
     return UNRUNNABLE[request.param]
+
+
+@pytest.fixture(scope="session")
+def blocker_body():
+    """An MFS request body that keeps a worker busy for about a second:
+    a 400-op layered design at the largest ``cs`` admission allows it.
+    Tests submit it first to hold the jobs after it in the queue."""
+    design = layered_workload(seed=7, layers=20, width=20)
+    return {"dfg": json.loads(dfg_to_json(design)), "cs": CS_FLOOR}

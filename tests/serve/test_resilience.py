@@ -402,30 +402,30 @@ def _boot(env, state_dir, *extra):
     return process, match.group(1)
 
 
-def test_kill_minus_nine_recovers_all_admitted_jobs(tmp_path):
+def test_kill_minus_nine_recovers_all_admitted_jobs(tmp_path, blocker_body):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     state = str(tmp_path)
 
-    # Boot with a long coalescing window so admitted jobs are still
-    # sitting in the batcher when the process dies.
-    process, url = _boot(
-        env, state, "--batch-wait-ms", "30000", "--max-batch", "64"
-    )
+    process, url = _boot(env, state)
     killed_pid = process.pid
     try:
         client = Client(url)
+        # A slow job ahead of them keeps the admitted jobs queued, so the
+        # process dies inside their crash window.
+        blocker = client.schedule(**blocker_body, wait=False)
         pending = []
         for source, cs in ((SRC, 6), (SRC2, 4), (SRC3, 4)):
             out = client.schedule(source=source, cs=cs, wait=False)
             assert out["job"]["status"] in ("queued", "running")
             pending.append((out["job"]["id"], source, cs))
+        assert client.job(blocker["job"]["id"])["job"]["status"] == "running"
     finally:
         process.kill()  # SIGKILL: no drain, no compaction, no goodbye
         process.wait(timeout=30)
 
     # A fresh process on the same state dir replays the journal.
-    process, url = _boot(env, state, "--batch-wait-ms", "5")
+    process, url = _boot(env, state)
     try:
         client = Client(url, retries=3, retry_seed=0)
         for job_id, source, cs in pending:
@@ -434,10 +434,13 @@ def test_kill_minus_nine_recovers_all_admitted_jobs(tmp_path):
             raw = client.result_text(job_id)
             expected = _expected_text("mfs", {"source": source, "cs": cs})
             assert raw == expected  # byte-identical to an uninterrupted run
+        info = client.wait_for(blocker["job"]["id"], timeout=120)
+        assert info["job"]["status"] == "done"
         metrics = urllib.request.urlopen(
             f"{url}/metrics", timeout=10
         ).read().decode()
-        assert 'repro_serve_recovered_jobs_total{kind="pending"} 3' in metrics
+        # The three jobs and the blocker ahead of them.
+        assert 'repro_serve_recovered_jobs_total{kind="pending"} 4' in metrics
         assert process.pid != killed_pid
     finally:
         process.kill()
@@ -449,7 +452,7 @@ def test_kill_minus_nine_preserves_completed_results(tmp_path):
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     state = str(tmp_path)
 
-    process, url = _boot(env, state, "--batch-wait-ms", "5")
+    process, url = _boot(env, state)
     try:
         client = Client(url)
         out = client.schedule(source=SRC, cs=6, wait=True)
@@ -459,7 +462,7 @@ def test_kill_minus_nine_preserves_completed_results(tmp_path):
         process.kill()
         process.wait(timeout=30)
 
-    process, url = _boot(env, state, "--batch-wait-ms", "5")
+    process, url = _boot(env, state)
     try:
         client = Client(url, retries=3, retry_seed=0)
         assert client.job(job_id)["job"]["status"] == "done"

@@ -180,7 +180,7 @@ class TestMalformedRequests:
         self, shared_fleet, unrunnable
     ):
         router, client = shared_fleet
-        algorithm, design, message = unrunnable
+        algorithm, body, message = unrunnable
 
         def forwards():
             return sum(
@@ -191,7 +191,7 @@ class TestMalformedRequests:
         before = forwards()
         submit = client.schedule if algorithm == "mfs" else client.synth
         with pytest.raises(ServiceError) as excinfo:
-            submit(dfg=design, wait=True)
+            submit(**body, wait=True)
         assert excinfo.value.status == 400
         assert message in excinfo.value.payload["error"]
         assert forwards() == before

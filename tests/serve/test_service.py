@@ -14,6 +14,7 @@ import gc
 import http.client
 import json
 import logging
+import multiprocessing
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -126,10 +127,10 @@ class TestCacheAndDeterminism:
 
 
 class TestSingleFlight:
-    def test_identical_concurrent_submissions_run_once(self):
-        # A long coalescing window holds the leader in the batcher while
-        # the other submissions arrive and attach as followers.
-        with service(batch_wait_ms=300.0, max_batch=8) as (app, client):
+    def test_identical_concurrent_submissions_run_once(self, monkeypatch):
+        # A slow execution holds the leader in flight while the other
+        # submissions arrive and attach as followers.
+        with slow_execution(monkeypatch, 0.5), service() as (app, client):
 
             def submit(_index):
                 return client.schedule(source=SRC, cs=6, wait=True)
@@ -147,7 +148,7 @@ class TestSingleFlight:
             assert len(raw) == 1  # byte-identical across all five
 
     def test_different_jobs_are_not_coalesced(self):
-        with service(batch_wait_ms=100.0) as (app, client):
+        with service() as (app, client):
             with ThreadPoolExecutor(max_workers=2) as pool:
                 futures = [
                     pool.submit(
@@ -162,11 +163,54 @@ class TestSingleFlight:
             assert app.metrics.counter_value("jobs_executed") == 2
 
 
+class TestDispatch:
+    """The batcher dispatches without a coalescing window and starts its
+    pool workers when the service starts."""
+
+    def test_lone_job_is_dispatched_without_waiting(self):
+        with service() as (app, client):
+            client.schedule(source=SRC, cs=6, wait=True)
+            out = client.schedule(source=SRC2, cs=4, wait=True)
+            assert app.jobs[out["job"]["id"]].queue_seconds() < 0.005
+
+    def test_jobs_queued_behind_a_running_one_share_a_batch(self, monkeypatch):
+        with slow_execution(monkeypatch, 0.3), service() as (app, client):
+            first = client.schedule(source=SRC, cs=6, wait=False)
+            _wait_until(lambda: app.batcher.busy)
+            queued = [
+                client.schedule(source=source, cs=cs, wait=False)
+                for source, cs in ((SRC, 7), (SRC, 8), (SRC2, 4), (SRC3, 4))
+            ]
+            for out in [first, *queued]:
+                done = client.wait_for(out["job"]["id"], timeout=30)
+                assert done["job"]["status"] == "done"
+            assert app.metrics.summary_value("batch_size") == (5, 2)
+            assert app.metrics.counter_value("batches") == 2
+            assert app.metrics.counter_value("jobs_executed") == 5
+
+    def test_pool_workers_start_with_the_service(self):
+        before = {child.pid for child in multiprocessing.active_children()}
+
+        def new_workers():
+            return {
+                child.pid
+                for child in multiprocessing.active_children()
+                if child.pid not in before
+            }
+
+        with service(backend="auto", workers=2) as (app, _client):
+            _wait_until(lambda: len(new_workers()) == 2, timeout=10)
+            assert app.metrics.counter_value("jobs_executed") == 0
+            assert app.metrics.counter_value("batches") == 0
+            assert app.perf.get("sweep.tasks") == 0
+        assert new_workers() == set()
+
+
 class TestBackpressure:
     def test_queue_full_returns_429_with_retry_after(self, monkeypatch):
         with slow_execution(monkeypatch, 0.4):
             with service(
-                queue_size=1, max_batch=1, batch_wait_ms=0.0, retry_after_s=2.5
+                queue_size=1, max_batch=1, retry_after_s=2.5
             ) as (app, client):
                 first = client.schedule(source=SRC, cs=6, wait=False)
                 # Wait until the batcher has pulled the first job so the
@@ -200,7 +244,7 @@ class TestBackpressure:
 class TestTimeouts:
     def test_running_timeout_discards_late_result(self, monkeypatch):
         with slow_execution(monkeypatch, 0.5):
-            with service(batch_wait_ms=0.0) as (app, client):
+            with service() as (app, client):
                 with pytest.raises(ServiceError) as exc:
                     client.schedule(
                         source=SRC, cs=6, wait=True, timeout=0.05
@@ -227,9 +271,7 @@ class TestTimeouts:
 
     def test_queued_timeout_is_never_executed(self, monkeypatch):
         with slow_execution(monkeypatch, 0.4):
-            with service(
-                queue_size=4, max_batch=1, batch_wait_ms=0.0
-            ) as (app, client):
+            with service(queue_size=4, max_batch=1) as (app, client):
                 blocker = client.schedule(source=SRC, cs=6, wait=False)
                 _wait_until(lambda: app.queue.depth() == 0)
                 with pytest.raises(ServiceError) as exc:
@@ -314,11 +356,11 @@ class TestHttpSurface:
             assert "repro_perf_counter_total" in text
 
     def test_unrunnable_design_is_400_before_any_work(self, tmp_path, unrunnable):
-        algorithm, design, message = unrunnable
+        algorithm, body, message = unrunnable
         with service(state_dir=str(tmp_path)) as (app, client):
             submit = client.schedule if algorithm == "mfs" else client.synth
             with pytest.raises(ServiceError) as exc:
-                submit(dfg=design, wait=True)
+                submit(**body, wait=True)
             assert exc.value.status == 400
             assert message in exc.value.payload["error"]
             assert app.jobs == {}

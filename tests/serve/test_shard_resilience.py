@@ -3,9 +3,9 @@
 The sharded extension of the PR-5 crash harness
 (``tests/serve/test_resilience.py``): the same byte-identity oracle
 (``response_text(execute_spec(...))`` — the exact one-shot CLI path) and
-the same crash-window trick (a long micro-batch coalescing window keeps
-admitted jobs journaled-but-unexecuted), applied to a fleet where the
-router must keep answering while one shard dies and replays.
+the same crash-window trick (a slow job ahead of them keeps admitted
+jobs journaled-but-unexecuted), applied to a fleet where the router must
+keep answering while one shard dies and replays.
 """
 
 import os
@@ -43,19 +43,20 @@ def fleet(**overrides):
 
 
 class TestShardCrashReplay:
-    def test_kill9_one_shard_mid_load_replays_byte_identically(self, tmp_path):
+    def test_kill9_one_shard_mid_load_replays_byte_identically(
+        self, tmp_path, blocker_body
+    ):
         """The acceptance scenario: SIGKILL one shard with admitted jobs
         in its crash window; the supervisor respawns it on the same
         state dir and every admitted job finishes under its original id
         with byte-identical bytes, while the other shard keeps serving.
         """
-        with fleet(
-            state_dir=str(tmp_path),
-            # Hold admitted jobs in the batcher so the SIGKILL lands
-            # inside the crash window (journaled, not yet executed).
-            shard_args=("--serial", "--batch-wait-ms", "2000",
-                        "--max-batch", "64"),
-        ) as (router, client):
+        with fleet(state_dir=str(tmp_path)) as (router, client):
+            # A slow job holds the jobs after it in its shard's queue, so
+            # the SIGKILL lands inside their crash window (journaled, not
+            # yet executed).
+            blocker = client.schedule(**blocker_body, wait=False)
+            victim = blocker["job"]["shard"]
             pending = []
             for constant in range(20, 30):
                 source = _source(constant)
@@ -67,7 +68,6 @@ class TestShardCrashReplay:
 
             by_shard = {s: [p for p in pending if p[1] == s]
                         for s in router.shards}
-            victim = max(by_shard, key=lambda s: len(by_shard[s]))
             assert by_shard[victim], "no job landed on the victim shard"
 
             killed_pid = router.shards[victim].process.pid
@@ -91,6 +91,8 @@ class TestShardCrashReplay:
                 assert raw == _expected_text(
                     "mfs", {"source": source, "name": name}
                 )
+            info = client.wait_for(blocker["job"]["id"], timeout=120)
+            assert info["job"]["status"] == "done"
 
             metrics = client.metrics_text()
             assert re.search(

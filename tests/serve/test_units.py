@@ -10,6 +10,7 @@ import pytest
 
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
+    CS_FLOOR,
     JobSpecError,
     cache_key,
     execute_spec,
@@ -100,19 +101,34 @@ class TestSpecs:
         assert _spec(algorithm="mfsa", body={"style": None})["style"] == 1
 
     def test_normalize_rejects_unrunnable_operations(self, unrunnable):
-        algorithm, design, message = unrunnable
+        algorithm, body, message = unrunnable
         with pytest.raises(JobSpecError, match=re.escape(message)):
-            normalize_spec(algorithm, {"dfg": design})
+            normalize_spec(algorithm, body)
         if algorithm == "mfs":
-            # Kind and arity do not depend on the algorithm.
+            # Kind, arity and the cs bound do not depend on the algorithm.
             with pytest.raises(JobSpecError, match=re.escape(message)):
-                normalize_spec("mfsa", {"dfg": design})
+                normalize_spec("mfsa", body)
 
-    def test_schedule_accepts_kinds_the_library_lacks(self, unrunnable_designs):
+    def test_schedule_accepts_kinds_the_library_lacks(self, unrunnable_requests):
         # MFS needs no cell library; only /v1/synth checks coverage.
-        _algorithm, design, _message = unrunnable_designs["no-library-cell"]
-        spec = normalize_spec("mfs", {"dfg": design})
+        _algorithm, body, _message = unrunnable_requests["no-library-cell"]
+        spec = normalize_spec("mfs", body)
         assert execute_spec(spec)[0]["ok"] is True
+
+    def test_cs_bound_is_the_larger_of_floor_and_latency_sum(self):
+        # 1100 two-cycle multiplies sum to 2200 steps, past the floor.
+        source = "input a\n" + "".join(
+            f"m{i} = a * {i + 2}\n" for i in range(1100)
+        ) + "output m0\n"
+        body = {"source": source, "mul_latency": 2}
+        assert normalize_spec("mfs", dict(body, cs=2200))["cs"] == 2200
+        with pytest.raises(JobSpecError, match="'cs' must be <= 2200"):
+            normalize_spec("mfs", dict(body, cs=2201))
+        # At one cycle per multiply the same design sums to 1100.
+        with pytest.raises(JobSpecError, match="'cs' must be <= 1100"):
+            normalize_spec("mfs", dict(body, cs=2200, mul_latency=1))
+        small = {"source": "input a\nx = a + 1\noutput x", "cs": CS_FLOOR}
+        assert normalize_spec("mfs", small)["cs"] == CS_FLOOR
 
     def test_cache_key_ignores_parameter_spelling(self):
         assert cache_key(_spec(body={"cs": 4})) == cache_key(
@@ -316,77 +332,3 @@ class TestMetricsRender:
             'repro_perf_counter_total{name="sweep.fallback.worker-crash"} 1'
             in text
         )
-
-
-class TestAdaptiveBatchPolicy:
-    def _policy(self, **kw):
-        from repro.serve.batcher import AdaptiveBatchPolicy
-
-        return AdaptiveBatchPolicy(8, **kw)
-
-    def test_first_batch_uses_configured_maximum(self):
-        assert self._policy().batch_limit() == 8
-
-    def test_cheap_jobs_coalesce_to_the_cap(self):
-        policy = self._policy(target_batch_seconds=0.25)
-        policy.observe(0.001)  # 1 ms jobs: 250 would fit, cap at 8
-        assert policy.batch_limit() == 8
-
-    def test_expensive_jobs_dispatch_immediately(self):
-        policy = self._policy(target_batch_seconds=0.25)
-        policy.observe(2.0)
-        assert policy.batch_limit() == 1
-
-    def test_intermediate_costs_fill_the_target(self):
-        policy = self._policy(target_batch_seconds=0.25)
-        policy.observe(0.1)  # 0.25 / 0.1 -> 2 jobs per batch
-        assert policy.batch_limit() == 2
-
-    def test_ewma_update(self):
-        policy = self._policy(alpha=0.5)
-        policy.observe(1.0)
-        policy.observe(0.0)
-        assert policy.cost_ewma == pytest.approx(0.5)
-        policy.observe(0.5)
-        assert policy.cost_ewma == pytest.approx(0.5)
-
-    def test_negative_observations_are_ignored(self):
-        policy = self._policy()
-        policy.observe(-1.0)
-        assert policy.cost_ewma is None
-
-    def test_validation(self):
-        from repro.serve.batcher import AdaptiveBatchPolicy
-
-        with pytest.raises(ValueError):
-            AdaptiveBatchPolicy(0)
-        with pytest.raises(ValueError):
-            AdaptiveBatchPolicy(8, target_batch_seconds=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveBatchPolicy(8, alpha=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveBatchPolicy(8, alpha=1.5)
-
-    def test_batcher_registers_policy_gauges(self):
-        from repro.serve.batcher import MicroBatcher
-
-        metrics = Metrics()
-        batcher = MicroBatcher(
-            JobQueue(4),
-            resolve=lambda job, payload, text: None,
-            adaptive=True,
-            metrics=metrics,
-        )
-        assert batcher.policy is not None
-        batcher.policy.observe(0.5)
-        text = metrics.render()
-        assert "repro_serve_adaptive_batch_limit 1" in text
-        assert "repro_serve_job_cost_ewma_seconds 0.5" in text
-
-    def test_batcher_without_adaptive_has_no_policy(self):
-        from repro.serve.batcher import MicroBatcher
-
-        batcher = MicroBatcher(
-            JobQueue(4), resolve=lambda job, payload, text: None
-        )
-        assert batcher.policy is None

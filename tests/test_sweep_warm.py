@@ -59,6 +59,29 @@ class TestWarmPoolReuse:
         assert [v for v, _i, _b in first] == [1, 4, 9]
         assert [v for v, _i, _b in second] == [16, 25]
 
+    def test_start_readies_the_pool_without_running_an_item(
+        self, clean_worker_state
+    ):
+        perf = PerfCounters()
+        with SweepExecutor(
+            backend="process", workers=2, perf=perf, keep_pool=True
+        ) as executor:
+            executor.start()
+            if executor._pool is None:
+                pytest.skip("process pool unavailable in this sandbox")
+            pool = executor._pool
+            assert perf.counters == {}
+            results = executor.map(_probe_worker, [1, 2, 3, 4])
+            assert executor._pool is pool  # the first map reused it
+        assert [value for value, _inits, _builds in results] == [1, 4, 9, 16]
+        assert all(inits == 1 for _value, inits, _builds in results)
+
+    def test_start_is_a_no_op_without_a_pool_to_use(self):
+        for backend, workers in (("serial", 2), ("auto", 1)):
+            executor = SweepExecutor(backend=backend, workers=workers)
+            executor.start()
+            assert executor._pool is None
+
     def test_fresh_pool_per_map_reinitializes(self, clean_worker_state):
         """Without ``keep_pool`` each map pays pool start-up again —
         the contrast that makes the warm path a measurable win."""
