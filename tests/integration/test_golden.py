@@ -16,6 +16,9 @@ Refresh after an intentional algorithm change::
     open('tests/golden/figure1_ex3.txt','w').write(figure1('ex3') + '\\n')
     open('tests/golden/figure2_ex3.txt','w').write(figure2('ex3') + '\\n')
     "
+
+and write each ``layered_*`` / ``ewf_mfsa_trace.jsonl`` file with the
+text the matching test below compares against.
 """
 
 import pathlib
@@ -27,6 +30,18 @@ GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
 def golden(name: str) -> str:
     return (GOLDEN / name).read_text()
+
+
+def layered_design():
+    """A 100-op layered design: large enough for ``auto`` to take the
+    vector walk, small enough to run both walks in well under a second."""
+    from repro.dfg.analysis import TimingModel, critical_path_length
+    from repro.dfg.generators import layered_workload
+    from repro.dfg.ops import standard_operation_set
+
+    dfg = layered_workload(seed=7, layers=5, width=20)
+    timing = TimingModel(ops=standard_operation_set())
+    return dfg, timing, critical_path_length(dfg, timing)
 
 
 class TestGoldenArtifacts:
@@ -55,3 +70,54 @@ class TestGoldenArtifacts:
         from repro.bench.table2 import render_table2, table2_rows
 
         assert render_table2(table2_rows()) == render_table2(table2_rows())
+
+
+@pytest.mark.parametrize("kernel", ["auto", "scalar"])
+@pytest.mark.parametrize("slack", [40, 2])
+class TestGoldenWalks:
+    """Both move-frame walks must reproduce the same pinned bytes.
+
+    At 100 ops ``auto`` resolves to the vector walk, so these files pin
+    it directly; ``scalar`` must match them too.
+    """
+
+    def test_mfs_schedule_pinned(self, kernel, slack):
+        from repro.core.kernel import resolve_kernel
+        from repro.core.mfs import MFSScheduler
+        from repro.io.jsonio import schedule_to_json
+
+        dfg, timing, critical = layered_design()
+        assert resolve_kernel("auto", len(dfg)) == "vector"
+        cs = critical + slack
+        result = MFSScheduler(dfg, timing, cs=cs, kernel=kernel).run()
+        assert schedule_to_json(result.schedule) + "\n" == golden(
+            f"layered_cs{cs}_mfs.json"
+        )
+
+    @pytest.mark.parametrize("style", [1, 2])
+    def test_mfsa_synthesis_pinned(self, kernel, slack, style):
+        from repro.core.mfsa import MFSAScheduler
+        from repro.io.jsonio import synthesis_to_json
+        from repro.library.ncr import datapath_library
+
+        dfg, timing, critical = layered_design()
+        cs = critical + slack
+        result = MFSAScheduler(
+            dfg, timing, datapath_library(), cs=cs, style=style, kernel=kernel
+        ).run()
+        assert synthesis_to_json(result) + "\n" == golden(
+            f"layered_cs{cs}_mfsa_s{style}.json"
+        )
+
+
+def test_ewf_mfsa_trace_pinned():
+    """The full MFSA decision stream on the elliptic wave filter."""
+    from repro.bench.suites import ewf
+    from repro.dfg.analysis import TimingModel
+    from repro.dfg.ops import standard_operation_set
+    from repro.trace.driver import trace_run
+
+    timing = TimingModel(ops=standard_operation_set(mul_latency=2))
+    run = trace_run(ewf(), timing, scheduler="mfsa", cs=17)
+    assert len(run.jsonl.splitlines()) == 374
+    assert run.jsonl == golden("ewf_mfsa_trace.jsonl")
