@@ -208,10 +208,6 @@ def main(argv=None):
     if args.smoke:
         return smoke()
 
-    if not kernel_mod.HAVE_NUMPY:
-        print("numpy not installed: no vector kernel to measure", file=sys.stderr)
-        return 1
-
     tiers = []
     for tier in TIERS:
         row = measure_tier(tier, args.full)

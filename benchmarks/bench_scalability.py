@@ -12,8 +12,7 @@ Three tiers:
   ``--runslow`` (an MFS run alone is ~10 s of wall clock);
 * the kernel-comparison benchmarks time the scalar reference path
   against the numpy vector path on the same seeded workloads the
-  ``bench_kernels.py`` harness records to BENCH_core.json.  The vector
-  rows skip automatically when numpy is absent.
+  ``bench_kernels.py`` harness records to BENCH_core.json.
 """
 
 import time
@@ -21,7 +20,6 @@ import time
 import pytest
 
 from repro.allocation.mux import clear_mux_memo
-from repro.core import kernel as kernel_mod
 from repro.core.mfs import MFSScheduler
 from repro.core.mfsa import MFSAScheduler
 from repro.dfg.analysis import TimingModel, critical_path_length
@@ -43,15 +41,7 @@ KERNEL_POINTS = {
     1000: (25, 40, 400),
 }
 
-KERNELS = [
-    "scalar",
-    pytest.param(
-        "vector",
-        marks=pytest.mark.skipif(
-            not kernel_mod.HAVE_NUMPY, reason="numpy not installed"
-        ),
-    ),
-]
+KERNELS = ["scalar", "vector"]
 
 
 @pytest.mark.parametrize("layers,width", SIZES)

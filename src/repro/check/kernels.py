@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from repro.allocation.mux import clear_mux_memo
 from repro.check.report import CheckReport
-from repro.core import kernel as kernel_mod
+from repro.check.runner import _merge_sub
 from repro.perf import PerfCounters
 
 #: Perf-counter key fragments excluded from cross-kernel comparison
@@ -43,11 +43,6 @@ def comparable_counters(perf: PerfCounters) -> dict:
     }
 
 
-def vector_available() -> bool:
-    """Whether the vector kernel can run at all (numpy importable)."""
-    return kernel_mod.HAVE_NUMPY
-
-
 def check_mfs_kernels(
     dfg,
     timing,
@@ -60,10 +55,6 @@ def check_mfs_kernels(
     from repro.core.mfs import MFSScheduler
 
     report = CheckReport(target=f"MFS kernels {dfg.name} (cs={cs})")
-    report.ran("kernel-availability")
-    if not vector_available():
-        return report
-
     results = {}
     perfs = {}
     for kern in ("scalar", "vector"):
@@ -107,10 +98,6 @@ def check_mfsa_kernels(
     from repro.core.mfsa import MFSAScheduler
 
     report = CheckReport(target=f"MFSA kernels {dfg.name} (cs={cs})")
-    report.ran("kernel-availability")
-    if not vector_available():
-        return report
-
     results = {}
     perfs = {}
     for kern in ("scalar", "vector"):
@@ -266,13 +253,3 @@ def check_kernels_random(
         _merge_sub(report, sub)
     return report
 
-
-def _merge_sub(report: CheckReport, sub: CheckReport) -> None:
-    for violation in sub.violations:
-        report.add(
-            violation.code,
-            f"{sub.target} :: {violation.subject}",
-            violation.message,
-        )
-    for name in sub.checks_run:
-        report.ran(name)

@@ -47,7 +47,8 @@ def _load_dfg(path: str):
 
 
 def _timing(args) -> TimingModel:
-    ops = standard_operation_set(mul_latency=args.mul_latency)
+    mul_latency = 1 if args.mul_latency is None else args.mul_latency
+    ops = standard_operation_set(mul_latency=mul_latency)
     return TimingModel(ops=ops, clock_period_ns=args.clock_ns)
 
 
@@ -74,7 +75,7 @@ def _resolve_design(args):
     spec = parse_generator_spec(args.generate)
     dfg = generate_dfg(spec, args.seed, name=with_seeded_name(spec, args.seed))
     mul_latency = (
-        args.mul_latency if args.mul_latency != 1 else spec.mul_latency
+        spec.mul_latency if args.mul_latency is None else args.mul_latency
     )
     clock_ns = args.clock_ns if args.clock_ns is not None else spec.clock_ns
     timing = TimingModel(
@@ -127,10 +128,9 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
         "--kernel",
         choices=["auto", "scalar", "vector"],
         default="auto",
-        help="inner-loop kernel: 'vector' needs numpy (install the "
-        "[accel] extra), 'scalar' is the pure-python reference, 'auto' "
-        "picks vector for large designs when numpy is present; results "
-        "are byte-identical either way",
+        help="move-frame walk: 'vector' prices numpy frame masks, "
+        "'scalar' walks positions in python, 'auto' picks vector for "
+        "large designs; results are byte-identical either way",
     )
 
 
@@ -164,8 +164,9 @@ def _add_timing_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mul-latency",
         type=int,
-        default=1,
-        help="multiplier latency in control steps (default 1)",
+        default=None,
+        help="multiplier latency in control steps (default 1, or the "
+        "design's own for --generate and --example)",
     )
     parser.add_argument(
         "--clock-ns",
@@ -355,24 +356,16 @@ def _command_check(args) -> int:
         )
     if args.kernels:
         from repro.check import check_kernels_all_examples, check_kernels_random
-        from repro.check.kernels import vector_available
 
-        if not vector_available():
-            print(
-                "warning: numpy not installed, skipping --kernels "
-                "cross-validation (pip install repro[accel])",
-                file=sys.stderr,
+        reports.append(
+            check_kernels_all_examples(
+                keys=[args.example] if args.example else None
             )
-        else:
+        )
+        if args.random:
             reports.append(
-                check_kernels_all_examples(
-                    keys=[args.example] if args.example else None
-                )
+                check_kernels_random(count=args.random, seed=args.seed)
             )
-            if args.random:
-                reports.append(
-                    check_kernels_random(count=args.random, seed=args.seed)
-                )
     failed = False
     for report in reports:
         print(report.render())
@@ -526,7 +519,7 @@ def _command_submit(args) -> int:
         spec = EXAMPLES[args.example]
         design = {"dfg": json.loads(dfg_to_json(spec.build()))}
         params["cs"] = args.cs or spec.mfsa_cs
-        if args.mul_latency == 1:
+        if args.mul_latency is None:
             params["mul_latency"] = spec.mfsa_mul_latency
         params["clock_ns"] = (
             args.clock_ns if args.clock_ns is not None else spec.mfsa_clock_ns
@@ -842,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernels",
         action="store_true",
         help="additionally cross-validate the scalar and vector scheduling "
-        "kernels byte-for-byte (needs numpy; see repro.core.kernel)",
+        "kernels byte-for-byte (see repro.core.kernel)",
     )
     p.add_argument(
         "--no-differential",

@@ -1,9 +1,10 @@
-"""Scheduling-kernel dispatch: scalar reference vs numpy-vectorised inner loop.
+"""The two move-frame walks: scalar reference vs numpy-vectorised.
 
-The MFS/MFSA inner loop prices every candidate grid position of every
-operation.  The *scalar* kernel — the original implementation in
-:mod:`repro.core.mfs` / :mod:`repro.core.mfsa` — walks the move frame one
-``GridPosition`` at a time; the *vector* kernel replaces that walk with
+MFS and MFSA share one engine (:mod:`repro.core.engine`) that prices
+every candidate grid position of every operation.  Two steps differ by
+walk — building a move frame and pricing it to an argmin.  The *scalar*
+walk lists the frame's positions (:func:`repro.core.frames.compute_frames`)
+and prices them one ``GridPosition`` at a time; the *vector* walk uses
 numpy bitmask arithmetic over whole frames:
 
 * the placement grid is mirrored into one boolean occupancy matrix per
@@ -19,29 +20,31 @@ numpy bitmask arithmetic over whole frames:
   tie order (energy, then step ``y``, then instance ``x``) because the
   matrix is laid out ``[y, x]``.
 
-Both kernels produce **byte-identical results** — schedules, placements,
+Both walks produce **byte-identical results** — schedules, placements,
 trajectories, costs; :mod:`repro.check.kernels` and the hypothesis suite
-in ``tests/property/test_property_kernel.py`` enforce it.  numpy is an
-optional dependency (the ``repro[accel]`` extra): when it is missing the
-dispatcher silently selects the scalar kernel, so the library keeps its
-stdlib-only floor.
+in ``tests/property/test_property_kernel.py`` enforce it.  numpy is a
+required dependency, so both walks always exist, and each wins a regime
+(2-vCPU VM, 5 alternating repetitions per job): forcing the vector walk
+made perfbench's 12–47-op ``compile_paper`` jobs 1.7x slower per job,
+left its 100–400-op ``compile_large`` jobs about even (0.97x in total),
+and is 13–22x faster on the 1k-op tier with 400 steps of slack
+(``docs/PERFORMANCE.md``).
 
 Dispatch policy (:func:`resolve_kernel`):
 
-* ``"scalar"`` — always the reference loop;
-* ``"vector"`` — always the numpy loop; raises
-  :class:`KernelUnavailableError` without numpy;
-* ``"auto"`` (the default) — the vector kernel when numpy is importable
-  *and* the workload is big enough to pay for the array overhead
-  (``n_ops >= VECTOR_MIN_OPS``); tiny paper examples stay on the scalar
-  loop, where per-position python beats per-frame numpy setup.
+* ``"scalar"`` — always the reference walk;
+* ``"vector"`` — always the numpy walk;
+* ``"auto"`` (the default) — the vector walk once the workload is big
+  enough to pay for the array overhead (``n_ops >= VECTOR_MIN_OPS``);
+  paper-sized examples stay scalar, where per-position python beats
+  per-frame numpy setup.
 
 Independently of the requested kernel, the schedulers fall back to the
-scalar loop for the features the vector loop does not model: attached
+scalar walk for the features the vector walk does not model: attached
 trace recorders (the per-candidate event stream *is* the scalar walk),
-``record_frames`` (the Figure-2 harness wants faithful per-pass
-``FrameSet`` logs), functional pipelining / structurally pipelined tables
-(folded occupancy), MFSA's ``no_cache`` reference mode, and — for MFS —
+MFS ``record_frames`` (the Figure-2 harness wants ``FrameSet`` logs),
+functional pipelining / structurally pipelined tables (folded
+occupancy), MFSA's ``no_cache`` reference mode, and — for MFS —
 user-supplied Liapunov subclasses (only the two paper functions have a
 closed form the kernel trusts).  :func:`vector_supported` centralises
 that decision so both schedulers and the audits agree on it.
@@ -51,16 +54,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ScheduleError
+import numpy as np
+
 from repro.core.grid import GridPosition, PlacementGrid
-
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
-#: Whether the vector kernel can run in this interpreter.
-HAVE_NUMPY = np is not None
 
 #: Recognised kernel names.
 KERNELS = ("auto", "scalar", "vector")
@@ -73,15 +69,6 @@ KERNELS = ("auto", "scalar", "vector")
 VECTOR_MIN_OPS = 48
 
 
-class KernelUnavailableError(ScheduleError):
-    """The explicitly requested kernel cannot run (numpy missing)."""
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """Concrete kernels this interpreter can run."""
-    return ("scalar", "vector") if HAVE_NUMPY else ("scalar",)
-
-
 def resolve_kernel(name: str = "auto", n_ops: Optional[int] = None) -> str:
     """Resolve a kernel request to ``"scalar"`` or ``"vector"``.
 
@@ -90,21 +77,9 @@ def resolve_kernel(name: str = "auto", n_ops: Optional[int] = None) -> str:
     """
     if name not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {name!r}")
-    if name == "scalar":
-        return "scalar"
-    if name == "vector":
-        if not HAVE_NUMPY:
-            raise KernelUnavailableError(
-                "kernel 'vector' requested but numpy is not installed "
-                "(pip install repro[accel]); the scalar kernel is always "
-                "available"
-            )
-        return "vector"
-    if not HAVE_NUMPY:
-        return "scalar"
-    if n_ops is not None and n_ops < VECTOR_MIN_OPS:
-        return "scalar"
-    return "vector"
+    if name == "auto":
+        return "scalar" if n_ops is not None and n_ops < VECTOR_MIN_OPS else "vector"
+    return name
 
 
 def vector_supported(
@@ -120,13 +95,9 @@ def vector_supported(
     Unsupported combinations silently use the scalar reference loop —
     results are identical either way, only the walk differs.
     """
-    if not HAVE_NUMPY:
-        return False
     if trace or record_frames or no_cache:
         return False
-    if latency_l is not None or pipelined_tables:
-        return False
-    return True
+    return latency_l is None and not pipelined_tables
 
 
 # ----------------------------------------------------------------------
@@ -150,8 +121,6 @@ class VectorGrid:
     """
 
     def __init__(self, grid: PlacementGrid) -> None:
-        if np is None:  # pragma: no cover - guarded by dispatch
-            raise KernelUnavailableError("VectorGrid needs numpy")
         self._grid = grid
         self._occ: Dict[str, "np.ndarray"] = {}
 
@@ -180,31 +149,28 @@ def move_frame_mask(
     grid: PlacementGrid,
     node: str,
     table: str,
-    latency: int,
+    bounds: Tuple[int, int, int, Tuple[int, ...]],
     lo_y: int,
     hi_y: int,
     top_col: int,
-    latest_pred_end: int,
-    ff_rows_after: int,
-    chain_rows: Tuple[int, ...],
     banned: Tuple[int, ...] = (),
     has_exclusions: bool = False,
-) -> Tuple[Optional["np.ndarray"], int]:
+) -> Optional[Tuple["np.ndarray", int]]:
     """Admissible-position mask of one (node, table) move frame.
 
+    ``bounds`` is :func:`repro.core.frames.frame_bounds` of the node.
     Returns ``(mask, lo_y)`` where ``mask[i, j]`` covers step
-    ``lo_y + i`` and instance column ``j + 1`` — or ``(None, lo_y)``
-    when the frame is geometrically empty.  Mirrors, bit for bit, the
-    filter chain of :func:`repro.core.frames.compute_frames`: primary
-    rows, forbidden rows (chain re-admission included), the column
-    budget, style-2 exclusions, and grid occupancy over the full latency
-    span.
+    ``lo_y + i`` and instance column ``j + 1`` — or ``None`` when no
+    position is admissible.  Mirrors, bit for bit, the filter chain of
+    :func:`repro.core.frames.compute_frames`: primary rows, forbidden
+    rows (chain re-admission included), the column budget, style-2
+    exclusions, and grid occupancy over the full latency span.
     """
-    cs = grid.cs
+    latency, latest_pred_end, ff_rows_after, chain_rows = bounds
     lo_y = max(lo_y, 1)
-    hi_y = min(hi_y, cs - latency + 1)
+    hi_y = min(hi_y, grid.cs - latency + 1)
     if hi_y < lo_y or top_col < 1:
-        return None, lo_y
+        return None
 
     ys = np.arange(lo_y, hi_y + 1)
     row_ok = ys > latest_pred_end
@@ -234,7 +200,7 @@ def move_frame_mask(
             if grid.is_free(node, table, int(j) + 1, int(ys[i]), latency):
                 mask[i, j] = True
 
-    return mask, lo_y
+    return (mask, lo_y) if mask.any() else None
 
 
 def argmin_position(
@@ -282,16 +248,13 @@ def static_argmin(
     ys = np.arange(lo_y, lo_y + mask.shape[0], dtype=np.int64)
     xs = np.arange(1, mask.shape[1] + 1, dtype=np.int64)
     energy = liapunov.value_xy(xs[None, :], ys[:, None])
-    masked = np.where(mask, energy, np.iinfo(np.int64).max)
-    flat = int(np.argmin(masked))
-    i, j = divmod(flat, mask.shape[1])
-    chosen = GridPosition(table, j + 1, lo_y + i)
+    chosen, best = argmin_position(mask, energy, table, lo_y)
     alternatives: Tuple = ()
     if want_alternatives:
         alternatives = tuple(
             zip(mask_positions(mask, table, lo_y), energy[mask].tolist())
         )
-    return chosen, int(masked[i, j]), alternatives
+    return chosen, int(best), alternatives
 
 
 def mux_costs_monotone(costs, up_to: int) -> bool:

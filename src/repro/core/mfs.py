@@ -40,7 +40,8 @@ from repro.dfg.analysis import (
 from repro.dfg.graph import DFG
 from repro.schedule.types import Schedule
 from repro.core import kernel as _kernel
-from repro.core.frames import FrameSet, compute_frames, frame_bounds
+from repro.core.engine import MoveFrameEngine
+from repro.core.frames import FrameSet
 from repro.core.grid import GridPosition, PlacementGrid
 from repro.core.liapunov import (
     ResourceConstrainedLiapunov,
@@ -74,7 +75,7 @@ class MFSResult:
         return self.schedule.starts
 
 
-class MFSScheduler:
+class MFSScheduler(MoveFrameEngine):
     """Configurable MFS runner.
 
     Parameters
@@ -90,19 +91,16 @@ class MFSScheduler:
         ``cs·x + y``).
     resource_bounds:
         kind → ``max_j``.  Optional in time mode (ASAP/ALAP concurrency is
-        the default upper bound, per the paper); required in resource mode.
+        the default upper bound, per the paper, and grows by one column
+        whenever local rescheduling exhausts it — the paper's "presummed
+        big number"); required in resource mode, and never relaxed.
     latency_l:
         Functional-pipelining initiation interval (§5.5.2).
     pipelined_kinds:
         Kinds executed on structurally pipelined FUs (§5.5.1).
-    relax_bounds:
-        In time mode without user bounds, allow the automatic ``max_j`` to
-        grow if local rescheduling exhausts it (the paper's "presummed big
-        number" fallback).  User-supplied bounds are never relaxed.
     record_frames:
         Keep the last :class:`FrameSet` per node (Figure-2 regeneration).
-        Off by default — the log grows with every rescheduling pass and
-        only the figure harness reads it.
+        Off by default — only the figure harness reads it.
     record_alternatives:
         Keep the full (position, energy) list of every move frame in the
         trajectory (Figure-1 regeneration and the strongest stability
@@ -115,14 +113,13 @@ class MFSScheduler:
         placement, so an undersized ``n`` or ``cs`` raises instead of
         silently breaking step ordering.
     kernel:
-        Inner-loop implementation: ``"scalar"`` (the reference walk),
-        ``"vector"`` (numpy bitmask frames; needs the ``[accel]``
-        extra), or ``"auto"`` (vector when numpy is present and the
-        DFG is large enough to pay for it).  Both kernels produce
-        byte-identical results — see :mod:`repro.core.kernel` for the
-        dispatch rules and the features that pin a run to the scalar
-        walk (tracing, frame recording, pipelining, custom Liapunov
-        subclasses).
+        Move-frame walk: ``"scalar"`` (per-position python),
+        ``"vector"`` (numpy bitmask frames), or ``"auto"`` (vector once
+        the DFG is large enough to pay for the array setup).  Both walks
+        produce byte-identical results — see :mod:`repro.core.kernel`
+        for the dispatch rules, the features that pin a run to the
+        scalar walk (tracing, frame recording, pipelining, custom
+        Liapunov subclasses), and the measured regimes each walk wins.
     verify:
         Audit the finished run with :mod:`repro.check` (schedule
         legality, grid-occupancy consistency, Liapunov descent) and raise
@@ -139,6 +136,8 @@ class MFSScheduler:
         nothing.
     """
 
+    algorithm = "mfs"
+
     def __init__(
         self,
         dfg: DFG,
@@ -148,7 +147,6 @@ class MFSScheduler:
         resource_bounds: Optional[Mapping[str, int]] = None,
         latency_l: Optional[int] = None,
         pipelined_kinds: Iterable[str] = (),
-        relax_bounds: bool = True,
         record_frames: bool = False,
         record_alternatives: bool = True,
         liapunov: Optional[StaticLiapunov] = None,
@@ -159,52 +157,25 @@ class MFSScheduler:
     ) -> None:
         if mode not in ("time", "resource"):
             raise ValueError(f"mode must be 'time' or 'resource', got {mode!r}")
-        if kernel not in _kernel.KERNELS:
-            raise ValueError(
-                f"kernel must be one of {_kernel.KERNELS}, got {kernel!r}"
-            )
-        self.kernel = kernel
-        self.dfg = dfg
-        self.timing = timing
+        super().__init__(
+            dfg, timing, cs, latency_l, pipelined_kinds,
+            record_alternatives, kernel, verify, perf, trace,
+        )
         self.mode = mode
-        self.latency_l = latency_l
-        self.pipelined_kinds = frozenset(str(k) for k in pipelined_kinds)
-        self.relax_bounds = relax_bounds
         self.record_frames = record_frames
-        self.record_alternatives = record_alternatives
         self.user_liapunov = liapunov
-        self.verify = verify
-        self.perf = perf
-        self.trace = trace
         self.user_bounds = dict(resource_bounds) if resource_bounds else None
-
-        dfg.validate(timing.ops)
-        self._check_pipelining()
 
         if mode == "time":
             if cs is None:
                 raise ScheduleError("time-constrained MFS needs cs")
-            self.cs = cs
         else:
             if not self.user_bounds:
                 raise ScheduleError("resource-constrained MFS needs resource_bounds")
-            self.cs = cs if cs is not None else self._serial_upper_bound()
+            if cs is None:
+                self.cs = self._serial_upper_bound()
 
     # ------------------------------------------------------------------
-    def _check_pipelining(self) -> None:
-        if self.latency_l is None:
-            return
-        if self.latency_l < 1:
-            raise ScheduleError(f"latency L must be >= 1, got {self.latency_l}")
-        for kind in self.dfg.kinds_used():
-            latency = self.timing.latency(kind)
-            if latency > self.latency_l and kind not in self.pipelined_kinds:
-                raise ScheduleError(
-                    f"kind {kind!r} (latency {latency}) cannot run under "
-                    f"functional pipelining with L={self.latency_l} on a "
-                    f"non-pipelined FU"
-                )
-
     def _serial_upper_bound(self) -> int:
         """A step budget that always suffices: run everything serially."""
         total = sum(
@@ -233,13 +204,6 @@ class MFSScheduler:
         return min(max(1, math.ceil(count / self.cs)), max_j)
 
     # ------------------------------------------------------------------
-    def run(self) -> MFSResult:
-        """Execute MFS and return the full result."""
-        if self.perf is None:
-            return self._run()
-        with self.perf.timer("mfs.run"):
-            return self._run()
-
     def _run(self) -> MFSResult:
         dfg, timing = self.dfg, self.timing
         trace = self.trace
@@ -265,18 +229,9 @@ class MFSScheduler:
             for kind in dfg.kinds_used():
                 if kind not in max_j:
                     raise ScheduleError(f"no resource bound given for kind {kind!r}")
-            bounds_are_auto = False
         else:
             max_j = self._auto_bounds(asap, alap)
-            bounds_are_auto = True
 
-        grid = PlacementGrid(
-            dfg,
-            self.cs,
-            columns=dict(max_j),
-            latency_l=self.latency_l,
-            pipelined_tables=self.pipelined_kinds,
-        )
         liapunov = self._make_liapunov(max_j)
         order = priority_order(dfg, timing, asap, alap)
 
@@ -284,124 +239,59 @@ class MFSScheduler:
             kind: self._initial_current(kind, max_j[kind])
             for kind in dfg.kinds_used()
         }
-        placed_starts: Dict[str, int] = {}
-        chain_offsets: Dict[str, float] = {}
-        trajectory = Trajectory()
         frames_log: Dict[str, FrameSet] = {}
 
-        # Vector kernel: numpy bitmask frames instead of the per-position
-        # walk.  Byte-identical to the scalar path (same placements,
-        # energies, trajectories, counters); unsupported feature
-        # combinations and custom Liapunov subclasses stay on the scalar
-        # reference walk.  See repro.core.kernel.
-        use_vector = (
-            _kernel.resolve_kernel(self.kernel, len(dfg)) == "vector"
-            and _kernel.vector_supported(
-                trace=trace is not None,
-                record_frames=self.record_frames,
-                latency_l=self.latency_l,
-                pipelined_tables=tuple(self.pipelined_kinds),
-            )
-            and type(liapunov)
-            in (TimeConstrainedLiapunov, ResourceConstrainedLiapunov)
+        # Only the two paper functions have the closed form the vector
+        # walk prices; a user-supplied Liapunov subclass stays scalar.
+        vector = self._vector_walk(
+            self.pipelined_kinds, record_frames=self.record_frames
+        ) and type(liapunov) in (
+            TimeConstrainedLiapunov,
+            ResourceConstrainedLiapunov,
         )
-        view = _kernel.VectorGrid(grid) if use_vector else None
-        has_exclusions = use_vector and any(node.branch for node in dfg)
+        grid = self._begin(dict(max_j), self.pipelined_kinds, asap, alap, vector)
 
         perf = self.perf
         for name in order:
             kind = dfg.node(name).kind
             latency = timing.latency(kind)
-            if use_vector:
-                _lat, latest_pred_end, ff_rows_after, chain_rows = frame_bounds(
-                    dfg, timing, name, grid.cs, placed_starts, chain_offsets
-                )
-                while True:
-                    if perf is not None:
-                        perf.incr("mfs.frames_computed")
-                    mask, lo_y = _kernel.move_frame_mask(
-                        view,
-                        grid,
-                        name,
-                        kind,
-                        latency,
-                        asap[name],
-                        alap[name],
-                        min(current[kind], grid.columns(kind)),
-                        latest_pred_end,
-                        ff_rows_after,
-                        chain_rows,
-                        has_exclusions=has_exclusions,
+            while True:
+                frame = self._frame(name, kind, current[kind])
+                if frame is not None:
+                    break
+                # §3.2 Step 4: local rescheduling — open one more FU; with
+                # automatic bounds, widen an exhausted table by one.
+                if perf is not None:
+                    perf.incr("mfs.local_reschedules")
+                if current[kind] < grid.columns(kind):
+                    current[kind] += 1
+                    step = "open-fu"
+                elif self.user_bounds is None:
+                    grid.widen(kind, grid.columns(kind) + 1)
+                    current[kind] = grid.columns(kind)
+                    liapunov = self._make_liapunov(
+                        {k: grid.columns(k) for k in grid.tables()}
                     )
-                    if mask is not None and mask.any():
-                        break
-                    if perf is not None:
-                        perf.incr("mfs.local_reschedules")
-                    if current[kind] < grid.columns(kind):
-                        current[kind] += 1
-                        continue
-                    if bounds_are_auto and self.relax_bounds:
-                        grid.widen(kind, grid.columns(kind) + 1)
-                        current[kind] = grid.columns(kind)
-                        liapunov = self._make_liapunov(
-                            {k: grid.columns(k) for k in grid.tables()}
-                        )
-                        continue
+                    step = "widen-table"
+                else:
                     raise InfeasibleScheduleError(
                         f"no position for {name!r} ({kind}) within "
                         f"{grid.columns(kind)} units and {self.cs} steps"
                     )
+                if trace is not None:
+                    trace.reschedule(name, kind, step, current[kind])
+            if vector:
+                mask, lo_y = frame
                 if perf is not None:
                     perf.incr("mfs.positions_evaluated", int(mask.sum()))
                 chosen, energy, alternatives = _kernel.static_argmin(
                     mask, lo_y, kind, liapunov, self.record_alternatives
                 )
             else:
-                while True:
-                    if perf is not None:
-                        perf.incr("mfs.frames_computed")
-                    frame = compute_frames(
-                        dfg,
-                        timing,
-                        grid,
-                        name,
-                        table=kind,
-                        asap=asap,
-                        alap=alap,
-                        current=current[kind],
-                        placed_starts=placed_starts,
-                        chain_offsets=chain_offsets,
-                    )
-                    if trace is not None:
-                        trace.frame(name, kind, frame, current[kind])
-                    if not frame.empty:
-                        break
-                    # §3.2 Step 4: local rescheduling — open one more FU.
-                    if perf is not None:
-                        perf.incr("mfs.local_reschedules")
-                    if current[kind] < grid.columns(kind):
-                        current[kind] += 1
-                        if trace is not None:
-                            trace.reschedule(name, kind, "open-fu", current[kind])
-                        continue
-                    if bounds_are_auto and self.relax_bounds:
-                        grid.widen(kind, grid.columns(kind) + 1)
-                        current[kind] = grid.columns(kind)
-                        liapunov = self._make_liapunov(
-                            {k: grid.columns(k) for k in grid.tables()}
-                        )
-                        if trace is not None:
-                            trace.reschedule(name, kind, "widen-table", current[kind])
-                        continue
-                    raise InfeasibleScheduleError(
-                        f"no position for {name!r} ({kind}) within "
-                        f"{grid.columns(kind)} units and {self.cs} steps"
-                    )
                 if self.record_frames:
                     frames_log[name] = frame
-                # Single-pass Liapunov evaluation: every move-frame position
-                # is scored exactly once, feeding both the trajectory record
-                # and the argmin (previously ``best`` re-evaluated them all).
+                # Single pass: every move-frame position is scored once,
+                # feeding both the trajectory record and the argmin.
                 values = {
                     position: liapunov.value(position) for position in frame.mf
                 }
@@ -417,39 +307,16 @@ class MFSScheduler:
                     trace.commit(
                         name, kind, kind, chosen.x, chosen.y, energy, latency
                     )
-            grid.place(name, chosen, latency)
-            if view is not None:
-                view.place(chosen, latency)
-            placed_starts[name] = chosen.y
-            self._update_chain_offset(name, chosen.y, placed_starts, chain_offsets)
-            trajectory.record(
-                node=name,
-                position=chosen,
-                energy=energy,
-                alternatives=alternatives,
-            )
+            self._commit(name, chosen, latency, energy, alternatives)
 
-        schedule = Schedule(
-            dfg=dfg,
-            timing=timing,
-            cs=self.cs,
-            starts=dict(placed_starts),
-            latency_l=self.latency_l,
-            pipelined_kinds=self.pipelined_kinds,
-        )
-        schedule.validate(
-            resource_bounds=self.user_bounds if self.mode == "resource" else None
-        )
-        trajectory.verify()
+        resource_bounds = self.user_bounds if self.mode == "resource" else None
+        schedule = self._schedule(resource_bounds)
         fu_counts = schedule.fu_usage()
-        if trace is not None:
-            if perf is not None:
-                trace.counters(dict(perf.counters))
-            trace.run_end(commits=len(trajectory), fu_counts=dict(fu_counts))
+        self._end_trace(fu_counts=dict(fu_counts))
         result = MFSResult(
             schedule=schedule,
             placements=grid.placements(),
-            trajectory=trajectory,
+            trajectory=self.trajectory,
             grid=grid,
             fu_counts=fu_counts,
             frames_log=frames_log,
@@ -458,10 +325,7 @@ class MFSScheduler:
             from repro.check.runner import check_mfs_result
 
             check_mfs_result(
-                result,
-                resource_bounds=(
-                    self.user_bounds if self.mode == "resource" else None
-                ),
+                result, resource_bounds=resource_bounds
             ).raise_if_failed()
         return result
 
@@ -485,27 +349,6 @@ class MFSScheduler:
         except ValueError as error:
             raise ScheduleError(str(error)) from None
         return liapunov
-
-    def _update_chain_offset(
-        self,
-        name: str,
-        start: int,
-        placed_starts: Mapping[str, int],
-        chain_offsets: Dict[str, float],
-    ) -> None:
-        if not self.timing.chaining:
-            return
-        kind = self.dfg.node(name).kind
-        if self.timing.latency(kind) != 1:
-            return
-        incoming = 0.0
-        for pred in self.dfg.predecessors(name):
-            pred_kind = self.dfg.node(pred).kind
-            if self.timing.latency(pred_kind) != 1:
-                continue
-            if placed_starts.get(pred) == start:
-                incoming = max(incoming, chain_offsets.get(pred, 0.0))
-        chain_offsets[name] = incoming + self.timing.delay_ns(kind)
 
 
 def mfs_schedule(

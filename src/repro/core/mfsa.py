@@ -21,7 +21,7 @@ DFG predecessors or successors — the SYNTEST self-testable style).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -42,7 +42,7 @@ from repro.allocation.mux import (
 )
 from repro.allocation.registers import IncrementalRegisterEstimator
 from repro.core import kernel as _kernel
-from repro.core.frames import FrameSet, compute_frames, frame_bounds
+from repro.core.engine import MoveFrameEngine
 from repro.core.grid import GridPosition, PlacementGrid
 from repro.core.liapunov import LiapunovWeights, MFSALiapunov
 from repro.core.priorities import priority_order
@@ -60,7 +60,6 @@ class MFSAResult:
     trajectory: Trajectory
     grid: PlacementGrid
     style: int
-    frames_log: Dict[str, List[FrameSet]] = field(default_factory=dict)
 
     @property
     def cost(self) -> CostBreakdown:
@@ -155,9 +154,6 @@ class _AllocationState:
             self._operand_cache[name] = operand
         return operand
 
-    def mux_cost_before(self, cell: ALUCell, x: int) -> float:
-        return self._mux_cost.get((cell.name, x), 0.0)
-
     def mux_cost_with(self, cell: ALUCell, x: int, name: str) -> float:
         members = self.ops_on.get((cell.name, x), [])
         costs = self.library.mux_costs
@@ -218,7 +214,8 @@ class _AllocationState:
 
     def f_mux(self, cell: ALUCell, x: int, name: str) -> float:
         """§4.1: multiplexer cost delta under best signal sharing."""
-        return self.mux_cost_with(cell, x, name) - self.mux_cost_before(cell, x)
+        before = self._mux_cost.get((cell.name, x), 0.0)
+        return self.mux_cost_with(cell, x, name) - before
 
     # -- REG ------------------------------------------------------------
     def input_lifetimes(
@@ -253,6 +250,34 @@ class _AllocationState:
     def f_reg(self, lifetimes: List[Lifetime]) -> float:
         """§4.1/§5.8: new registers required, via activity selection."""
         return self.registers.cost_of(lifetimes) * self.library.register_area
+
+    def f_reg_rows(
+        self,
+        name: str,
+        lo_y: int,
+        hi_y: int,
+        placed_ends: Mapping[str, int],
+        pipelined_kinds: frozenset,
+    ):
+        """:meth:`f_reg` at every start step ``lo_y … hi_y`` as one numpy
+        row vector (the vector walk's batched f_REG): the input signals
+        :meth:`input_lifetimes` would list, minus those already stored,
+        each dying ``delta`` steps after the start."""
+        node = self.dfg.node(name)
+        latency = self.timing.latency(node.kind)
+        delta = latency - 1 if latency > 1 and node.kind not in pipelined_kinds else 0
+        births = []
+        seen = set()
+        for port in node.operands:
+            if not port.is_node or port.name in seen:
+                continue
+            seen.add(port.name)
+            if not self.registers.is_known(port.signal_name()):
+                births.append(placed_ends[port.name])
+        counts = _kernel.batched_reg_costs(
+            self.registers, births, delta, lo_y, hi_y
+        )
+        return counts * self.library.register_area
 
     # -- commit ----------------------------------------------------------
     def commit(
@@ -307,38 +332,32 @@ class _AllocationState:
         return tuple(banned)
 
 
-class MFSAScheduler:
+class MFSAScheduler(MoveFrameEngine):
     """Configurable MFSA runner (time-constrained, per the paper's Table 2).
 
     Parameters mirror :class:`~repro.core.mfs.MFSScheduler`; additionally:
 
     library:
         The :class:`CellLibrary` of available (multifunction) ALUs,
-        registers and mux costs.
+        registers and mux costs.  Each cell gets one table with a column
+        per compatible operation (the "presummed big number").
     style:
         1 = unrestricted RTL, 2 = no self-loop around ALUs (§4.2).
     weights:
         The §4.1 weighted-Liapunov emphasis (default: all ones).
-    max_instances_per_cell:
-        Column budget per ALU cell table (default: enough for every
-        compatible operation — the "presummed big number").
     no_cache:
         Disable the incremental-evaluation layer (operand, mux, f_REG and
         shared-frame caches) and re-derive every Liapunov term from
         scratch for every candidate position — the slow reference path
-        the equivalence tests compare against.
+        the equivalence tests compare against.  Always the scalar walk.
     kernel:
-        Inner-loop implementation: ``"scalar"`` (the reference walk),
+        Move-frame walk: ``"scalar"`` (per-position python),
         ``"vector"`` (numpy bitmask frames and one broadcasted §4.1
-        energy matrix per cell; needs the ``[accel]`` extra), or
-        ``"auto"`` (vector when numpy is present and the DFG is large
-        enough to pay for it).  Both kernels are byte-identical —
-        :mod:`repro.core.kernel` documents the dispatch rules and the
-        features (tracing, ``record_frames``, pipelining, ``no_cache``)
-        that pin a run to the scalar walk.
-    record_frames:
-        Keep every :class:`FrameSet` built per node (Figure-2 harness
-        only; grows O(ops × gather passes)).  Off by default.
+        energy matrix per cell), or ``"auto"`` (vector once the DFG is
+        large enough to pay for the array setup).  Both walks are
+        byte-identical — :mod:`repro.core.kernel` documents the dispatch
+        rules, the features (tracing, pipelining, ``no_cache``) that pin
+        a run to the scalar walk, and the measured regimes each walk wins.
     record_alternatives:
         Keep the full (position, energy) candidate list per move in the
         trajectory.  On by default (it backs the strongest stability
@@ -362,6 +381,8 @@ class MFSAScheduler:
         nothing.
     """
 
+    algorithm = "mfsa"
+
     def __init__(
         self,
         dfg: DFG,
@@ -372,11 +393,8 @@ class MFSAScheduler:
         weights: LiapunovWeights = LiapunovWeights(),
         latency_l: Optional[int] = None,
         pipelined_kinds: Iterable[str] = (),
-        max_instances_per_cell: Optional[int] = None,
         no_cache: bool = False,
-        record_frames: bool = False,
         record_alternatives: bool = True,
-        count_input_registers: bool = True,
         open_policy: str = "reuse-first",
         area_budget: Optional[float] = None,
         kernel: str = "auto",
@@ -386,31 +404,20 @@ class MFSAScheduler:
     ) -> None:
         if style not in (1, 2):
             raise ValueError(f"style must be 1 or 2, got {style}")
-        if kernel not in _kernel.KERNELS:
-            raise ValueError(
-                f"kernel must be one of {_kernel.KERNELS}, got {kernel!r}"
-            )
-        self.kernel = kernel
         if open_policy not in ("reuse-first", "eager"):
             raise ValueError(
                 f"open_policy must be 'reuse-first' or 'eager', got {open_policy!r}"
             )
-        self.dfg = dfg
-        self.timing = timing
+        if area_budget is not None and area_budget <= 0:
+            raise ValueError(f"area_budget must be positive, got {area_budget}")
+        super().__init__(
+            dfg, timing, cs, latency_l, pipelined_kinds,
+            record_alternatives, kernel, verify, perf, trace,
+        )
         self.library = library
-        self.cs = cs
         self.style = style
         self.weights = weights
-        self.latency_l = latency_l
-        self.pipelined_kinds = frozenset(str(k) for k in pipelined_kinds)
-        self.max_instances_per_cell = max_instances_per_cell
         self.no_cache = no_cache
-        self.record_frames = record_frames
-        self.record_alternatives = record_alternatives
-        self.verify = verify
-        self.perf = perf
-        self.trace = trace
-        self.count_input_registers = count_input_registers
         # "reuse-first" is the paper's redundant-frame rule (open a new ALU
         # instance only when no opened one can host the operation);
         # "eager" always offers a fresh instance, letting f_TIME dominance
@@ -425,35 +432,10 @@ class MFSAScheduler:
         # does not buy area reductions below the policy's natural
         # appetite — a budget under that appetite raises
         # :class:`InfeasibleScheduleError`.
-        if area_budget is not None and area_budget <= 0:
-            raise ValueError(f"area_budget must be positive, got {area_budget}")
         self.area_budget = area_budget
-
-        dfg.validate(timing.ops)
         library.check_covers(dfg.kinds_used())
-        self._check_pipelining()
-
-    def _check_pipelining(self) -> None:
-        if self.latency_l is None:
-            return
-        if self.latency_l < 1:
-            raise ScheduleError(f"latency L must be >= 1, got {self.latency_l}")
-        for kind in self.dfg.kinds_used():
-            latency = self.timing.latency(kind)
-            if latency > self.latency_l and kind not in self.pipelined_kinds:
-                raise ScheduleError(
-                    f"kind {kind!r} (latency {latency}) cannot run under "
-                    f"functional pipelining with L={self.latency_l}"
-                )
 
     # ------------------------------------------------------------------
-    def run(self) -> MFSAResult:
-        """Execute MFSA and return the full result."""
-        if self.perf is None:
-            return self._run()
-        with self.perf.timer("mfsa.run"):
-            return self._run()
-
     def _run(self) -> MFSAResult:
         dfg, timing = self.dfg, self.timing
         trace = self.trace
@@ -475,36 +457,27 @@ class MFSAScheduler:
         columns: Dict[str, int] = {}
         pipelined_tables = []
         for cell in self.library.cells():
-            compatible = sum(
-                counts.get(kind, 0) for kind in cell.kinds
-            )
+            compatible = sum(counts.get(kind, 0) for kind in cell.kinds)
             if compatible == 0:
                 continue
-            budget = (
-                self.max_instances_per_cell
-                if self.max_instances_per_cell is not None
-                else compatible
-            )
-            columns[cell.name] = max(1, budget)
+            columns[cell.name] = compatible
             if cell.kinds and cell.kinds <= self.pipelined_kinds:
                 pipelined_tables.append(cell.name)
 
-        grid = PlacementGrid(
-            dfg,
-            self.cs,
-            columns=columns,
-            latency_l=self.latency_l,
-            pipelined_tables=pipelined_tables,
-        )
         liapunov = MFSALiapunov(self.library, self.weights)
+        no_cache = self.no_cache
         state = _AllocationState(
-            dfg, timing, self.library, cache=not self.no_cache, perf=self.perf
+            dfg, timing, self.library, cache=not no_cache, perf=self.perf
         )
+        vector = self._vector_walk(pipelined_tables, no_cache=no_cache)
+        grid = self._begin(columns, pipelined_tables, asap, alap, vector)
+        placed_ends = self.placed_ends
 
         # Area-budget bookkeeping: cheapest capable cell per kind and how
         # many operations of each kind are still unplaced.  Opening an
         # instance must leave enough headroom to cover every kind that
         # would otherwise end up with no capable instance at all.
+        budget = self.area_budget
         cheapest_cell_area = {
             kind: min(cell.area for cell in candidates_by_kind[kind])
             for kind in candidates_by_kind
@@ -533,29 +506,6 @@ class MFSAScheduler:
                 reserve = max(reserve, cheapest_cell_area[kind])
             return reserve
 
-        placed_starts: Dict[str, int] = {}
-        placed_ends: Dict[str, int] = {}
-        chain_offsets: Dict[str, float] = {}
-        trajectory = Trajectory()
-        frames_log: Dict[str, List[FrameSet]] = {}
-
-        # Vector kernel: one bitmask frame and one broadcasted energy
-        # matrix per cell instead of the per-position walk.  Byte-identical
-        # to the scalar path (placements, energies, trajectories, perf
-        # counters); unsupported feature combinations stay on the scalar
-        # reference walk.  See repro.core.kernel.
-        use_vector = (
-            _kernel.resolve_kernel(self.kernel, len(dfg)) == "vector"
-            and _kernel.vector_supported(
-                trace=trace is not None,
-                record_frames=self.record_frames,
-                latency_l=self.latency_l,
-                pipelined_tables=tuple(pipelined_tables),
-                no_cache=self.no_cache,
-            )
-        )
-        view = _kernel.VectorGrid(grid) if use_vector else None
-        has_exclusions = use_vector and any(node.branch for node in dfg)
         np = _kernel.np
         # Lazy f_MUX: with a monotone mux-cost table the zero-mux energy
         # lower-bounds a column, so columns that cannot beat the running
@@ -564,7 +514,7 @@ class MFSAScheduler:
         # reflect the skipped work, so pruning stays off when the caller
         # wants the full per-candidate record.
         prune_mux = (
-            use_vector
+            vector
             and not self.record_alternatives
             and _kernel.mux_costs_monotone(
                 self.library.mux_costs, 2 * len(dfg) + 2
@@ -572,43 +522,88 @@ class MFSAScheduler:
         )
 
         perf = self.perf
-        c_constant = liapunov.c_constant
+        record_alternatives = self.record_alternatives
         for name in order:
             kind = dfg.node(name).kind
             latency = timing.latency(kind)
+            frames: Dict[str, object] = {}  # per cell; None: no position
             reg_cache: Dict[int, Tuple[float, List[Lifetime]]] = {}
-            frame_cache: Dict[str, FrameSet] = {}
-            mask_cache: Dict[str, Tuple] = {}
-            bounds = (
-                frame_bounds(
-                    dfg, timing, name, grid.cs, placed_starts, chain_offsets
-                )
-                if use_vector
-                else None
-            )
-            # Batched f_REG (vector path): the node's unknown input signals
-            # and the death offset every candidate step implies; the actual
-            # per-step counts are computed lazily, once per node, over the
-            # whole primary-frame row range (shared by every cell — the row
-            # bounds are table-independent).
-            reg_seen: set = set()
-            reg_batch: List = []
-            reg_births: List[int] = []
-            reg_delta = 0
-            if use_vector:
-                if latency > 1 and kind not in self.pipelined_kinds:
-                    reg_delta = latency - 1
-                seen_ports = set()
-                for port in dfg.node(name).operands:
-                    if not port.is_node or port.name in seen_ports:
-                        continue
-                    seen_ports.add(port.name)
-                    if not state.registers.is_known(port.signal_name()):
-                        reg_births.append(placed_ends[port.name])
+            f_reg_rows = priced_rows = None
             alternatives: List[Tuple[GridPosition, float]] = []
             # Traced candidates accumulate in a plain local list (cheap)
             # and land in the recorder as one batch at commit time.
             traced_cands: Optional[list] = [] if trace is not None else None
+
+            def price_vector(cell, sub, lo_y, overspend, best_key):
+                """The vector pricer: ``(key, position)`` of the cell's
+                best candidate in its frame mask ``sub``, or ``None``.
+
+                The §4.1 terms are gathered once per active row (f_REG)
+                and column (f_ALU, f_MUX) — the same calls, with the same
+                cache counters, as the scalar walk's caches make — and
+                priced in one broadcast.
+                """
+                nonlocal f_reg_rows, priced_rows
+                if overspend:
+                    # Opening would overspend: only already-open columns
+                    # stay eligible (the scalar walk's per-position filter).
+                    sub = sub & np.array(
+                        [state.instance_open(cell, j + 1) for j in range(sub.shape[1])]
+                    )[None, :]
+                if not sub.any():
+                    return None
+                n_candidates = int(sub.sum())
+                row_idx = np.nonzero(sub.any(axis=1))[0]
+                col_idx = np.nonzero(sub.any(axis=0))[0]
+                if f_reg_rows is None:
+                    f_reg_rows = state.f_reg_rows(
+                        name, lo_y, lo_y + sub.shape[0] - 1, placed_ends,
+                        self.pipelined_kinds,
+                    )
+                    priced_rows = np.zeros(sub.shape[0], dtype=bool)
+                misses = int(np.count_nonzero(~priced_rows[row_idx]))
+                priced_rows[row_idx] = True
+                if perf is not None:
+                    perf.incr("mfsa.candidates_evaluated", n_candidates)
+                    perf.incr("mfsa.reg_cache_misses", misses)
+                    perf.incr("mfsa.reg_cache_hits", n_candidates - misses)
+                width = sub.shape[1]
+                f_alu_vec = np.zeros(width)
+                for j in col_idx:
+                    f_alu_vec[j] = state.f_alu(cell, int(j) + 1)
+                ys = np.arange(lo_y, lo_y + sub.shape[0], dtype=np.int64)
+                if prune_mux and best_key is not None:
+                    # Zero-mux energies lower-bound each column; a column
+                    # whose bound already exceeds the running best cannot
+                    # host the argmin and skips the §5.6 mux optimiser.
+                    bound = liapunov.value_grid(
+                        ys, f_alu_vec, np.zeros(width), f_reg_rows
+                    )
+                    col_lb = np.where(sub, bound, np.inf).min(axis=0)
+                    keep = col_lb[col_idx] <= best_key[0]
+                    if not keep.any():
+                        return None
+                    if not keep.all():
+                        col_idx = col_idx[keep]
+                        col_ok = np.zeros(width, dtype=bool)
+                        col_ok[col_idx] = True
+                        sub = sub & col_ok[None, :]
+                f_mux_vec = np.zeros(width)
+                for j in col_idx:
+                    f_mux_vec[j] = state.f_mux(cell, int(j) + 1, name)
+                energy = liapunov.value_grid(ys, f_alu_vec, f_mux_vec, f_reg_rows)
+                if record_alternatives:
+                    alternatives.extend(
+                        zip(
+                            _kernel.mask_positions(sub, cell.name, lo_y),
+                            energy[sub].tolist(),
+                        )
+                    )
+                position, best = _kernel.argmin_position(
+                    sub, energy, cell.name, lo_y
+                )
+                key = (float(best), position.y, cell_rank[cell.name], position.x)
+                return key, position
 
             def gather(fresh_instance: bool):
                 """Collect candidate placements.
@@ -619,100 +614,73 @@ class MFSAScheduler:
                 one fresh instance per cell kind join the frame
                 (``fresh_instance=True``) and the f_ALU term arbitrates
                 which cell to open.
+
+                A frame's move positions are per-(x, y) feasibility checks
+                with no coupling between positions, so the reuse pass's
+                frame is the fresh pass's filtered to ``x <= opened``: one
+                frame per cell serves both passes.  ``no_cache`` rebuilds
+                it per pass, as the reference.
                 """
                 best_key = None
                 best_choice = None
-                use_cache = not self.no_cache
                 traced_append = (
                     traced_cands.append if traced_cands is not None else None
                 )
-                # A frame's move positions are per-(x, y) feasibility checks
-                # with no cross-position coupling, so the reuse-pass frame
-                # equals the fresh-pass frame filtered to x <= opened (the
-                # filter the position loop below applies anyway).  On the
-                # cached path compute one frame per cell and share it across
-                # both gather passes; record_frames keeps the faithful
-                # per-pass log for the Figure-2 harness.
-                share_frames = use_cache and not self.record_frames
                 for cell in candidates_by_kind[kind]:
-                    # f_ALU and f_MUX depend on the instance column only,
-                    # not the step: hoist them out of the y-loop (cached
-                    # fast path; the naive reference re-derives per cell).
-                    hw_cache: Dict[int, Tuple[float, float]] = {}
                     opened = state.opened_columns.get(cell.name, 0)
-                    if share_frames:
-                        if not fresh_instance and opened == 0:
-                            continue
-                        frame = frame_cache.get(cell.name)
-                        if frame is None:
-                            if perf is not None:
-                                perf.incr("mfsa.frames_computed")
-                            current = min(opened + 1, grid.columns(cell.name))
-                            frame = compute_frames(
-                                dfg,
-                                timing,
-                                grid,
-                                name,
-                                table=cell.name,
-                                asap=asap,
-                                alap=alap,
-                                current=current,
-                                placed_starts=placed_starts,
-                                chain_offsets=chain_offsets,
-                                excluded_instances=(
-                                    state.excluded_instances(cell, name)
-                                    if self.style == 2
-                                    else ()
-                                ),
-                            )
-                            frame_cache[cell.name] = frame
-                            if trace is not None:
-                                trace.frame(name, cell.name, frame, current)
+                    if not fresh_instance and opened == 0:
+                        continue
+                    if cell.name in frames:
+                        frame = frames[cell.name]
                     else:
-                        current = (
-                            min(opened + 1, grid.columns(cell.name))
-                            if fresh_instance
-                            else opened
-                        )
-                        if current == 0:
-                            continue
-                        excluded = (
+                        frame = self._frame(
+                            name,
+                            cell.name,
+                            opened
+                            if no_cache and not fresh_instance
+                            else min(opened + 1, grid.columns(cell.name)),
                             state.excluded_instances(cell, name)
                             if self.style == 2
-                            else ()
+                            else (),
                         )
-                        if perf is not None:
-                            perf.incr("mfsa.frames_computed")
-                        frame = compute_frames(
-                            dfg,
-                            timing,
-                            grid,
-                            name,
-                            table=cell.name,
-                            asap=asap,
-                            alap=alap,
-                            current=current,
-                            placed_starts=placed_starts,
-                            chain_offsets=chain_offsets,
-                            excluded_instances=excluded,
+                        if not no_cache:
+                            frames[cell.name] = frame
+                    if frame is None:
+                        continue
+                    overspend = (
+                        budget is not None
+                        and state.alu_area_spent
+                        + cell.area
+                        + reserve_after(cell, kind)
+                        > budget
+                    )
+                    if vector:
+                        mask, lo_y = frame
+                        priced = price_vector(
+                            cell,
+                            mask if fresh_instance else mask[:, :opened],
+                            lo_y,
+                            overspend,
+                            best_key,
                         )
-                        if trace is not None:
-                            trace.frame(name, cell.name, frame, current)
-                        if self.record_frames:
-                            frames_log.setdefault(name, []).append(frame)
+                        if priced is not None and (
+                            best_key is None or priced[0] < best_key
+                        ):
+                            best_key, position = priced
+                            best_choice = (cell, position, best_key[0], None)
+                        continue
+                    # The scalar pricer.  f_ALU and f_MUX depend on the
+                    # instance column only, f_REG on the step only: each is
+                    # derived once per column / step (per position without
+                    # the cache).
+                    hw_cache: Dict[int, Tuple[float, float]] = {}
+                    rank = cell_rank[cell.name]
                     for position in frame.mf:
                         if not fresh_instance and position.x > opened:
                             continue
-                        if (
-                            self.area_budget is not None
-                            and not state.instance_open(cell, position.x)
-                            and state.alu_area_spent
-                            + cell.area
-                            + reserve_after(cell, kind)
-                            > self.area_budget
-                        ):
+                        if overspend and not state.instance_open(cell, position.x):
                             continue
-                        if not use_cache or position.y not in reg_cache:
+                        if no_cache or position.y not in reg_cache:
                             if perf is not None:
                                 perf.incr("mfsa.reg_cache_misses")
                             lifetimes = state.input_lifetimes(
@@ -728,219 +696,53 @@ class MFSAScheduler:
                         elif perf is not None:
                             perf.incr("mfsa.reg_cache_hits")
                         f_reg, lifetimes = reg_cache[position.y]
-                        if use_cache:
-                            hw = hw_cache.get(position.x)
-                            if hw is None:
-                                hw = (
-                                    state.f_alu(cell, position.x),
-                                    state.f_mux(cell, position.x, name),
-                                )
+                        hw = None if no_cache else hw_cache.get(position.x)
+                        if hw is None:
+                            hw = (
+                                state.f_alu(cell, position.x),
+                                state.f_mux(cell, position.x, name),
+                            )
+                            if not no_cache:
                                 hw_cache[position.x] = hw
-                            f_alu, f_mux = hw
-                        else:
-                            f_alu = state.f_alu(cell, position.x)
-                            f_mux = state.f_mux(cell, position.x, name)
+                        f_alu, f_mux = hw
                         energy = liapunov.value(position.y, f_alu, f_mux, f_reg)
                         if perf is not None:
                             perf.incr("mfsa.candidates_evaluated")
                         if traced_append is not None:
                             traced_append((
-                                cell.name,
-                                position.x,
-                                position.y,
-                                energy,
-                                f_alu,
-                                f_mux,
-                                f_reg,
+                                cell.name, position.x, position.y,
+                                energy, f_alu, f_mux, f_reg,
                             ))
-                        if self.record_alternatives:
+                        if record_alternatives:
                             alternatives.append((position, energy))
-                        key = (
-                            energy,
-                            position.y,
-                            cell_rank[cell.name],
-                            position.x,
-                        )
+                        key = (energy, position.y, rank, position.x)
                         if best_key is None or key < best_key:
                             best_key = key
                             best_choice = (cell, position, energy, lifetimes)
                 return best_choice
 
-            def gather_vector(fresh_instance):
-                """Vector-kernel :func:`gather`: same passes, masked frames.
-
-                Frames become boolean masks (cached per cell across both
-                passes, like the scalar shared frame); the reuse pass is a
-                column slice ``x <= opened``; the §4.1 terms are gathered
-                once per active row (f_REG) and column (f_ALU, f_MUX) —
-                the same calls, in a counter-identical pattern, as the
-                scalar caches make — and priced in one broadcast.
-                """
-                best_key = None
-                best_choice = None
-                _, latest_pred_end, ff_rows_after, chain_rows = bounds
-                for cell in candidates_by_kind[kind]:
-                    opened = state.opened_columns.get(cell.name, 0)
-                    if not fresh_instance and opened == 0:
-                        continue
-                    entry = mask_cache.get(cell.name)
-                    if entry is None:
-                        if perf is not None:
-                            perf.incr("mfsa.frames_computed")
-                        current = min(opened + 1, grid.columns(cell.name))
-                        entry = _kernel.move_frame_mask(
-                            view,
-                            grid,
-                            name,
-                            cell.name,
-                            latency,
-                            asap[name],
-                            alap[name],
-                            current,
-                            latest_pred_end,
-                            ff_rows_after,
-                            chain_rows,
-                            banned=(
-                                state.excluded_instances(cell, name)
-                                if self.style == 2
-                                else ()
-                            ),
-                            has_exclusions=has_exclusions,
-                        )
-                        mask_cache[cell.name] = entry
-                    mask, lo_y = entry
-                    if mask is None:
-                        continue
-                    limit = (
-                        mask.shape[1]
-                        if fresh_instance
-                        else min(opened, mask.shape[1])
-                    )
-                    if limit < 1:
-                        continue
-                    sub = mask[:, :limit]
-                    if self.area_budget is not None and (
-                        state.alu_area_spent
-                        + cell.area
-                        + reserve_after(cell, kind)
-                        > self.area_budget
-                    ):
-                        # Opening would overspend: only already-open
-                        # columns stay eligible (the scalar per-position
-                        # budget filter).
-                        col_ok = np.array(
-                            [
-                                state.instance_open(cell, j + 1)
-                                for j in range(limit)
-                            ]
-                        )
-                        sub = sub & col_ok[None, :]
-                    if not sub.any():
-                        continue
-                    n_candidates = int(sub.sum())
-                    row_idx = np.nonzero(sub.any(axis=1))[0]
-                    col_idx = np.nonzero(sub.any(axis=0))[0]
-                    if not reg_batch:
-                        counts = _kernel.batched_reg_costs(
-                            state.registers,
-                            reg_births,
-                            reg_delta,
-                            lo_y,
-                            lo_y + mask.shape[0] - 1,
-                        )
-                        reg_batch.append(
-                            counts * self.library.register_area
-                        )
-                    f_reg_vec = reg_batch[0]
-                    misses = 0
-                    for i in row_idx:
-                        y = lo_y + int(i)
-                        if y not in reg_seen:
-                            reg_seen.add(y)
-                            misses += 1
-                    if perf is not None:
-                        perf.incr("mfsa.candidates_evaluated", n_candidates)
-                        perf.incr("mfsa.reg_cache_misses", misses)
-                        perf.incr("mfsa.reg_cache_hits", n_candidates - misses)
-                    f_alu_vec = np.zeros(limit)
-                    for j in col_idx:
-                        f_alu_vec[j] = state.f_alu(cell, int(j) + 1)
-                    ys = np.arange(lo_y, lo_y + sub.shape[0], dtype=np.int64)
-                    eval_cols = col_idx
-                    if prune_mux and best_key is not None:
-                        # Zero-mux energies lower-bound each column; any
-                        # column whose bound already exceeds the running
-                        # best cannot host the argmin and skips the §5.6
-                        # mux optimiser.
-                        bound = liapunov.value_grid(
-                            ys, f_alu_vec, np.zeros(limit), f_reg_vec
-                        )
-                        col_lb = np.where(sub, bound, np.inf).min(axis=0)
-                        keep = col_lb[col_idx] <= best_key[0]
-                        if not keep.any():
-                            continue
-                        if not keep.all():
-                            eval_cols = col_idx[keep]
-                            col_ok = np.zeros(limit, dtype=bool)
-                            col_ok[eval_cols] = True
-                            sub = sub & col_ok[None, :]
-                    f_mux_vec = np.zeros(limit)
-                    for j in eval_cols:
-                        f_mux_vec[j] = state.f_mux(cell, int(j) + 1, name)
-                    energy = liapunov.value_grid(
-                        ys, f_alu_vec, f_mux_vec, f_reg_vec
-                    )
-                    if self.record_alternatives:
-                        alternatives.extend(
-                            zip(
-                                _kernel.mask_positions(sub, cell.name, lo_y),
-                                energy[sub].tolist(),
-                            )
-                        )
-                    position, best_energy = _kernel.argmin_position(
-                        sub, energy, cell.name, lo_y
-                    )
-                    best_energy = float(best_energy)
-                    key = (
-                        best_energy,
-                        position.y,
-                        cell_rank[cell.name],
-                        position.x,
-                    )
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_choice = (
-                            cell,
-                            position,
-                            best_energy,
-                            state.input_lifetimes(
-                                name,
-                                position.y,
-                                placed_ends,
-                                self.pipelined_kinds,
-                            ),
-                        )
-                return best_choice
-
-            pick = gather_vector if use_vector else gather
             if self.open_policy == "eager":
-                best_choice = pick(fresh_instance=True)
+                best_choice = gather(fresh_instance=True)
             else:
-                best_choice = pick(fresh_instance=False)
+                best_choice = gather(fresh_instance=False)
                 if best_choice is None:
                     # §4: no opened instance can host the op — let a fresh
                     # instance per cell join the frame (f_ALU arbitrates).
                     if trace is not None:
                         trace.reschedule(name, kind, "fresh-instance", 0)
-                    best_choice = pick(fresh_instance=True)
+                    best_choice = gather(fresh_instance=True)
             if best_choice is None:
                 raise InfeasibleScheduleError(
                     f"MFSA found no position for {name!r} ({kind}) in "
                     f"{self.cs} steps (style {self.style})"
                 )
             cell, position, energy, lifetimes = best_choice
+            if lifetimes is None:  # the vector pricer skips per-step lifetimes
+                lifetimes = state.input_lifetimes(
+                    name, position.y, placed_ends, self.pipelined_kinds
+                )
             if trace is not None:
-                trace.candidates_detailed(name, traced_cands, c_constant)
+                trace.candidates_detailed(name, traced_cands, liapunov.c_constant)
                 trace.commit(
                     name,
                     kind,
@@ -952,39 +754,15 @@ class MFSAScheduler:
                     cell=cell,  # label() resolved at materialisation
                 )
             remaining_by_kind[kind] -= 1
-            grid.place(name, position, latency)
-            if view is not None:
-                view.place(position, latency)
-            placed_starts[name] = position.y
-            placed_ends[name] = position.y + latency - 1
-            self._update_chain_offset(name, position.y, placed_starts, chain_offsets)
+            self._commit(name, position, latency, energy, tuple(alternatives))
             state.commit(name, cell, position.x, lifetimes)
-            trajectory.record(
-                node=name,
-                position=position,
-                energy=energy,
-                alternatives=tuple(alternatives),
-            )
 
-        schedule = Schedule(
-            dfg=dfg,
-            timing=timing,
-            cs=self.cs,
-            starts=dict(placed_starts),
-            latency_l=self.latency_l,
-            pipelined_kinds=self.pipelined_kinds,
-        )
-        schedule.validate()
-        trajectory.verify()
-
+        schedule = self._schedule()
         binding = {
             name: (pos.table, pos.x) for name, pos in grid.placements().items()
         }
         datapath = Datapath(
-            schedule,
-            self.library,
-            binding,
-            count_input_registers=self.count_input_registers,
+            schedule, self.library, binding, count_input_registers=True
         )
         if self.style == 2 and datapath.has_self_loop():
             raise ScheduleError(
@@ -994,17 +772,13 @@ class MFSAScheduler:
             schedule=schedule,
             datapath=datapath,
             placements=grid.placements(),
-            trajectory=trajectory,
+            trajectory=self.trajectory,
             grid=grid,
             style=self.style,
-            frames_log=frames_log,
         )
         if trace is not None:
-            if perf is not None:
-                trace.counters(dict(perf.counters))
             cost = result.cost
-            trace.run_end(
-                commits=len(trajectory),
+            self._end_trace(
                 cost={
                     "alu": cost.alu,
                     "registers": cost.registers,
@@ -1018,27 +792,6 @@ class MFSAScheduler:
 
             check_mfsa_result(result).raise_if_failed()
         return result
-
-    def _update_chain_offset(
-        self,
-        name: str,
-        start: int,
-        placed_starts: Mapping[str, int],
-        chain_offsets: Dict[str, float],
-    ) -> None:
-        if not self.timing.chaining:
-            return
-        kind = self.dfg.node(name).kind
-        if self.timing.latency(kind) != 1:
-            return
-        incoming = 0.0
-        for pred in self.dfg.predecessors(name):
-            pred_kind = self.dfg.node(pred).kind
-            if self.timing.latency(pred_kind) != 1:
-                continue
-            if placed_starts.get(pred) == start:
-                incoming = max(incoming, chain_offsets.get(pred, 0.0))
-        chain_offsets[name] = incoming + self.timing.delay_ns(kind)
 
 
 def mfsa_synthesize(

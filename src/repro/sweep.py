@@ -24,7 +24,7 @@ keeping the *contract* of the serial loop:
 * **self-healing** — the process path submits *per-item* futures, so one
   crashed worker no longer forces the whole map back to the serial loop.
   A broken pool is rebuilt and the unfinished items are retried with a
-  bounded per-item budget (``item_retries``); an item that keeps killing
+  bounded per-item budget (:data:`ITEM_RETRIES`); an item that keeps killing
   workers is *quarantined* — it alone degrades to an in-process run
   (``sweep.quarantined`` / ``sweep.quarantine.<reason>`` counters,
   :attr:`SweepExecutor.last_quarantine_reason`) while every healthy item
@@ -38,8 +38,7 @@ keeping the *contract* of the serial loop:
   memoise heavyweight per-process builds (cell library, timing model)
   through :func:`worker_cached`, keyed by fingerprint.  Items stay
   *compact* — indices and small parameter tuples — instead of re-pickling
-  the design and library into every payload, and ``chunksize`` groups
-  many small items into one submission when the per-item work is tiny.
+  the design and library into every payload.
 
 Workers must be module-level functions and payloads picklable; the
 callers in :mod:`repro.explore` and :mod:`repro.bench` define dedicated
@@ -98,6 +97,10 @@ WARM_IMPORTS = (
     "repro.library.ncr",
 )
 
+#: Solo pool retries an unfinished item gets before it is quarantined to
+#: the in-process loop (see :meth:`SweepExecutor._heal_item`).
+ITEM_RETRIES = 2
+
 # ---------------------------------------------------------------------------
 # Per-process worker state.  These globals live in *each* pool worker (and
 # in the parent, which runs the serial / quarantine paths): the initializer
@@ -112,11 +115,11 @@ _WORKER_CACHE_BUILDS = 0
 _WORKER_CONTEXT: Optional[Tuple[str, Any]] = None
 
 
-def _init_worker(preload: Sequence[str], context_blob) -> None:
+def _init_worker(context_blob) -> None:
     """Pool initializer: pre-import modules, install the shared context."""
     global _WORKER_INITS, _WORKER_CONTEXT
     _WORKER_INITS += 1
-    for module in preload:
+    for module in WARM_IMPORTS:
         try:
             importlib.import_module(module)
         except ImportError:  # pragma: no cover - trimmed installs
@@ -170,11 +173,6 @@ def worker_context():
     if _WORKER_CONTEXT is None:
         return None
     return _WORKER_CONTEXT[1]
-
-
-def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> List[R]:
-    """Worker-side body of a chunked submission."""
-    return [fn(item) for item in chunk]
 
 
 def default_workers() -> int:
@@ -238,10 +236,7 @@ class SweepExecutor:
         workers: Optional[int] = None,
         perf: Optional[PerfCounters] = None,
         keep_pool: bool = False,
-        item_retries: int = 2,
-        warm_imports: Sequence[str] = WARM_IMPORTS,
         context: Any = None,
-        chunksize: int = 1,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(
@@ -249,22 +244,10 @@ class SweepExecutor:
             )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if item_retries < 0:
-            raise ValueError(f"item_retries must be >= 0, got {item_retries}")
-        if chunksize < 0:
-            raise ValueError(f"chunksize must be >= 0, got {chunksize}")
         self.backend = backend
         self.workers = workers or default_workers()
         self.perf = perf
         self.keep_pool = keep_pool
-        self.item_retries = item_retries
-        self.warm_imports = tuple(warm_imports)
-        #: ``chunksize=1`` submits per item (full healing granularity);
-        #: ``N > 1`` groups N items per submission (amortises the
-        #: submit/pickle round-trip for many small items — crash healing
-        #: then re-runs the chunk's items individually); ``0`` picks a
-        #: chunk size from the item and worker counts automatically.
-        self.chunksize = chunksize
         #: Reason code of the most recent whole-map serial fallback
         #: (``None`` when every map so far ran where it was asked to run).
         self.last_fallback_reason: Optional[str] = None
@@ -291,17 +274,6 @@ class SweepExecutor:
             _WORKER_CONTEXT = (self._context_blob[0], self._context)
 
     # ------------------------------------------------------------------
-    def _effective_chunksize(self, n_items: int) -> int:
-        """Resolve ``chunksize=0`` (auto) against the map's item count.
-
-        Auto aims at ~4 chunks per worker: large enough to amortise the
-        per-submission pickle round-trip, small enough to keep the pool
-        load-balanced and crash healing reasonably fine-grained.
-        """
-        if self.chunksize > 0:
-            return self.chunksize
-        return max(1, -(-n_items // (self.workers * 4)))
-
     def _use_processes(self, n_items: int) -> bool:
         if self.backend == "serial":
             return False
@@ -377,7 +349,7 @@ class SweepExecutor:
         the healing path re-runs each unfinished item in its own
         submission against a rebuilt pool — an innocent item simply
         completes (it stays on the pool), while a poison item breaks the
-        pool again, exhausts its ``item_retries`` budget and is
+        pool again, exhausts its :data:`ITEM_RETRIES` budget and is
         quarantined to the in-process loop.  Raises ``OSError`` /
         ``PermissionError`` to the caller only when the pool cannot
         (re)start at all.
@@ -389,95 +361,63 @@ class SweepExecutor:
             if on_item is not None:
                 on_item(index, value)
 
-        chunk = self._effective_chunksize(len(items))
         unfinished: List[Tuple[int, str]] = []
         pool = self._warm_pool()
-        pending: List[Tuple[int, int, object]] = []
+        pending: List[Tuple[int, object]] = []
         broken = False
-        for start in range(0, len(items), chunk):
-            batch = items[start : start + chunk]
+        for index, item in enumerate(items):
             if broken:
-                unfinished.extend(
-                    (start + offset, "worker-crash")
-                    for offset in range(len(batch))
-                )
+                unfinished.append((index, "worker-crash"))
                 continue
             try:
                 fault_point("sweep.submit")
-                if len(batch) == 1:
-                    future = pool.submit(fn, batch[0])
-                else:
-                    future = pool.submit(_run_chunk, fn, batch)
-                pending.append((start, len(batch), future))
+                pending.append((index, pool.submit(fn, item)))
             except InjectedFault:
-                for offset in range(len(batch)):
-                    self._note_item_retry(start + offset)
-                    unfinished.append((start + offset, "injected-fault"))
+                self._note_item_retry()
+                unfinished.append((index, "injected-fault"))
             except BrokenExecutor:
-                unfinished.extend(
-                    (start + offset, "worker-crash")
-                    for offset in range(len(batch))
-                )
+                unfinished.append((index, "worker-crash"))
                 broken = True
-        for start, count, future in pending:
+        for index, future in pending:
             try:
                 value = future.result()
             except BrokenExecutor:
-                unfinished.extend(
-                    (start + offset, "worker-crash") for offset in range(count)
-                )
+                unfinished.append((index, "worker-crash"))
                 broken = True
             except pickle.PicklingError:
-                if count == 1:
-                    # Only this item's result refused the trip back.
-                    finish(
-                        start,
-                        self._quarantine(
-                            fn, items[start], "result-unpicklable"
-                        ),
-                    )
-                else:
-                    # The culprit inside the chunk is unknown: solo
-                    # retries below let the innocent items complete and
-                    # quarantine only the poison one.
-                    unfinished.extend(
-                        (start + offset, "result-unpicklable")
-                        for offset in range(count)
-                    )
+                # Only this item's result refused the trip back.
+                finish(
+                    index,
+                    self._quarantine(fn, items[index], "result-unpicklable"),
+                )
             else:
-                if count == 1:
-                    finish(start, value)
-                else:
-                    for offset, item_value in enumerate(value):
-                        finish(start + offset, item_value)
+                finish(index, value)
         if broken:
             self._note_pool_break()
         for index, reason in sorted(unfinished):
-            finish(index, self._heal_item(fn, items[index], index, reason))
+            finish(index, self._heal_item(fn, items[index], reason))
         if not self.keep_pool:
             self.close()
         return results  # type: ignore[return-value]
 
-    def _heal_item(
-        self, fn: Callable[[T], R], item: T, index: int, reason: str
-    ) -> R:
+    def _heal_item(self, fn: Callable[[T], R], item: T, reason: str) -> R:
         """Retry one unfinished item alone on the pool, else quarantine.
 
         A solo submission attributes failure precisely: if the pool
         breaks now, *this* item is the poison.
         """
-        for _attempt in range(self.item_retries):
+        for _attempt in range(ITEM_RETRIES):
             try:
                 fault_point("sweep.submit")
                 future = self._warm_pool().submit(fn, item)
                 return future.result()
             except InjectedFault:
                 reason = "injected-fault"
-                self._note_item_retry(index)
+                self._note_item_retry()
             except BrokenExecutor:
                 reason = "worker-crash"
                 self._note_pool_break()
-                self._note_item_retry(index)
+                self._note_item_retry()
             except pickle.PicklingError:
                 reason = "result-unpicklable"
                 break
@@ -493,7 +433,7 @@ class SweepExecutor:
             self.perf.incr(f"sweep.quarantine.{reason}")
         return fn(item)
 
-    def _note_item_retry(self, _index: int) -> None:
+    def _note_item_retry(self) -> None:
         if self.perf is not None:
             self.perf.incr("sweep.item_retries")
 
@@ -549,7 +489,7 @@ class SweepExecutor:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(self.warm_imports, self._context_blob),
+                initargs=(self._context_blob,),
             )
         return self._pool
 

@@ -211,3 +211,29 @@ class TestCLI:
         svg = tmp_path / "g.svg"
         self.run("schedule", str(design), "--svg", str(svg), capsys=capsys)
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("command", ["schedule", "synth"])
+    @pytest.mark.parametrize(
+        "flags, mul_latency",
+        [((), 2), (("--mul-latency", "1"), 1), (("--mul-latency", "3"), 3)],
+    )
+    def test_generated_design_timing(self, command, flags, mul_latency, capsys):
+        """``--mul-latency`` overrides a generated spec's latency (1
+        included); without it the spec's own latency holds."""
+        from repro.dfg.analysis import TimingModel, critical_path_length
+        from repro.dfg.ops import standard_operation_set
+        from repro.scenarios.generator import generate_dfg, parse_generator_spec
+
+        spec = "random:ops=10:mix=mul*3+add:mul_latency=2"
+        dfg = generate_dfg(parse_generator_spec(spec), 3)
+
+        def critical(latency):
+            timing = TimingModel(ops=standard_operation_set(mul_latency=latency))
+            return critical_path_length(dfg, timing)
+
+        assert critical(1) != critical(2)
+        out = self.run(
+            command, "--generate", spec, "--seed", "3", *flags, "--json",
+            capsys=capsys,
+        )
+        assert json.loads(out)["cs"] == critical(mul_latency)

@@ -3,9 +3,6 @@
 The vector kernel must be byte-identical to the scalar reference on the
 paper's own examples — these tests enforce that through the same
 ``repro.check`` layer the CLI exposes as ``repro check --kernels``.
-When numpy is absent there is no vector kernel to compare: the audit
-degrades to an availability note and the CLI flag warns instead of
-failing, which the last test pins down.
 """
 
 import pytest
@@ -16,21 +13,15 @@ from repro.check import (
     check_mfs_kernels,
     check_mfsa_kernels,
 )
-from repro.check.kernels import vector_available
 from repro.cli import main
 from repro.dfg.analysis import TimingModel, critical_path_length
 from repro.dfg.generators import layered_workload
 from repro.dfg.ops import standard_operation_set
 from repro.library.ncr import datapath_library
 
-needs_numpy = pytest.mark.skipif(
-    not vector_available(), reason="numpy not installed (no vector kernel)"
-)
-
 TIMING = TimingModel(ops=standard_operation_set())
 
 
-@needs_numpy
 class TestKernelAudits:
     @pytest.mark.parametrize("key", ["ex1", "ex4", "ex6"])
     def test_paper_example_kernels_identical(self, key):
@@ -59,25 +50,3 @@ class TestKernelAudits:
         out = capsys.readouterr().out
         assert "kernel equivalence" in out
         assert "PASS" in out
-
-
-def test_audit_degrades_without_numpy(monkeypatch):
-    """No numpy -> the audit reports availability only, no violations."""
-    from repro.check import kernels as kernels_mod
-    from repro.core import kernel as kernel_mod
-
-    monkeypatch.setattr(kernel_mod, "HAVE_NUMPY", False)
-    g = layered_workload(seed=1, layers=2, width=3)
-    cs = critical_path_length(g, TIMING) + 2
-    report = kernels_mod.check_mfs_kernels(g, TIMING, cs=cs)
-    assert report.ok
-    assert report.checks_run == ["kernel-availability"]
-
-
-def test_cli_warns_without_numpy(monkeypatch, capsys):
-    from repro.core import kernel as kernel_mod
-
-    monkeypatch.setattr(kernel_mod, "HAVE_NUMPY", False)
-    assert main(["check", "--example", "ex1", "--kernels"]) == 0
-    err = capsys.readouterr().err
-    assert "numpy not installed" in err

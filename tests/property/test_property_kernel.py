@@ -11,11 +11,9 @@ hypothesis-driven workload space on top.
 Counter caveat: with ``record_alternatives=False`` the vector MFSA path
 prunes whole columns via a zero-mux lower bound, so mux/operand *cache*
 counters (how often the optimiser was consulted) legitimately differ;
-``comparable_counters`` excludes them.  The whole module skips when
-numpy is not installed (there is no vector kernel to compare).
+``comparable_counters`` excludes them.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +22,6 @@ from repro.check.kernels import (
     check_mfs_kernels,
     check_mfsa_kernels,
     comparable_counters,
-    vector_available,
 )
 from repro.core.liapunov import LiapunovWeights
 from repro.core.mfsa import MFSAScheduler
@@ -33,10 +30,6 @@ from repro.dfg.generators import random_conditional_dfg, random_dfg
 from repro.dfg.ops import standard_operation_set
 from repro.library.ncr import datapath_library
 from repro.perf import PerfCounters
-
-pytestmark = pytest.mark.skipif(
-    not vector_available(), reason="numpy not installed (no vector kernel)"
-)
 
 TIMING = TimingModel(ops=standard_operation_set())
 TIMING_MUL2 = TimingModel(ops=standard_operation_set(mul_latency=2))

@@ -119,48 +119,6 @@ class TestSharedContext:
         assert sweep_mod._WORKER_CONTEXT[1] == "new"
 
 
-class TestChunkedMap:
-    def test_chunked_results_match_serial(self):
-        items = list(range(17))
-        serial = SweepExecutor(backend="serial").map(_probe_worker, items)
-        chunked = SweepExecutor(
-            backend="process", workers=2, chunksize=5
-        ).map(_probe_worker, items)
-        assert [v for v, _i, _b in chunked] == [v for v, _i, _b in serial]
-
-    def test_auto_chunksize_resolution(self):
-        executor = SweepExecutor(backend="serial", workers=2, chunksize=0)
-        assert executor._effective_chunksize(17) == 3
-        assert executor._effective_chunksize(1) == 1
-        assert SweepExecutor(chunksize=7)._effective_chunksize(100) == 7
-
-    def test_chunked_on_item_sees_every_item(self):
-        seen = {}
-        executor = SweepExecutor(backend="process", workers=2, chunksize=4)
-        executor.map(
-            _square_for_chunks,
-            list(range(10)),
-            on_item=lambda index, value: seen.__setitem__(index, value),
-        )
-        assert seen == {i: i * i for i in range(10)}
-
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(chunksize=-1)
-
-    def test_chunked_perf_counts_every_task(self):
-        perf = PerfCounters()
-        executor = SweepExecutor(
-            backend="process", workers=2, chunksize=3, perf=perf
-        )
-        executor.map(_square_for_chunks, list(range(9)))
-        assert perf.get("sweep.tasks") == 9
-
-
-def _square_for_chunks(x):
-    return x * x
-
-
 @pytest.fixture
 def clean_worker_state(monkeypatch):
     """Reset the parent-side worker globals for absolute-count assertions.
