@@ -1,23 +1,26 @@
-"""Kernel-scaling harness: scalar vs vector MFS/MFSA, emits BENCH_core.json.
+"""Kernel-scaling harness: scalar, vector and auto MFS/MFSA, emits BENCH_core.json.
 
-Times both scheduling kernels (the pure-python scalar reference and the
-numpy bitmask-grid vector path, see :mod:`repro.core.kernel`) on seeded
-layered workloads of 100, 1 000 and 10 000 operations.  The time budget
+Times the scheduler under each move-frame walk (see
+:mod:`repro.core.kernel`): the pure-python scalar reference and the numpy
+bitmask vector walk, each forced for every frame, and ``auto``, which
+picks one of them per operation by frame size.  The workloads are seeded
+layered designs of 100, 1 000 and 10 000 operations.  The time budget
 uses generous slack (``cs = critical_path + slack``): tall move-frame
 grids are exactly the regime where the candidate scan dominates and the
-vector kernel pays.
+vector walk pays.
 
-Before any timing, every tier asserts the two kernels produce
-byte-identical schedules, costs and ALU labels — the numbers are only
-comparable because the designs are equal.  Timings are best-of-N around
-``scheduler.run()`` with the process-wide mux memo cleared per run, so
-both kernels start cache-cold.
+Before any timing, every tier asserts that all timed walks produce
+byte-identical JSON (schedule, and datapath for MFSA) and equal
+trajectories — the numbers are only comparable because the designs are
+equal.  Timings are best-of-N around ``scheduler.run()`` with the
+process-wide mux memo cleared per run, so every walk starts cache-cold.
 
 The 10k-op scalar rows are skipped by default (the scalar MFSA run is
 minutes of wall clock); ``--full`` measures them too.  Results land in
 the ``history`` list of ``BENCH_core.json`` as a ``kernel_scaling``
-entry; ``--smoke`` runs only the 100-op tier against a checked-in
-wall-clock budget (fail at 2x) and does not write the JSON.
+entry carrying ``cpus``; ``--smoke`` runs only the 100-op tier under
+``auto`` against a checked-in wall-clock budget (fail at 2x) and does
+not write the JSON.
 
 Usage::
 
@@ -36,20 +39,24 @@ from pathlib import Path
 from bench_record import append_entry
 
 from repro.allocation.mux import clear_mux_memo
-from repro.core import kernel as kernel_mod
 from repro.core.mfs import MFSScheduler
 from repro.core.mfsa import MFSAScheduler
 from repro.dfg.analysis import TimingModel, critical_path_length
 from repro.dfg.generators import layered_workload
 from repro.dfg.ops import standard_operation_set
+from repro.io.jsonio import schedule_to_json, synthesis_to_json
 from repro.library.ncr import datapath_library
+from repro.sweep import default_workers
 
 SEED = 7
 
+#: The timed walks: two forced, then the per-operation pick.
+WALKS = ("scalar", "vector", "auto")
+
 #: (ops -> layers, width, slack).  slack is added to the critical path.
 #: The 10k tier uses modest slack (grid height drives cost for *both*
-#: kernels) and, by default, times the vector kernel only — the scalar
-#: rows there are minutes of wall clock and need ``--full``.
+#: walks) and, by default, skips the forced scalar walk — its rows there
+#: are minutes of wall clock and need ``--full``.
 TIERS = [
     {"ops": 100, "layers": 5, "width": 20, "slack": 40, "repeat": 5},
     {"ops": 1000, "layers": 25, "width": 40, "slack": 400, "repeat": 3},
@@ -57,11 +64,11 @@ TIERS = [
      "scalar_needs_full": True},
 ]
 
-#: Smoke budget for one cache-cold vector-path (``auto``) MFSA run on
-#: the 100-op tier.  Measured ~21 ms on the reference box; CI fails the
-#: perf-smoke job only when the wall time regresses past 2x this budget,
-#: so noise and slower runners don't trip it but complexity regressions
-#: in the kernel do.
+#: Smoke budget for one cache-cold ``auto`` MFSA run on the 100-op tier,
+#: whose 40 steps of slack send most frames (106 of 116) to the vector
+#: walk.  Measured ~25 ms on a 2-vCPU VM; CI fails the perf-smoke job only
+#: when the wall time regresses past 2x this budget, so noise and slower
+#: runners don't trip it but complexity regressions in the walks do.
 SMOKE_BUDGET_MS = 150.0
 
 
@@ -86,10 +93,10 @@ def build_tier(tier):
 
 
 def runners(dfg, timing, library, cs, kern):
-    # record_alternatives=False is the production fast path (alternative
-    # placements are only materialised for tracing); it also unlocks the
-    # vector kernel's zero-mux column pruning, the regime the speedup
-    # targets are defined in.
+    # record_alternatives=False keeps these tiers comparable with the
+    # earlier kernel_scaling entries, and lets the vector walk's MFSA
+    # pricer prune columns through a zero-mux bound.  Program callers keep
+    # the default (alternatives on), where no pruning runs.
     mfs = lambda: MFSScheduler(  # noqa: E731
         dfg, timing, cs=cs, mode="time", kernel=kern,
         record_alternatives=False,
@@ -101,14 +108,28 @@ def runners(dfg, timing, library, cs, kern):
     return mfs, mfsa
 
 
-def assert_identical(a, b, what):
-    assert a.schedule.starts == b.schedule.starts, f"{what}: starts diverge"
-    assert a.trajectory == b.trajectory, f"{what}: trajectory diverges"
+def assert_identical(walks, ops):
+    """Every walk emits the same JSON bytes and trajectory."""
+    for index, (what, encode) in enumerate(
+        (("MFS", lambda r: schedule_to_json(r.schedule)),
+         ("MFSA", synthesis_to_json))
+    ):
+        outputs = {}
+        for kern, run in walks.items():
+            clear_mux_memo()
+            result = run[index]()
+            outputs[kern] = (encode(result), result.trajectory)
+        first = next(iter(outputs.values()))
+        for kern, output in outputs.items():
+            assert output == first, f"{what} @{ops} ops: {kern} walk diverges"
 
 
 def measure_tier(tier, full):
     dfg, timing, library, cs = build_tier(tier)
-    do_scalar = full or not tier.get("scalar_needs_full")
+    timed = [
+        kern for kern in WALKS
+        if kern != "scalar" or full or not tier.get("scalar_needs_full")
+    ]
     row = {
         "ops": len(dfg),
         "layers": tier["layers"],
@@ -116,41 +137,25 @@ def measure_tier(tier, full):
         "cs": cs,
         "repeat": tier["repeat"],
     }
+    walks = {kern: runners(dfg, timing, library, cs, kern) for kern in timed}
+    # Equivalence guard before any timing.
+    assert_identical(walks, len(dfg))
+    row["identical"] = True
 
-    mfs_v, mfsa_v = runners(dfg, timing, library, cs, "vector")
-    if do_scalar:
-        mfs_s, mfsa_s = runners(dfg, timing, library, cs, "scalar")
-        # Equivalence guard before any timing.
-        clear_mux_memo()
-        vec = mfsa_v()
-        clear_mux_memo()
-        sca = mfsa_s()
-        assert_identical(vec, sca, f"MFSA @{len(dfg)} ops")
-        assert vec.cost == sca.cost
-        assert vec.alu_labels() == sca.alu_labels()
-        assert_identical(mfs_v(), mfs_s(), f"MFS @{len(dfg)} ops")
-
-    repeat = tier["repeat"]
-    row["mfs_vector_ms"] = round(best_of(mfs_v, repeat) * 1e3, 1)
-    row["mfsa_vector_ms"] = round(best_of(mfsa_v, repeat) * 1e3, 1)
-    if do_scalar:
-        scalar_mfs_s = best_of(mfs_s, repeat)
-        scalar_mfsa_s = best_of(mfsa_s, repeat)
-        row["mfs_scalar_ms"] = round(scalar_mfs_s * 1e3, 1)
-        row["mfsa_scalar_ms"] = round(scalar_mfsa_s * 1e3, 1)
-        row["mfs_speedup"] = round(
-            scalar_mfs_s * 1e3 / row["mfs_vector_ms"], 2
+    for kern in WALKS:
+        for index, algorithm in enumerate(("mfs", "mfsa")):
+            row[f"{algorithm}_{kern}_ms"] = (
+                round(best_of(walks[kern][index], tier["repeat"]) * 1e3, 1)
+                if kern in walks
+                else None
+            )
+    for algorithm in ("mfs", "mfsa"):
+        scalar_ms = row[f"{algorithm}_scalar_ms"]
+        row[f"{algorithm}_speedup"] = (
+            round(scalar_ms / row[f"{algorithm}_vector_ms"], 2)
+            if scalar_ms
+            else None
         )
-        row["mfsa_speedup"] = round(
-            scalar_mfsa_s * 1e3 / row["mfsa_vector_ms"], 2
-        )
-        row["identical"] = True
-    else:
-        row["mfs_scalar_ms"] = None
-        row["mfsa_scalar_ms"] = None
-        row["mfs_speedup"] = None
-        row["mfsa_speedup"] = None
-        row["identical"] = None
     return row
 
 
@@ -164,19 +169,15 @@ def smoke():
     ).run()
     elapsed_ms = (time.perf_counter() - start) * 1e3
     ceiling = 2 * SMOKE_BUDGET_MS
-    kern = kernel_mod.resolve_kernel("auto", len(dfg))
+    what = f"{len(dfg)}-op MFSA (auto: scalar or vector walk per operation)"
     if elapsed_ms > ceiling:
         print(
-            f"FAIL: {len(dfg)}-op MFSA ({kern} kernel) took "
-            f"{elapsed_ms:.1f} ms, over 2x the {SMOKE_BUDGET_MS:.0f} ms "
-            "budget",
+            f"FAIL: {what} took {elapsed_ms:.1f} ms, over 2x the "
+            f"{SMOKE_BUDGET_MS:.0f} ms budget",
             file=sys.stderr,
         )
         return 1
-    print(
-        f"smoke OK: {len(dfg)}-op MFSA ({kern} kernel) "
-        f"{elapsed_ms:.1f} ms <= {ceiling:.0f} ms ceiling"
-    )
+    print(f"smoke OK: {what} {elapsed_ms:.1f} ms <= {ceiling:.0f} ms ceiling")
     return 0
 
 
@@ -212,20 +213,20 @@ def main(argv=None):
     for tier in TIERS:
         row = measure_tier(tier, args.full)
         tiers.append(row)
-        mfsa_x = row["mfsa_speedup"]
-        mfs_x = row["mfs_speedup"]
         print(
             f"{row['ops']:>6} ops (cs={row['cs']}): "
-            f"MFS scalar {row['mfs_scalar_ms']} ms, vector "
-            f"{row['mfs_vector_ms']} ms"
-            + (f" -> x{mfs_x}" if mfs_x else "")
-            + f"; MFSA scalar {row['mfsa_scalar_ms']} ms, vector "
-            f"{row['mfsa_vector_ms']} ms"
-            + (f" -> x{mfsa_x}" if mfsa_x else "")
+            + "; ".join(
+                f"{algorithm.upper()} "
+                + ", ".join(
+                    f"{kern} {row[f'{algorithm}_{kern}_ms']} ms" for kern in WALKS
+                )
+                for algorithm in ("mfs", "mfsa")
+            )
         )
 
     entry = {
         "seed": SEED,
+        "cpus": default_workers(),
         "tiers": tiers,
         "smoke_budget_ms": SMOKE_BUDGET_MS,
         "label": args.label,

@@ -101,22 +101,23 @@ class IncrementalRegisterEstimator:
 
     During MFSA, every placement decision asks "how many *new* registers
     would this choice add, given the signals stored so far?".  The
-    estimator keeps the same greedy tracks as the final left-edge pass and
-    answers in O(tracks · signals-per-track).
+    estimator keeps the same greedy tracks as the final left-edge pass,
+    each as a sorted interval index, and answers in
+    O(tracks · log signals-per-track) per lifetime.
     """
 
     def __init__(self) -> None:
-        self._tracks: List[List[Lifetime]] = []
         self._known: Dict[str, Lifetime] = {}
         # Per-track interval index: (births, deaths), both sorted by birth
         # (disjointness makes that order also death order).  Backs the
-        # O(log) availability probes of the vector kernel's batched f_REG.
+        # O(log) availability probes of cost_of, commit and the vector
+        # kernel's batched f_REG.
         self._index: List[Tuple[List[int], List[int]]] = []
 
     @property
     def count(self) -> int:
         """Registers allocated so far."""
-        return len(self._tracks)
+        return len(self._index)
 
     def is_known(self, value: str) -> bool:
         """Whether a signal already has committed storage."""
@@ -144,9 +145,13 @@ class IncrementalRegisterEstimator:
     def cost_of(self, lifetimes: Iterable[Lifetime]) -> int:
         """New registers the given lifetimes would require (no commit).
 
-        Tentative placements are tracked per-track instead of deep-copying
-        every track up front; the first-fit order (existing tracks, then
-        tentative new ones) matches the copying formulation exactly.
+        A committed track admits a lifetime iff the first member dying
+        after its birth is born at or after its death (see
+        :meth:`track_thresholds`).  Tentative placements of the same
+        batch are tracked per-track and scanned for overlaps instead of
+        deep-copying every track up front; the first-fit order (existing
+        tracks, then tentative new ones) matches the copying formulation
+        exactly.
         """
         added = 0
         extras: Dict[int, List[Lifetime]] = {}
@@ -154,9 +159,11 @@ class IncrementalRegisterEstimator:
         for life in lifetimes:
             if not life.needs_register or life.value in self._known:
                 continue
+            birth, death = life.birth, life.death
             overlaps = life.overlaps
-            for index, track in enumerate(self._tracks):
-                if any(overlaps(other) for other in track):
+            for index, (births, deaths) in enumerate(self._index):
+                pos = bisect_right(deaths, birth)
+                if pos < len(births) and births[pos] < death:
                     continue
                 tentative = extras.get(index)
                 if tentative is not None and any(
@@ -181,23 +188,19 @@ class IncrementalRegisterEstimator:
     def commit(self, lifetimes: Iterable[Lifetime]) -> None:
         """Permanently record the lifetimes.
 
-        First-fit through the sorted interval index: the lifetime fits a
-        track iff its death stays at or below the track's threshold (see
-        :meth:`track_thresholds`) — O(log members) per track instead of
-        an overlap scan of every member.
+        First-fit through the sorted interval index, by the same test as
+        :meth:`cost_of`.
         """
         for life in lifetimes:
             if not life.needs_register or life.value in self._known:
                 continue
             self._known[life.value] = life
             birth, death = life.birth, life.death
-            for index, (births, deaths) in enumerate(self._index):
+            for births, deaths in self._index:
                 pos = bisect_right(deaths, birth)
                 if pos == len(births) or death <= births[pos]:
-                    self._tracks[index].append(life)
                     births.insert(pos, birth)
                     deaths.insert(pos, death)
                     break
             else:
-                self._tracks.append([life])
                 self._index.append(([birth], [death]))

@@ -129,8 +129,9 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
         choices=["auto", "scalar", "vector"],
         default="auto",
         help="move-frame walk: 'vector' prices numpy frame masks, "
-        "'scalar' walks positions in python, 'auto' picks vector for "
-        "large designs; results are byte-identical either way",
+        "'scalar' walks positions in python, 'auto' picks one per "
+        "operation (vector for the large frames of large designs); "
+        "results are byte-identical either way",
     )
 
 

@@ -90,8 +90,8 @@ class MoveFrameEngine:
 
     # -- per-run placement state -----------------------------------------
     def _vector_walk(self, pipelined_tables: Iterable[str], **features) -> bool:
-        """Whether this run takes the numpy mask walk (the rules are in
-        :mod:`repro.core.kernel`)."""
+        """Whether this run may take the numpy mask walk (the rules are in
+        :mod:`repro.core.kernel`); :meth:`_frame` picks it per operation."""
         return _kernel.resolve_kernel(
             self.kernel, len(self.dfg)
         ) == "vector" and _kernel.vector_supported(
@@ -128,42 +128,59 @@ class MoveFrameEngine:
         self._bounds: Dict[str, tuple] = {}
         return grid
 
-    def _frame(self, name: str, table: str, current: int, excluded=()):
+    def _frame(
+        self,
+        name: str,
+        table: str,
+        current: int,
+        excluded=(),
+        width: Optional[int] = None,
+    ):
         """The move frame of ``name`` in ``table`` with ``current``
         columns open and the instance columns ``excluded`` banned, or
         ``None`` when it has no position.
 
-        Scalar walk: a :class:`~repro.core.frames.FrameSet`, recorded to
-        the trace.  Vector walk: ``(mask, lo_y)`` from
+        The walk is the vector one when the run allows it and either
+        ``kernel="vector"`` forces it or the frame rectangle —
+        primary-frame rows clipped to the grid × ``width`` open columns
+        (default ``current``) — holds at least ``VECTOR_MIN_CELLS``
+        cells; a caller passes one ``width`` for all frames of an
+        operation to keep them on one walk.  Scalar walk: a
+        :class:`~repro.core.frames.FrameSet`, recorded to the trace.
+        Vector walk: ``(mask, lo_y)`` from
         :func:`repro.core.kernel.move_frame_mask`.
         """
         if self.perf is not None:
             self.perf.incr(self._frames_counter)
-        if self.view is not None:
-            # Frame bounds depend on placements only: computed once per
-            # operation, dropped at every commit.
-            bounds = self._bounds.get(name)
-            if bounds is None:
-                bounds = self._bounds[name] = frame_bounds(
-                    self.dfg,
-                    self.timing,
-                    name,
-                    self.grid.cs,
-                    self.placed_starts,
-                    self.chain_offsets,
-                )
-            return _kernel.move_frame_mask(
-                self.view,
-                self.grid,
+        # Frame bounds depend on placements only: computed once per
+        # operation, dropped at every commit.
+        bounds = self._bounds.get(name)
+        if bounds is None:
+            bounds = self._bounds[name] = frame_bounds(
+                self.dfg,
+                self.timing,
                 name,
-                table,
-                bounds,
-                self.asap[name],
-                self.alap[name],
-                current,
-                banned=excluded,
-                has_exclusions=self.has_exclusions,
+                self.grid.cs,
+                self.placed_starts,
+                self.chain_offsets,
             )
+        if self.view is not None:
+            lo_y = max(self.asap[name], 1)
+            hi_y = min(self.alap[name], self.grid.cs - bounds[0] + 1)
+            cells = (hi_y - lo_y + 1) * (current if width is None else width)
+            if self.kernel == "vector" or cells >= _kernel.VECTOR_MIN_CELLS:
+                return _kernel.move_frame_mask(
+                    self.view,
+                    self.grid,
+                    name,
+                    table,
+                    bounds,
+                    lo_y,
+                    hi_y,
+                    current,
+                    banned=excluded,
+                    has_exclusions=self.has_exclusions,
+                )
         frame = compute_frames(
             self.dfg,
             self.timing,
@@ -176,6 +193,7 @@ class MoveFrameEngine:
             placed_starts=self.placed_starts,
             chain_offsets=self.chain_offsets,
             excluded_instances=excluded,
+            bounds=bounds,
         )
         if self.trace is not None:
             self.trace.frame(name, table, frame, current)
@@ -193,7 +211,7 @@ class MoveFrameEngine:
         self.grid.place(name, position, latency)
         if self.view is not None:
             self.view.place(position, latency)
-            self._bounds.clear()
+        self._bounds.clear()
         self.placed_starts[name] = position.y
         self.placed_ends[name] = position.y + latency - 1
         dfg, timing = self.dfg, self.timing

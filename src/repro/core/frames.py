@@ -136,9 +136,9 @@ def frame_bounds(
 
     Returns ``(latency, latest_pred_end, ff_rows_after, chain_rows)`` —
     the forbidden-frame geometry every table of the operation shares.
-    :func:`compute_frames` intersects these with one table's occupancy;
-    the vector kernel (:mod:`repro.core.kernel`) computes them once per
-    operation and rebuilds only the per-table mask.
+    :func:`compute_frames` and the vector kernel's
+    :func:`~repro.core.kernel.move_frame_mask` intersect these with one
+    table's occupancy; the engine computes them once per operation.
     """
     chain_offsets = chain_offsets or {}
     kind = dfg.node(node).kind
@@ -179,6 +179,7 @@ def compute_frames(
     placed_starts: Mapping[str, int],
     chain_offsets: Optional[Mapping[str, float]] = None,
     excluded_instances: Tuple[int, ...] = (),
+    bounds: Optional[Tuple[int, int, int, Tuple[int, ...]]] = None,
 ) -> FrameSet:
     """Build PF/RF/FF and the resulting move frame for one operation.
 
@@ -195,10 +196,15 @@ def compute_frames(
     excluded_instances:
         Instance columns the operation may not use (MFSA design style 2:
         no self-loop around an ALU — §4.2).
+    bounds:
+        The node's :func:`frame_bounds`, when the caller already holds
+        them for the current placements (computed here otherwise).
     """
-    latency, latest_pred_end, ff_rows_after, chain_rows = frame_bounds(
-        dfg, timing, node, grid.cs, placed_starts, chain_offsets
-    )
+    if bounds is None:
+        bounds = frame_bounds(
+            dfg, timing, node, grid.cs, placed_starts, chain_offsets
+        )
+    latency, latest_pred_end, ff_rows_after, chain_rows = bounds
     max_cols = grid.columns(table)
 
     pf_rows = (asap[node], alap[node])

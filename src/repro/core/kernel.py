@@ -23,21 +23,25 @@ numpy bitmask arithmetic over whole frames:
 Both walks produce **byte-identical results** — schedules, placements,
 trajectories, costs; :mod:`repro.check.kernels` and the hypothesis suite
 in ``tests/property/test_property_kernel.py`` enforce it.  numpy is a
-required dependency, so both walks always exist, and each wins a regime
-(2-vCPU VM, 5 alternating repetitions per job): forcing the vector walk
-made perfbench's 12–47-op ``compile_paper`` jobs 1.7x slower per job,
-left its 100–400-op ``compile_large`` jobs about even (0.97x in total),
-and is 13–22x faster on the 1k-op tier with 400 steps of slack
-(``docs/PERFORMANCE.md``).
+required dependency, so both walks always exist, and each wins a regime:
+per position, python beats the numpy walk's per-frame setup on small
+frames, and the numpy walk wins once a frame holds many positions — 5–27x
+on the 1k-op tier with 400 steps of slack (``docs/PERFORMANCE.md``).
 
-Dispatch policy (:func:`resolve_kernel`):
+Dispatch policy:
 
-* ``"scalar"`` — always the reference walk;
-* ``"vector"`` — always the numpy walk;
-* ``"auto"`` (the default) — the vector walk once the workload is big
-  enough to pay for the array overhead (``n_ops >= VECTOR_MIN_OPS``);
-  paper-sized examples stay scalar, where per-position python beats
-  per-frame numpy setup.
+* ``"scalar"`` — every frame takes the reference walk;
+* ``"vector"`` — every frame takes the numpy walk;
+* ``"auto"`` (the default) — two gates.  A *run* may take the numpy walk
+  once its DFG is big enough to pay for the occupancy mirror
+  (:func:`resolve_kernel`: ``n_ops >= VECTOR_MIN_OPS``); paper-sized
+  examples stay scalar end to end.  Within such a run each *operation*
+  takes the numpy walk only when its frame rectangle — primary-frame
+  rows clipped to the grid × open columns — holds at least
+  ``VECTOR_MIN_CELLS`` cells; smaller frames are built and priced by
+  the scalar walk.  All frames of one operation take one walk, so a
+  mixed run's perf counters match the scalar walk's as a forced vector
+  run's do.
 
 Independently of the requested kernel, the schedulers fall back to the
 scalar walk for the features the vector walk does not model: attached
@@ -61,19 +65,28 @@ from repro.core.grid import GridPosition, PlacementGrid
 #: Recognised kernel names.
 KERNELS = ("auto", "scalar", "vector")
 
-#: ``auto`` switches to the vector kernel at this DFG size.  Below it the
-#: scalar loop wins: a paper example's move frames hold a handful of
-#: positions, and one numpy broadcast costs more than pricing them all in
-#: python.  Both kernels are byte-identical, so the threshold is purely a
-#: performance knob.
+#: ``auto`` lets a run take the vector walk from this DFG size.  Below it
+#: the numpy occupancy mirror and per-frame setup do not pay: dropping
+#: the gate slowed 330 ``compile_paper``-size jobs (12–47 ops) by 4 %,
+#: p50 2.71 → 2.83 ms (2-vCPU VM, best of 3 per job).
 VECTOR_MIN_OPS = 48
+
+#: Within a vector-eligible ``auto`` run, an operation takes the vector
+#: walk only when its frame rectangle (PF rows clipped to the grid × open
+#: columns) has at least this many cells.  Fitted on 45 ``compile_large``
+#: jobs (2-vCPU VM, best of 3 per job, decode + schedule + encode): 0
+#: cells (every frame vector) 2184 ms, 32 → 1582, 48 → 1609, 64 → 1530,
+#: 96 → 1560, 128 → 1645 ms; every frame scalar 1730 ms.
+VECTOR_MIN_CELLS = 64
 
 
 def resolve_kernel(name: str = "auto", n_ops: Optional[int] = None) -> str:
     """Resolve a kernel request to ``"scalar"`` or ``"vector"``.
 
-    ``n_ops`` feeds the ``auto`` size heuristic; ``None`` means "assume
-    big" (callers that resolve once per sweep rather than per design).
+    ``n_ops`` feeds the ``auto`` size gate; ``None`` means "assume big"
+    (callers that resolve once per sweep rather than per design).  Under
+    ``auto``, ``"vector"`` means the run *may* take the vector walk: each
+    operation then picks its walk by frame size (``VECTOR_MIN_CELLS``).
     """
     if name not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {name!r}")
@@ -158,7 +171,8 @@ def move_frame_mask(
 ) -> Optional[Tuple["np.ndarray", int]]:
     """Admissible-position mask of one (node, table) move frame.
 
-    ``bounds`` is :func:`repro.core.frames.frame_bounds` of the node.
+    ``bounds`` is :func:`repro.core.frames.frame_bounds` of the node;
+    ``lo_y … hi_y`` are its primary-frame rows clipped to the grid.
     Returns ``(mask, lo_y)`` where ``mask[i, j]`` covers step
     ``lo_y + i`` and instance column ``j + 1`` — or ``None`` when no
     position is admissible.  Mirrors, bit for bit, the filter chain of
@@ -167,8 +181,6 @@ def move_frame_mask(
     exclusions, and grid occupancy over the full latency span.
     """
     latency, latest_pred_end, ff_rows_after, chain_rows = bounds
-    lo_y = max(lo_y, 1)
-    hi_y = min(hi_y, grid.cs - latency + 1)
     if hi_y < lo_y or top_col < 1:
         return None
 

@@ -114,8 +114,8 @@ class MFSScheduler(MoveFrameEngine):
         silently breaking step ordering.
     kernel:
         Move-frame walk: ``"scalar"`` (per-position python),
-        ``"vector"`` (numpy bitmask frames), or ``"auto"`` (vector once
-        the DFG is large enough to pay for the array setup).  Both walks
+        ``"vector"`` (numpy bitmask frames), or ``"auto"`` (vector for
+        the large frames of a large DFG, per operation).  Both walks
         produce byte-identical results — see :mod:`repro.core.kernel`
         for the dispatch rules, the features that pin a run to the
         scalar walk (tracing, frame recording, pipelining, custom
@@ -280,7 +280,7 @@ class MFSScheduler(MoveFrameEngine):
                     )
                 if trace is not None:
                     trace.reschedule(name, kind, step, current[kind])
-            if vector:
+            if type(frame) is tuple:  # the vector walk's (mask, lo_y)
                 mask, lo_y = frame
                 if perf is not None:
                     perf.incr("mfs.positions_evaluated", int(mask.sum()))

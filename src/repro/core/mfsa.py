@@ -353,8 +353,8 @@ class MFSAScheduler(MoveFrameEngine):
     kernel:
         Move-frame walk: ``"scalar"`` (per-position python),
         ``"vector"`` (numpy bitmask frames and one broadcasted §4.1
-        energy matrix per cell), or ``"auto"`` (vector once the DFG is
-        large enough to pay for the array setup).  Both walks are
+        energy matrix per cell), or ``"auto"`` (vector for the large
+        frames of a large DFG, per operation).  Both walks are
         byte-identical — :mod:`repro.core.kernel` documents the dispatch
         rules, the features (tracing, pipelining, ``no_cache``) that pin
         a run to the scalar walk, and the measured regimes each walk wins.
@@ -533,6 +533,18 @@ class MFSAScheduler(MoveFrameEngine):
             # Traced candidates accumulate in a plain local list (cheap)
             # and land in the recorder as one batch at commit time.
             traced_cands: Optional[list] = [] if trace is not None else None
+            # All of the op's frames take one walk, picked by its widest
+            # frame: each pricer keeps its own per-op f_REG cache, whose
+            # counters must add up as on the scalar walk.
+            width = None
+            if self.view is not None:
+                width = max(
+                    min(
+                        state.opened_columns.get(cell.name, 0) + 1,
+                        grid.columns(cell.name),
+                    )
+                    for cell in candidates_by_kind[kind]
+                )
 
             def price_vector(cell, sub, lo_y, overspend, best_key):
                 """The vector pricer: ``(key, position)`` of the cell's
@@ -642,6 +654,7 @@ class MFSAScheduler(MoveFrameEngine):
                             state.excluded_instances(cell, name)
                             if self.style == 2
                             else (),
+                            width,
                         )
                         if not no_cache:
                             frames[cell.name] = frame
@@ -654,7 +667,7 @@ class MFSAScheduler(MoveFrameEngine):
                         + reserve_after(cell, kind)
                         > budget
                     )
-                    if vector:
+                    if type(frame) is tuple:  # the vector walk's (mask, lo_y)
                         mask, lo_y = frame
                         priced = price_vector(
                             cell,

@@ -33,8 +33,8 @@ def golden(name: str) -> str:
 
 
 def layered_design():
-    """A 100-op layered design: large enough for ``auto`` to take the
-    vector walk, small enough to run both walks in well under a second."""
+    """A 100-op layered design: large enough for ``auto`` to allow the
+    vector walk, small enough to run every walk in well under a second."""
     from repro.dfg.analysis import TimingModel, critical_path_length
     from repro.dfg.generators import layered_workload
     from repro.dfg.ops import standard_operation_set
@@ -72,13 +72,13 @@ class TestGoldenArtifacts:
         assert render_table2(table2_rows()) == render_table2(table2_rows())
 
 
-@pytest.mark.parametrize("kernel", ["auto", "scalar"])
+@pytest.mark.parametrize("kernel", ["auto", "scalar", "vector"])
 @pytest.mark.parametrize("slack", [40, 2])
 class TestGoldenWalks:
-    """Both move-frame walks must reproduce the same pinned bytes.
+    """Every move-frame walk must reproduce the same pinned bytes.
 
-    At 100 ops ``auto`` resolves to the vector walk, so these files pin
-    it directly; ``scalar`` must match them too.
+    ``scalar`` and ``vector`` force one walk for every frame; at 100 ops
+    ``auto`` mixes them, each operation picking its walk by frame size.
     """
 
     def test_mfs_schedule_pinned(self, kernel, slack):

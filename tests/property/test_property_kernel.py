@@ -12,6 +12,10 @@ Counter caveat: with ``record_alternatives=False`` the vector MFSA path
 prunes whole columns via a zero-mux lower bound, so mux/operand *cache*
 counters (how often the optimiser was consulted) legitimately differ;
 ``comparable_counters`` excludes them.
+
+``kernel="auto"`` mixes the walks within one run on designs of
+``VECTOR_MIN_OPS`` and more, each operation picking its walk by frame
+size; the mixed runs must equal the scalar walk in every counter too.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -23,11 +27,18 @@ from repro.check.kernels import (
     check_mfsa_kernels,
     comparable_counters,
 )
+from repro.core import engine, kernel
 from repro.core.liapunov import LiapunovWeights
+from repro.core.mfs import MFSScheduler
 from repro.core.mfsa import MFSAScheduler
 from repro.dfg.analysis import TimingModel, critical_path_length
-from repro.dfg.generators import random_conditional_dfg, random_dfg
+from repro.dfg.generators import (
+    layered_workload,
+    random_conditional_dfg,
+    random_dfg,
+)
 from repro.dfg.ops import standard_operation_set
+from repro.io.jsonio import schedule_to_json, synthesis_to_json
 from repro.library.ncr import datapath_library
 from repro.perf import PerfCounters
 
@@ -154,3 +165,81 @@ def test_comparable_counters_filters_mux_and_operand():
     perf.incr("mux.canon_hits")
     kept = comparable_counters(perf)
     assert kept == {"mfsa.candidates_evaluated": 1}
+
+
+# ----------------------------------------------------------------------
+# kernel="auto": one walk per operation, picked by frame size
+# ----------------------------------------------------------------------
+large_designs = st.one_of(
+    st.builds(
+        lambda seed, n_ops, locality: random_dfg(
+            seed=seed, n_ops=n_ops, n_inputs=8, locality=locality
+        ),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=48, max_value=160),
+        st.integers(min_value=4, max_value=40),
+    ),
+    st.builds(
+        lambda seed, layers, width: layered_workload(
+            seed=seed, layers=layers, width=width
+        ),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=3, max_value=8),
+        st.integers(min_value=16, max_value=20),
+    ),
+)
+
+
+def run_walk(g, cs, kern, style):
+    """(JSON bytes, trajectory, counters) of one run; ``style`` 0 is MFS."""
+    clear_mux_memo()
+    perf = PerfCounters()
+    if style == 0:
+        result = MFSScheduler(g, TIMING, cs=cs, kernel=kern, perf=perf).run()
+        text = schedule_to_json(result.schedule)
+    else:
+        result = MFSAScheduler(
+            g, TIMING, LIBRARY, cs=cs, style=style, kernel=kern, perf=perf
+        ).run()
+        text = synthesis_to_json(result)
+    return text, result.trajectory, dict(perf.counters)
+
+
+@given(
+    g=large_designs,
+    slack=st.integers(min_value=0, max_value=40),
+    style=st.sampled_from([0, 1, 2]),
+)
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_auto_mixed_walks_equal_scalar(g, slack, style):
+    """Bytes, trajectory (alternatives included) and every counter."""
+    assert len(g) >= kernel.VECTOR_MIN_OPS
+    cs = critical_path_length(g, TIMING) + slack
+    assert run_walk(g, cs, "auto", style) == run_walk(g, cs, "scalar", style)
+
+
+def test_auto_builds_frames_on_both_walks(monkeypatch):
+    """A 100-op MFSA run at 10 steps of slack mixes the walks."""
+    built = {"scalar": 0, "vector": 0}
+
+    def counting(walk, build):
+        def wrapped(*args, **kwargs):
+            built[walk] += 1
+            return build(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        engine, "compute_frames", counting("scalar", engine.compute_frames)
+    )
+    monkeypatch.setattr(
+        kernel, "move_frame_mask", counting("vector", kernel.move_frame_mask)
+    )
+    g = layered_workload(seed=7, layers=5, width=20)
+    cs = critical_path_length(g, TIMING) + 10
+    MFSAScheduler(g, TIMING, LIBRARY, cs=cs, kernel="auto").run()
+    assert built["scalar"] > 0 and built["vector"] > 0, built

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.allocation.lifetimes import Lifetime
 from repro.allocation.mux import MuxOperand, optimize_mux_inputs
 from repro.allocation.registers import (
+    IncrementalRegisterEstimator,
     left_edge_allocate,
     max_simultaneously_live,
 )
@@ -106,6 +107,79 @@ def test_left_edge_is_optimal_and_conflict_free(raw):
         for i, first in enumerate(track):
             for second in track[i + 1:]:
                 assert not first.overlaps(second)
+
+
+class MemberScanEstimator:
+    """f_REG by first fit over explicit member lists: every candidate is
+    overlap-tested against every stored value, and a probe deep-copies
+    the tracks it packs into."""
+
+    def __init__(self):
+        self.tracks = []
+        self.known = set()
+
+    @staticmethod
+    def first_fit(tracks, life):
+        """Place ``life``; whether it opened a new track."""
+        for track in tracks:
+            if not any(life.overlaps(other) for other in track):
+                track.append(life)
+                return False
+        tracks.append([life])
+        return True
+
+    def cost_of(self, lifetimes):
+        tracks = [list(track) for track in self.tracks]
+        return sum(
+            self.first_fit(tracks, life)
+            for life in lifetimes
+            if life.needs_register and life.value not in self.known
+        )
+
+    def commit(self, lifetimes):
+        for life in lifetimes:
+            if life.needs_register and life.value not in self.known:
+                self.known.add(life.value)
+                self.first_fit(self.tracks, life)
+
+
+estimator_steps = st.lists(
+    st.tuples(
+        st.booleans(),  # commit (else probe)
+        st.lists(  # the batch: value, birth, span (0 is degenerate)
+            st.tuples(
+                st.integers(min_value=0, max_value=12),
+                st.integers(min_value=0, max_value=20),
+                st.integers(min_value=0, max_value=8),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(steps=estimator_steps)
+@RELAXED
+def test_indexed_register_estimate_matches_member_scan(steps):
+    """Values are drawn from a small pool, so probes meet already-stored
+    signals; ``count`` follows the reference and no probe moves it."""
+    estimator = IncrementalRegisterEstimator()
+    reference = MemberScanEstimator()
+    for commit, raw in steps:
+        batch = [
+            Lifetime(f"v{value}", birth, birth + span)
+            for value, birth, span in raw
+        ]
+        count = estimator.count
+        assert estimator.cost_of(batch) == reference.cost_of(batch)
+        assert estimator.count == count
+        if commit:
+            estimator.commit(batch)
+            reference.commit(batch)
+        assert estimator.count == len(reference.tracks)
 
 
 @given(raw=lifetime_lists)
