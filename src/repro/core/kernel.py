@@ -28,6 +28,14 @@ per position, python beats the numpy walk's per-frame setup on small
 frames, and the numpy walk wins once a frame holds many positions — 5–27x
 on the 1k-op tier with 400 steps of slack (``docs/PERFORMANCE.md``).
 
+numpy is imported on first use, by the functions below, not with this
+module: a process loads it when its first frame takes the vector walk,
+and pays the one-time import (about 150 ms) there.  A process that
+never takes that walk never loads it — the CLI and both serve roles at
+start-up, the serve pool workers, paper-size runs (below
+``VECTOR_MIN_OPS``), traced runs, and table/report sweeps of the paper's
+examples — which saves each of them 7–12 MB of peak RSS.
+
 Dispatch policy:
 
 * ``"scalar"`` — every frame takes the reference walk;
@@ -56,9 +64,10 @@ that decision so both schedulers and the audits agree on it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - numpy loads on first use (typing only)
+    import numpy as np
 
 from repro.core.grid import GridPosition, PlacementGrid
 
@@ -142,6 +151,8 @@ class VectorGrid:
         occ = self._occ.get(table)
         columns = self._grid.columns(table)
         if occ is None or occ.shape[1] < columns + 1:
+            import numpy as np
+
             occ = np.zeros((self._grid.cs + 2, columns + 1), dtype=bool)
             for x, y in self._grid.occupancy_cells(table):
                 occ[y, x] = True
@@ -149,9 +160,13 @@ class VectorGrid:
         return occ
 
     def place(self, position: GridPosition, latency: int) -> None:
-        """Mirror one placement (non-folded occupancy only)."""
-        occ = self.table(position.table)
-        occ[position.y : position.y + latency, position.x] = True
+        """Mirror one placement (non-folded occupancy only).  A table no
+        frame has touched yet is skipped: :meth:`table` seeds it from the
+        grid, so a run whose frames all take the scalar walk never
+        builds a matrix."""
+        if position.table in self._occ:
+            occ = self.table(position.table)
+            occ[position.y : position.y + latency, position.x] = True
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +198,8 @@ def move_frame_mask(
     latency, latest_pred_end, ff_rows_after, chain_rows = bounds
     if hi_y < lo_y or top_col < 1:
         return None
+
+    import numpy as np
 
     ys = np.arange(lo_y, hi_y + 1)
     row_ok = ys > latest_pred_end
@@ -224,6 +241,8 @@ def argmin_position(
     ``(energy, y, x)``: ``flat argmin`` returns the first minimal entry
     in ``[y, x]`` order.
     """
+    import numpy as np
+
     masked = np.where(mask, energy, np.inf)
     flat = int(np.argmin(masked))
     i, j = divmod(flat, mask.shape[1])
@@ -234,6 +253,8 @@ def mask_positions(
     mask: "np.ndarray", table: str, lo_y: int
 ) -> List[GridPosition]:
     """The mask's admissible positions, in the scalar walk's (y, x) order."""
+    import numpy as np
+
     rows, cols = np.nonzero(mask)
     return [
         GridPosition(table, int(j) + 1, lo_y + int(i))
@@ -257,6 +278,8 @@ def static_argmin(
     requested, the same (position, energy) candidate sequence the scalar
     walk records.
     """
+    import numpy as np
+
     ys = np.arange(lo_y, lo_y + mask.shape[0], dtype=np.int64)
     xs = np.arange(1, mask.shape[1] + 1, dtype=np.int64)
     energy = liapunov.value_xy(xs[None, :], ys[:, None])
@@ -318,6 +341,8 @@ def batched_reg_costs(
       degenerates to "inputs claim distinct committed tracks in operand
       order; an unplaced input always opens its own new track".
     """
+    import numpy as np
+
     n = hi_y - lo_y + 1
     deaths = np.arange(lo_y + delta, hi_y + delta + 1, dtype=np.int64)
     added = np.zeros(n, dtype=np.int64)

@@ -506,7 +506,6 @@ class MFSAScheduler(MoveFrameEngine):
                 reserve = max(reserve, cheapest_cell_area[kind])
             return reserve
 
-        np = _kernel.np
         # Lazy f_MUX: with a monotone mux-cost table the zero-mux energy
         # lower-bounds a column, so columns that cannot beat the running
         # best skip the §5.6 optimiser entirely.  The argmin (and hence
@@ -556,6 +555,8 @@ class MFSAScheduler(MoveFrameEngine):
                 priced in one broadcast.
                 """
                 nonlocal f_reg_rows, priced_rows
+                import numpy as np
+
                 if overspend:
                     # Opening would overspend: only already-open columns
                     # stay eligible (the scalar walk's per-position filter).

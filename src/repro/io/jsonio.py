@@ -14,7 +14,7 @@ exchanged:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import DFGError
 from repro.dfg.graph import DFG, BranchPath, Port
@@ -31,14 +31,39 @@ def _port_to_obj(port: Port) -> Dict[str, Any]:
     return {"node": port.name}
 
 
+def _name(value: Any, what: str) -> str:
+    """A design, input or node name, or a port's reference to one."""
+    if not isinstance(value, str):
+        raise DFGError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _port_from_obj(obj: Dict[str, Any]) -> Port:
     if "const" in obj:
-        return Port.const(int(obj["const"]))
+        value = obj["const"]
+        # int() would turn true into 1 and truncate 2.5 to 2, and the
+        # result would share the integer design's cache key.
+        if not isinstance(value, bool) and not (
+            isinstance(value, float) and not value.is_integer()
+        ):
+            try:
+                return Port.const(int(value))
+            except (TypeError, ValueError):
+                pass
+        raise DFGError(f"constant must be an integer, got {value!r}")
     if "input" in obj:
-        return Port.input(obj["input"])
+        return Port.input(_name(obj["input"], "input reference"))
     if "node" in obj:
-        return Port.node(obj["node"])
+        return Port.node(_name(obj["node"], "node reference"))
     raise DFGError(f"malformed port object: {obj!r}")
+
+
+def _ports_from_obj(objs: Any, role: str, name: str) -> List[Port]:
+    """Decode the ports of node or output ``name``; an error names it."""
+    try:
+        return [_port_from_obj(obj) for obj in objs]
+    except DFGError as error:
+        raise DFGError(f"{role} {name!r}: {error}") from None
 
 
 def _branch_from_obj(node: str, pairs: Any) -> BranchPath:
@@ -97,18 +122,19 @@ def dfg_from_obj(payload: Dict[str, Any]) -> DFG:
         raise DFGError(
             f"unsupported repro-dfg version {payload.get('version')!r}"
         )
-    dfg = DFG(payload.get("name", "dfg"))
+    dfg = DFG(_name(payload.get("name", "dfg"), "design name"))
     for input_name in payload.get("inputs", []):
-        dfg.add_input(input_name)
+        dfg.add_input(_name(input_name, "input name"))
     for node in payload.get("nodes", []):
+        name = _name(node["name"], "node name")
         dfg.add_op(
             node["kind"],
-            [_port_from_obj(obj) for obj in node["operands"]],
-            name=node["name"],
-            branch=_branch_from_obj(node["name"], node.get("branch", [])),
+            _ports_from_obj(node["operands"], "node", name),
+            name=name,
+            branch=_branch_from_obj(name, node.get("branch", [])),
         )
     for out_name, obj in payload.get("outputs", {}).items():
-        dfg.set_output(out_name, _port_from_obj(obj))
+        dfg.set_output(out_name, _ports_from_obj([obj], "output", out_name)[0])
     dfg.validate()
     return dfg
 

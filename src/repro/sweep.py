@@ -38,7 +38,11 @@ keeping the *contract* of the serial loop:
   memoise heavyweight per-process builds (cell library, timing model)
   through :func:`worker_cached`, keyed by fingerprint.  Items stay
   *compact* — indices and small parameter tuples — instead of re-pickling
-  the design and library into every payload.
+  the design and library into every payload.  The warm imports do not
+  bring numpy (:mod:`repro.core.kernel` loads it on first use), so a
+  worker's first vector-walk item pays that import once.  numpy stays
+  out of :data:`WARM_IMPORTS` on purpose: listing it would put it back
+  into every serve pool worker, whose paper-size jobs never call it.
 
 Workers must be module-level functions and payloads picklable; the
 callers in :mod:`repro.explore` and :mod:`repro.bench` define dedicated

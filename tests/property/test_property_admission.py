@@ -6,7 +6,9 @@ Three equivalences keep the fast path honest against the plain one:
   equals decoding its JSON text (``dfg_from_json``) — same graph or the
   same error — for generated designs and for mutated, malformed ones;
 * the key a spec gets straight after :func:`normalize_spec` (from the
-  admission memo) equals the key of a fresh parse with the memo empty;
+  admission memo) equals the key of a fresh parse with the memo empty —
+  and admission either refuses a request with :class:`JobSpecError`
+  (a 400) or admits it with every constant the integer it spells;
 * the DFG's cached topological order and predecessor tuples, after
   further ``add_op`` calls, equal a from-scratch recomputation.
 """
@@ -67,29 +69,34 @@ junk = st.one_of(
 )
 
 
-def _mutate(obj, data):
+#: The edits :func:`_mutate` draws from.
+EDITS = (
+    "drop-key",
+    "junk-key",
+    "kind",
+    "extra-operand",
+    "drop-operand",
+    "junk-port",
+    "junk-input",
+    "junk-const",
+    "dangling-port",
+    "reverse-nodes",
+    "duplicate-node",
+    "junk-branch",
+    "junk-output",
+    "whole",
+)
+
+#: The edits that put junk where a name or a constant belongs.
+NAME_AND_CONST_EDITS = ("junk-input", "junk-const")
+
+
+def _mutate(obj, data, edits=EDITS):
     """Apply one seeded, possibly invalidating edit to a design object."""
     doc = copy.deepcopy(obj)
     nodes = doc["nodes"]
     node = nodes[data.draw(st.integers(0, len(nodes) - 1))]
-    edit = data.draw(
-        st.sampled_from(
-            [
-                "drop-key",
-                "junk-key",
-                "kind",
-                "extra-operand",
-                "drop-operand",
-                "junk-port",
-                "dangling-port",
-                "reverse-nodes",
-                "duplicate-node",
-                "junk-branch",
-                "junk-output",
-                "whole",
-            ]
-        )
-    )
+    edit = data.draw(st.sampled_from(edits))
     if edit == "drop-key":
         doc.pop(data.draw(st.sampled_from(sorted(doc))))
     elif edit == "junk-key":
@@ -104,6 +111,18 @@ def _mutate(obj, data):
         node["operands"].pop()
     elif edit == "junk-port":
         node["operands"][0] = data.draw(junk)
+    elif edit == "junk-input":
+        # Rename one input to a junk value, every reference included.
+        inputs = doc["inputs"]
+        index = data.draw(st.integers(0, len(inputs) - 1))
+        old = {"input": inputs[index]}
+        inputs[index] = data.draw(junk)
+        ports = [port for each in nodes for port in each["operands"]]
+        for port in ports + list(doc["outputs"].values()):
+            if port == old:
+                port["input"] = inputs[index]
+    elif edit == "junk-const":
+        node["operands"][-1] = {"const": data.draw(junk)}
     elif edit == "dangling-port":
         node["operands"][0] = {"node": "no-such-node"}
     elif edit == "reverse-nodes":
@@ -117,6 +136,13 @@ def _mutate(obj, data):
     else:
         return data.draw(junk)
     return doc
+
+
+def _constants(doc):
+    """The constant values an admitted design object spells."""
+    ports = [port for node in doc["nodes"] for port in node["operands"]]
+    ports.extend(doc.get("outputs", {}).values())
+    return [port["const"] for port in ports if "const" in port]
 
 
 def _outcome(decode, arg):
@@ -137,6 +163,27 @@ def test_obj_and_text_decoders_agree(dfg, mutate, data):
     )
 
 
+def _admit_and_compare_keys(obj, algorithm, style, data):
+    body = {"dfg": obj, "cs": data.draw(st.integers(1, 9))}
+    if style is not None:
+        body["style"] = style
+    try:
+        spec = normalize_spec(algorithm, body)
+    except JobSpecError:
+        return
+    except Exception as error:  # both roles would answer the catch-all 500
+        pytest.fail(f"normalize_spec raised {error!r}, not JobSpecError")
+    # A constant is admitted only as the integer it spells: no boolean
+    # read as 0/1, no fraction truncated into another design's key.
+    for value in _constants(obj):
+        assert not isinstance(value, bool), value
+        assert not isinstance(value, float) or value.is_integer(), value
+    warm = key_and_fingerprint(spec)
+    assert cache_key(spec) == warm[0]
+    jobs._admitted.clear()
+    assert key_and_fingerprint(spec) == warm
+
+
 @given(
     dfg=designs,
     algorithm=st.sampled_from(["mfs", "mfsa"]),
@@ -149,17 +196,17 @@ def test_memo_key_equals_fresh_parse_key(dfg, algorithm, style, mutate, data):
     obj = json.loads(dfg_to_json(dfg))
     if mutate:
         obj = _mutate(obj, data)
-    body = {"dfg": obj, "cs": data.draw(st.integers(1, 9))}
-    if style is not None:
-        body["style"] = style
-    try:
-        spec = normalize_spec(algorithm, body)
-    except JobSpecError:
-        return
-    warm = key_and_fingerprint(spec)
-    assert cache_key(spec) == warm[0]
-    jobs._admitted.clear()
-    assert key_and_fingerprint(spec) == warm
+    _admit_and_compare_keys(obj, algorithm, style, data)
+
+
+@given(dfg=designs, algorithm=st.sampled_from(["mfs", "mfsa"]), data=st.data())
+@RELAXED
+def test_junk_names_and_constants_never_reach_a_500(dfg, algorithm, data):
+    """The same check with junk where a name or a constant belongs in
+    every request: the edits that reach the fingerprint's sort and the
+    constant decoder."""
+    obj = _mutate(json.loads(dfg_to_json(dfg)), data, NAME_AND_CONST_EDITS)
+    _admit_and_compare_keys(obj, algorithm, None, data)
 
 
 def _reference_predecessors(dfg: DFG):

@@ -43,6 +43,35 @@ def branch_design(condition, arm) -> dict:
     return design
 
 
+def mixed_name_design(field: str) -> dict:
+    """A design whose input (``field="inputs"``) or node (``"nodes"``)
+    named 7 sits next to string names of the same role."""
+    design = one_op_design("add", 2)
+    if field == "inputs":
+        design["inputs"] = ["i0", 7]
+        design["nodes"][0]["operands"][1] = {"input": 7}
+    else:
+        design["nodes"][0]["name"] = 7
+        design["nodes"].append(
+            {
+                "name": "n1",
+                "kind": "add",
+                "operands": [{"node": 7}, {"input": "i1"}],
+                "branch": [],
+            }
+        )
+        design["outputs"] = {"x": {"node": "n1"}}
+    return design
+
+
+def const_design(value) -> dict:
+    """``i0 + value``: one add whose second operand is a constant."""
+    design = one_op_design("add", 2)
+    design["inputs"] = ["i0"]
+    design["nodes"][0]["operands"][1] = {"const": value}
+    return design
+
+
 THREE_OPS = "input a b c\nt = a + b\nu = t * c\nx = u - a\noutput x\n"
 
 #: Requests admission must refuse at the edge, because no worker could
@@ -73,6 +102,28 @@ UNRUNNABLE = {
         "mfs",
         {"dfg": branch_design("c", "yes")},
         "node 'n0': branch arm must be true or false",
+    ),
+    # Mixed-type names would reach sorts in the fingerprint and the
+    # worker; a coerced constant would share the integer design's key.
+    "non-string-input": (
+        "mfs",
+        {"dfg": mixed_name_design("inputs")},
+        "input name must be a string, got 7",
+    ),
+    "non-string-node": (
+        "mfs",
+        {"dfg": mixed_name_design("nodes")},
+        "node name must be a string, got 7",
+    ),
+    "fractional-const": (
+        "mfs",
+        {"dfg": const_design(2.5)},
+        "node 'n0': constant must be an integer, got 2.5",
+    ),
+    "boolean-const": (
+        "mfs",
+        {"dfg": const_design(True)},
+        "node 'n0': constant must be an integer, got True",
     ),
     # Three unit-latency ops: the bound is the floor.
     "cs-beyond-bound": (

@@ -13,6 +13,7 @@ served result — cold, cached, failed-over — must equal.
 """
 
 import http.client
+import json
 import os
 import signal
 import time
@@ -20,12 +21,13 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.bench.suites import EXAMPLES
 from repro.serve import Client, RouterConfig, ShardRouter
 from repro.serve.client import ServiceError
 from repro.serve.hashring import HashRing
 from repro.serve.jobs import execute_spec, normalize_spec, response_text
 from repro.dfg.fingerprint import dfg_fingerprint
-from repro.io.jsonio import dfg_from_json
+from repro.io.jsonio import dfg_from_json, dfg_to_json
 
 SRC = """input a b c d
 t1 = a + b
@@ -258,3 +260,60 @@ class TestDrain:
         assert not handle._thread.is_alive()
         for shard in router.shards.values():
             assert shard.process.poll() is not None
+
+
+def _live_children(pid: int) -> list:
+    """Live (not zombie) processes whose parent is ``pid``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.append(int(entry))
+    return children
+
+
+def _maps_numpy(pid: int) -> bool:
+    with open(f"/proc/{pid}/maps", encoding="utf-8", errors="replace") as handle:
+        return "/numpy/" in handle.read()
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
+)
+class TestNumpyStaysOut:
+    def test_paper_size_traffic_never_maps_numpy(self):
+        """Paper-size jobs stay below ``VECTOR_MIN_OPS``, so no shard and
+        no pool worker forked from one ever loads numpy."""
+        with fleet(shard_args=("--workers", "2")) as (router, client):
+            ids = []
+            for example in EXAMPLES.values():
+                design = json.loads(dfg_to_json(example.build()))
+                case = example.table1_cases[0]
+                # Sent without waiting, so batches reach the pool workers.
+                ids.append(client.schedule(
+                    dfg=design, cs=case.cs, mul_latency=case.mul_latency,
+                    clock_ns=case.clock_ns, wait=False,
+                )["job"]["id"])
+                ids.append(client.synth(
+                    dfg=design, cs=example.mfsa_cs,
+                    mul_latency=example.mfsa_mul_latency,
+                    clock_ns=example.mfsa_clock_ns, wait=False,
+                )["job"]["id"])
+            for job_id in ids:
+                client.wait_for(job_id, timeout=120.0)
+
+            shards = [shard.process.pid for shard in router.shards.values()]
+            deadline = time.monotonic() + 30
+            workers = []
+            while len(workers) < 2 * len(shards) and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = [w for pid in shards for w in _live_children(pid)]
+            assert len(workers) == 2 * len(shards)
+            for pid in shards + workers:
+                assert not _maps_numpy(pid), f"pid {pid} maps numpy"
