@@ -29,6 +29,13 @@ Normalisation rules:
 Two structurally identical subtrees hash identically — that is correct,
 not a collision: they are interchangeable by isomorphism.
 
+A node's hash covers the canonical JSON text (sorted keys, no spaces,
+ASCII escapes) of ``["op", kind, operands, branch]``.  That text is
+rendered directly, field by field: strings through the encoder's own
+``encode_basestring_ascii``, integers through ``int.__repr__``.  The
+JSON encoder (``_CANONICAL_JSON``) stays the reference the renderer
+must equal byte for byte, and renders any field of another type.
+
 :func:`library_fingerprint` and :func:`params_fingerprint` extend the
 same idea to the other inputs of a synthesis run (cell library and the
 full parameter tuple), so ``repro.serve`` can content-address a whole
@@ -41,7 +48,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Mapping
 
-from repro.dfg.graph import DFG, Port
+from repro.dfg.graph import DFG, Node, Port
 from repro.library.cells import CellLibrary
 
 #: Bump when the canonical encoding changes shape (invalidates caches).
@@ -68,6 +75,41 @@ def _encode_port(port: Port, node_hashes: Mapping[str, str]) -> List[Any]:
     return ["node", node_hashes[port.name]]
 
 
+#: What the encoder calls for a string; a C function where available.
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _text(value: Any) -> str:
+    """``_CANONICAL_JSON.encode(value)``: strings and integers directly."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    return _CANONICAL_JSON.encode(value)
+
+
+def _port_text(port: Port, node_hashes: Mapping[str, str]) -> str:
+    if port.is_const:
+        return f'["const",{_text(port.value)}]'
+    if port.is_input:
+        return f'["input",{_text(port.name)}]'
+    return f'["node","{node_hashes[port.name]}"]'
+
+
+def _node_text(node: Node, node_hashes: Mapping[str, str]) -> str:
+    """The canonical text of ``["op", kind, operands, branch]``, the list
+    a node's hash covers, rendered field by field."""
+    operands = ",".join([_port_text(port, node_hashes) for port in node.operands])
+    branch = ",".join(
+        [
+            f"[{_text(condition)},{'true' if arm else 'false'}]"
+            for condition, arm in node.branch
+        ]
+    )
+    return f'["op",{_text(node.kind)},[{operands}],[{branch}]]'
+
+
 def node_structural_hashes(dfg: DFG) -> Dict[str, str]:
     """Per-node Merkle hashes, name-free and insertion-order-free.
 
@@ -76,16 +118,10 @@ def node_structural_hashes(dfg: DFG) -> Dict[str, str]:
     semantic — ``a - b`` is not ``b - a``), and its branch path.
     """
     hashes: Dict[str, str] = {}
+    sha256 = hashlib.sha256
     for name in dfg.topological_order():
-        node = dfg.node(name)
-        hashes[name] = sha256_of(
-            [
-                "op",
-                node.kind,
-                [_encode_port(port, hashes) for port in node.operands],
-                [[condition, bool(arm)] for condition, arm in node.branch],
-            ]
-        )
+        text = _node_text(dfg.node(name), hashes)
+        hashes[name] = sha256(text.encode("utf-8")).hexdigest()
     return hashes
 
 

@@ -108,7 +108,7 @@ class Node:
         self.branch = tuple(self.branch)
         seen: List[str] = []
         for port in self.operands:
-            if port.is_node and port.name not in seen:
+            if port.source == "node" and port.name not in seen:
                 seen.append(port.name)
         self._predecessors = tuple(seen)
 
@@ -178,7 +178,13 @@ class DFG:
             raise DFGError(f"node {name!r} already exists")
         for port in operands:
             self._check_port(port)
-        node = Node(name=name, kind=str(kind), operands=tuple(operands), branch=branch)
+        return self._add_node(name, kind, operands, branch)
+
+    def _add_node(
+        self, name: str, kind: str, operands: Sequence[Port], branch: BranchPath
+    ) -> Port:
+        """:meth:`add_op` for a new ``name`` whose operands all resolve."""
+        node = Node(name=name, kind=kind, operands=tuple(operands), branch=branch)
         self._nodes[name] = node
         self._successors[name] = []
         for pred in node.predecessor_names():
@@ -311,13 +317,22 @@ class DFG:
         for name, port in self._outputs.items():
             self._check_port(port)
         if ops is not None:
-            for node in self:
-                spec = ops.spec(node.kind)
-                if len(node.operands) != spec.arity:
-                    raise DFGError(
-                        f"node {node.name!r} ({node.kind}) has "
-                        f"{len(node.operands)} operands, expected {spec.arity}"
-                    )
+            self.check_operations(ops)
+
+    def check_operations(self, ops: OperationSet) -> None:
+        """Check that ``ops`` registers every node's kind, at its arity.
+
+        The part of :meth:`validate` a graph built through :meth:`add_op`
+        and :meth:`set_output` can still fail: those keep it acyclic and
+        every port resolved.
+        """
+        for node in self:
+            spec = ops.spec(node.kind)
+            if len(node.operands) != spec.arity:
+                raise DFGError(
+                    f"node {node.name!r} ({node.kind}) has "
+                    f"{len(node.operands)} operands, expected {spec.arity}"
+                )
 
     def transitive_predecessors(self, name: str) -> Set[str]:
         """All nodes reachable backwards from ``name`` (excluding itself)."""

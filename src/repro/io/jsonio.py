@@ -17,7 +17,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 from repro.errors import DFGError
-from repro.dfg.graph import DFG, BranchPath, Port
+from repro.dfg.graph import DFG, BranchPath, Node, Port
 from repro.schedule.types import Schedule
 
 FORMAT_VERSION = 1
@@ -38,32 +38,63 @@ def _name(value: Any, what: str) -> str:
     return value
 
 
-def _port_from_obj(obj: Dict[str, Any]) -> Port:
-    if "const" in obj:
-        value = obj["const"]
-        # int() would turn true into 1 and truncate 2.5 to 2, and the
-        # result would share the integer design's cache key.
-        if not isinstance(value, bool) and not (
-            isinstance(value, float) and not value.is_integer()
-        ):
-            try:
-                return Port.const(int(value))
-            except (TypeError, ValueError):
-                pass
-        raise DFGError(f"constant must be an integer, got {value!r}")
-    if "input" in obj:
-        return Port.input(_name(obj["input"], "input reference"))
-    if "node" in obj:
-        return Port.node(_name(obj["node"], "node reference"))
-    raise DFGError(f"malformed port object: {obj!r}")
+def _constant(value: Any) -> int:
+    """The integer a ``{"const": value}`` port spells."""
+    # int() would turn true into 1 and truncate 2.5 to 2, and the
+    # result would share the integer design's cache key.
+    if not isinstance(value, bool) and not (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise DFGError(f"constant must be an integer, got {value!r}")
 
 
-def _ports_from_obj(objs: Any, role: str, name: str) -> List[Port]:
-    """Decode the ports of node or output ``name``; an error names it."""
-    try:
-        return [_port_from_obj(obj) for obj in objs]
-    except DFGError as error:
-        raise DFGError(f"{role} {name!r}: {error}") from None
+class _Signals:
+    """The one :class:`Port` of each signal a design has declared so far.
+
+    Every reference to a declared input, an earlier node or a constant
+    value gets that signal's Port, so a decode builds one Port per
+    signal rather than one per use.  A reference to anything else gets a
+    fresh Port and marks the design ``dangling``; :meth:`DFG.add_op`
+    then raises its usual error for it.
+    """
+
+    def __init__(self) -> None:
+        self.inputs: Dict[str, Port] = {}
+        self.nodes: Dict[str, Port] = {}
+        self.consts: Dict[int, Port] = {}
+        self.dangling = False
+
+    def port(self, obj: Dict[str, Any]) -> Port:
+        if "const" in obj:
+            value = _constant(obj["const"])
+            port = self.consts.get(value)
+            if port is None:
+                port = self.consts[value] = Port.const(value)
+            return port
+        if "input" in obj:
+            table, make = self.inputs, Port.input
+            name = _name(obj["input"], "input reference")
+        elif "node" in obj:
+            table, make = self.nodes, Port.node
+            name = _name(obj["node"], "node reference")
+        else:
+            raise DFGError(f"malformed port object: {obj!r}")
+        port = table.get(name)
+        if port is None:
+            self.dangling = True
+            port = make(name)
+        return port
+
+    def ports(self, objs: Any, role: str, name: str) -> List[Port]:
+        """Decode the ports of node or output ``name``; an error names it."""
+        try:
+            return [self.port(obj) for obj in objs]
+        except DFGError as error:
+            raise DFGError(f"{role} {name!r}: {error}") from None
 
 
 def _branch_from_obj(node: str, pairs: Any) -> BranchPath:
@@ -82,9 +113,73 @@ def _branch_from_obj(node: str, pairs: Any) -> BranchPath:
     return tuple(path)
 
 
-def dfg_to_json(dfg: DFG, indent: Optional[int] = 2) -> str:
-    """Serialise a DFG to JSON text."""
-    payload = {
+#: What ``json.dumps`` calls for a string; a C function where available.
+_encode_str = json.encoder.encode_basestring_ascii
+
+#: The encoder ``json.dumps(obj)`` builds, for fields of other types.
+_JSON = json.JSONEncoder()
+
+
+def _text(value: Any) -> str:
+    """``json.dumps(value)``: strings, integers and booleans directly."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return _JSON.encode(value)
+
+
+def _key_text(key: Any) -> str:
+    """The text ``json.dumps`` gives ``key`` as an object key."""
+    if type(key) is str:
+        return _encode_str(key)
+    # JSON spells an int, float, bool or None key as a string (and
+    # refuses any other); ``{key: null}`` lets the encoder apply that.
+    return _JSON.encode({key: None})[1:-len(": null}")]
+
+
+def _port_text(port: Port) -> str:
+    if port.is_const:
+        return f'{{"const": {_text(port.value)}}}'
+    if port.is_input:
+        return f'{{"input": {_text(port.name)}}}'
+    return f'{{"node": {_text(port.name)}}}'
+
+
+def _node_text(node: Node) -> str:
+    operands = ", ".join([_port_text(port) for port in node.operands])
+    branch = ", ".join(
+        [f"[{_text(cond)}, {_text(arm)}]" for cond, arm in node.branch]
+    )
+    return (
+        f'{{"name": {_text(node.name)}, "kind": {_text(node.kind)}, '
+        f'"operands": [{operands}], "branch": [{branch}]}}'
+    )
+
+
+def _dfg_text(dfg: DFG) -> str:
+    """``json.dumps(_dfg_payload(dfg))``, rendered field by field."""
+    design = _text(dfg.name)
+    inputs = ", ".join([_text(name) for name in dfg.inputs])
+    nodes = ", ".join([_node_text(node) for node in dfg])
+    outputs = ", ".join(
+        [
+            f"{_key_text(name)}: {_port_text(port)}"
+            for name, port in dfg.outputs.items()
+        ]
+    )
+    return (
+        f'{{"format": "repro-dfg", "version": {FORMAT_VERSION}, '
+        f'"name": {design}, "inputs": [{inputs}], '
+        f'"nodes": [{nodes}], "outputs": {{{outputs}}}}}'
+    )
+
+
+def _dfg_payload(dfg: DFG) -> Dict[str, Any]:
+    return {
         "format": "repro-dfg",
         "version": FORMAT_VERSION,
         "name": dfg.name,
@@ -102,7 +197,18 @@ def dfg_to_json(dfg: DFG, indent: Optional[int] = 2) -> str:
             name: _port_to_obj(port) for name, port in dfg.outputs.items()
         },
     }
-    return json.dumps(payload, indent=indent)
+
+
+def dfg_to_json(dfg: DFG, indent: Optional[int] = 2) -> str:
+    """Serialise a DFG to JSON text.
+
+    The compact text (``indent=None``, what the service stores and keys
+    on) is rendered directly; it equals ``json.dumps`` of the payload the
+    indented layout dumps.
+    """
+    if indent is None:
+        return _dfg_text(dfg)
+    return json.dumps(_dfg_payload(dfg), indent=indent)
 
 
 def dfg_from_json(text: str) -> DFG:
@@ -123,18 +229,23 @@ def dfg_from_obj(payload: Dict[str, Any]) -> DFG:
             f"unsupported repro-dfg version {payload.get('version')!r}"
         )
     dfg = DFG(_name(payload.get("name", "dfg"), "design name"))
+    signals = _Signals()
     for input_name in payload.get("inputs", []):
-        dfg.add_input(_name(input_name, "input name"))
+        name = _name(input_name, "input name")
+        signals.inputs[name] = dfg.add_input(name)
     for node in payload.get("nodes", []):
         name = _name(node["name"], "node name")
-        dfg.add_op(
-            node["kind"],
-            _ports_from_obj(node["operands"], "node", name),
-            name=name,
-            branch=_branch_from_obj(name, node.get("branch", [])),
-        )
+        kind = node["kind"]
+        operands = signals.ports(node["operands"], "node", name)
+        branch = _branch_from_obj(name, node.get("branch", []))
+        if signals.dangling or name in signals.nodes:
+            # add_op raises the error this node deserves.
+            port = dfg.add_op(kind, operands, name=name, branch=branch)
+        else:
+            port = dfg._add_node(name, kind, operands, branch)
+        signals.nodes[name] = port
     for out_name, obj in payload.get("outputs", {}).items():
-        dfg.set_output(out_name, _ports_from_obj([obj], "output", out_name)[0])
+        dfg.set_output(out_name, signals.ports([obj], "output", out_name)[0])
     dfg.validate()
     return dfg
 

@@ -92,7 +92,9 @@ def json_object(body: bytes) -> Dict[str, Any]:
     """Decode a request body that must be a JSON object (empty → ``{}``)."""
     try:
         parsed = json.loads(body.decode("utf-8") or "{}")
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except ValueError as error:
+        # Undecodable bytes, malformed JSON, and an integer literal past
+        # the interpreter's digit limit (a plain ValueError).
         raise ProtocolError(400, f"request body is not JSON: {error}")
     except RecursionError:
         raise ProtocolError(400, "request body nests too deeply") from None

@@ -35,7 +35,7 @@ from repro.dfg.fingerprint import (
 from repro.dfg.graph import DFG
 from repro.dfg.ops import standard_operation_set
 from repro.dfg.parser import parse_behavior
-from repro.errors import DFGError, LibraryError
+from repro.errors import DFGError, LibraryError, ScheduleError
 from repro.io.jsonio import dfg_from_json, dfg_from_obj, dfg_to_json
 from repro.perf import PerfCounters
 from repro.resilience.faults import fault_point
@@ -107,22 +107,48 @@ def normalize_spec(
 
     The canonicalisation matters: two requests describing the same job
     (isomorphic designs, same parameters in any spelling) normalise to
-    specs with the same :func:`cache_key`.  Every operation is checked
-    against the standard operation set (kind and operand count) and, for
-    ``mfsa``, against the default cell library, so a design no worker
-    could run is refused here rather than failing in the pool.
+    specs with the same :func:`cache_key`.  Admission runs four layers:
+    decode (:func:`parse_design`), :func:`validate_request`, the
+    canonical ``dfg_json`` text and the design's fingerprint.
+    """
+    _require(algorithm in ALGORITHMS, f"unknown algorithm {algorithm!r}")
+    _require(isinstance(body, Mapping), "request body must be a JSON object")
+    dfg = parse_design(body)
+    parameters = validate_request(algorithm, body, dfg)
+    dfg_json = dfg_to_json(dfg, indent=None)
+    _remember_admission(dfg_json, (dfg.name, dfg_fingerprint(dfg)))
+    return {
+        "version": SPEC_VERSION,
+        "algorithm": algorithm,
+        "dfg_json": dfg_json,
+        **parameters,
+        "verify": bool(verify),
+        "trace": bool(trace),
+    }
+
+
+def validate_request(
+    algorithm: str, body: Mapping[str, Any], dfg: DFG
+) -> Dict[str, Any]:
+    """Check a decoded request against what a worker can run; return its
+    parameters in canonical form (the spec's fields after ``dfg_json``).
+
+    Every operation is checked against the standard operation set (kind
+    and operand count) and, for ``mfsa``, against the default cell
+    library, so a design no worker could run is refused here rather
+    than failing in the pool.
 
     ``cs`` is bounded by the larger of :data:`CS_FLOOR` and the design's
     summed op latencies.  A longer schedule has a control step in which
     nothing runs, and deleting that step changes no unit, register or
     mux count, so a larger ``cs`` buys only a larger placement grid.
+    A ``clock_ns`` shorter than the delay of a single-cycle kind the
+    design uses is refused, as the worker would refuse it.
     """
-    _require(algorithm in ALGORITHMS, f"unknown algorithm {algorithm!r}")
-    _require(isinstance(body, Mapping), "request body must be a JSON object")
-    dfg = parse_design(body)
     _require(len(dfg) > 0, "design has no operations")
     try:
-        dfg.validate(worker_cached(("serve.ops",), standard_operation_set))
+        # Decoding ran the structural checks; kinds and arity remain.
+        dfg.check_operations(_operation_set(1))
         if algorithm == "mfsa":
             _default_library().check_covers(dfg.kinds_used())
     except (DFGError, LibraryError) as error:
@@ -175,23 +201,44 @@ def normalize_spec(
             f"'cs' must be <= {bound}, the larger of {CS_FLOOR} and the "
             f"design's summed op latencies ({total})",
         )
-    dfg_json = dfg_to_json(dfg, indent=None)
-    _remember_admission(dfg_json, (dfg.name, dfg_fingerprint(dfg)))
-    spec = {
-        "version": SPEC_VERSION,
-        "algorithm": algorithm,
-        "dfg_json": dfg_json,
+    clock_ns = _opt_number("clock_ns", float, minimum=0.0)
+    if clock_ns is not None:
+        _check_clock(dfg, mul_latency, clock_ns)
+    return {
         "cs": cs,
         "style": style,
         "mul_latency": mul_latency,
-        "clock_ns": _opt_number("clock_ns", float, minimum=0.0),
+        "clock_ns": clock_ns,
         "latency_l": _opt_number("latency_l", int, minimum=1),
         "pipelined": sorted(set(pipelined)),
         "seed": _opt_number("seed", int) or 0,
-        "verify": bool(verify),
-        "trace": bool(trace),
     }
-    return spec
+
+
+def _operation_set(mul_latency: int):
+    """The standard operation set at ``mul_latency``, built once per process."""
+    return worker_cached(
+        ("serve.ops", mul_latency),
+        lambda: standard_operation_set(mul_latency=mul_latency),
+    )
+
+
+def _check_clock(dfg: DFG, mul_latency: int, clock_ns: float) -> None:
+    """Refuse a clock shorter than a single-cycle kind's delay, the
+    check every schedule of the design would fail.
+
+    ``mul_latency`` decides only whether a multiplier is single-cycle,
+    so two operation sets cover every request and admission keeps one
+    cached object per set, not one per parameter pair.
+    """
+    timing = TimingModel(
+        ops=_operation_set(min(mul_latency, 2)), clock_period_ns=clock_ns
+    )
+    try:
+        for kind in dfg.kinds_used():
+            timing.check_kind_fits_clock(kind)
+    except ScheduleError as error:
+        raise JobSpecError(f"'clock_ns' is too short: {error}") from None
 
 
 def _default_library():

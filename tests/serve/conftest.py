@@ -131,6 +131,13 @@ UNRUNNABLE = {
         {"source": THREE_OPS, "cs": 100_000},
         f"'cs' must be <= {CS_FLOOR}",
     ),
+    # A single-cycle 40 ns multiply cannot fit a 20 ns step.
+    "clock-shorter-than-op": (
+        "mfs",
+        {"dfg": one_op_design("mul", 2), "clock_ns": 20},
+        "operation kind 'mul' has delay 40.0 ns, longer than the clock "
+        "period 20.0 ns",
+    ),
 }
 
 

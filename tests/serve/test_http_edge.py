@@ -1,10 +1,11 @@
 """Hostile-client edge of the shared HTTP parser.
 
 Every request here goes over a raw socket to an in-thread
-:class:`~repro.serve.app.ServeApp`, so the bytes on the wire are exactly
-the ones written — malformed lengths, truncated bodies, oversized lines,
-idle connections.  The contract under test: no client byte sequence
-gets a 5xx, and none holds a connection open past the read deadline.
+:class:`~repro.serve.app.ServeApp` (the long-integer bodies also to a
+one-shard router), so the bytes on the wire are exactly the ones
+written — malformed lengths, truncated bodies, oversized lines, idle
+connections.  The contract under test: no client byte sequence gets a
+5xx, and none holds a connection open past the read deadline.
 The router shares the same parser; ``tests/serve/test_router.py`` runs
 the ``Content-Length`` regressions against a live fleet.
 """
@@ -16,7 +17,7 @@ import socket
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.serve import Client, ServeApp
+from repro.serve import Client, RouterConfig, ServeApp, ShardRouter
 from repro.serve import httpcore
 
 
@@ -25,6 +26,19 @@ def server():
     app = ServeApp(port=0, backend="serial")
     with app.start_in_thread() as handle:
         yield app, handle.port
+
+
+@pytest.fixture(scope="module", params=["serve", "router"])
+def either_role(request):
+    """A server of each role; the router parses a body before it forwards."""
+    if request.param == "serve":
+        app = ServeApp(port=0, backend="serial")
+    else:
+        app = ShardRouter(
+            RouterConfig(port=0, shards=1, shard_args=("--serial",))
+        )
+    with app.start_in_thread() as handle:
+        yield handle.port
 
 
 def exchange(
@@ -110,6 +124,30 @@ class TestParserValidation:
         assert status_of(exchange(port, b"GET http://[::1 HTTP/1.1\r\n\r\n")) == 400
 
 
+#: Bodies holding an integer literal past the interpreter's 4300-digit
+#: conversion limit, which ``json.loads`` refuses with a plain ValueError.
+LONG_INTEGER_BODIES = {
+    "object": b'{"cs": ' + b"1" * 5000 + b"}",
+    "design-cs": b'{"source": "input a\\nx = a + a\\noutput x\\n", "cs": '
+    + b"1" * 4301
+    + b"}",
+    "array": b"[" + b"1" * 4400 + b"]",
+}
+
+
+class TestLongIntegers:
+    @pytest.mark.parametrize("target", ["/v1/schedule", "/v1/synth?wait=1"])
+    @pytest.mark.parametrize("name", sorted(LONG_INTEGER_BODIES))
+    def test_integer_past_the_digit_limit_is_400(self, either_role, target, name):
+        port = either_role
+        body = LONG_INTEGER_BODIES[name]
+        head = f"POST {target} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+        response = exchange(port, head.encode("ascii") + body)
+        assert status_of(response) == 400
+        assert b"request body is not JSON" in body_of(response)
+        assert b"4300" in body_of(response)
+
+
 class TestReadDeadline:
     def test_idle_connection_gets_408(self, server, monkeypatch):
         _app, port = server
@@ -181,23 +219,21 @@ HEADERS = st.lists(
     ),
     max_size=4,
 )
-BODIES = st.one_of(
-    st.sampled_from(
-        [
-            b"",
-            b"{}",
-            b"[]",
-            b"{",
-            b"null",
-            b'"text"',
-            b'{"source": 5}',
-            b'{"keys": "k"}',
-            b'{"keys": ["k"]}',
-            b'{"entries": [1, {"key": 2}]}',
-        ]
-    ),
-    st.binary(max_size=48),
-)
+#: Bodies worth sending as they are; the fuzz adds random bytes.
+SAMPLED_BODIES = [
+    b"",
+    b"{}",
+    b"[]",
+    b"{",
+    b"null",
+    b'"text"',
+    b'{"source": 5}',
+    b'{"keys": "k"}',
+    b'{"keys": ["k"]}',
+    b'{"entries": [1, {"key": 2}]}',
+    b"1" * 4301,
+]
+BODIES = st.one_of(st.sampled_from(SAMPLED_BODIES), st.binary(max_size=48))
 
 
 def test_fuzzed_requests_never_get_a_5xx(server):
@@ -233,3 +269,18 @@ def test_fuzzed_requests_never_get_a_5xx(server):
     assert app.metrics.counter_value(
         "http_requests", method="-", route="-", status="400"
     ) > 0
+
+
+@pytest.mark.parametrize(
+    "target", ["/v1/schedule", "/v1/synth", "/admin/cache/export", "/admin/cache/import"]
+)
+@pytest.mark.parametrize(
+    "body", SAMPLED_BODIES, ids=[f"body{i}" for i in range(len(SAMPLED_BODIES))]
+)
+def test_sampled_bodies_sent_whole_never_get_a_5xx(server, target, body):
+    """The fuzz above sends lengths of at most 80 bytes, so a long body
+    reaches a route's parser only here."""
+    _app, port = server
+    head = f"POST {target} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+    response = exchange(port, head.encode("ascii") + body)
+    assert status_of(response) < 500, (body[:80], response)

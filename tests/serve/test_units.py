@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import re
 
 import pytest
 
+from repro.bench.suites import EXAMPLES
+from repro.io.jsonio import dfg_to_json
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
     CS_FLOOR,
@@ -129,6 +132,38 @@ class TestSpecs:
             normalize_spec("mfs", dict(body, cs=2200, mul_latency=1))
         small = {"source": "input a\nx = a + 1\noutput x", "cs": CS_FLOOR}
         assert normalize_spec("mfs", small)["cs"] == CS_FLOOR
+
+    @pytest.mark.parametrize("clock_ns", [0, -0.0])
+    def test_zero_clock_is_refused(self, clock_ns):
+        with pytest.raises(JobSpecError, match="'clock_ns' is too short"):
+            normalize_spec("mfs", {"source": SRC, "clock_ns": clock_ns})
+
+    def test_admission_refuses_exactly_the_clocks_the_worker_refuses(self):
+        # Whatever admission lets through, the worker's own clock check
+        # passes; whatever it refuses, the worker refuses too.
+        designs = [
+            json.loads(dfg_to_json(example.build()))
+            for example in EXAMPLES.values()
+        ]
+        for design, clock_ns, mul_latency in itertools.product(
+            designs, (0.0, 5.0, 9.0, 10.0, 20.0, 39.9, 40.0), (1, 2)
+        ):
+            body = {"dfg": design, "mul_latency": mul_latency}
+            unclocked = normalize_spec("mfs", body)
+            spec = dict(unclocked, clock_ns=clock_ns)
+            payload = execute_spec(spec)[0]
+            worker_refused = (
+                not payload["ok"]
+                and "longer than the clock period" in payload["error"]["message"]
+            )
+            try:
+                normalize_spec("mfs", dict(body, clock_ns=clock_ns))
+            except JobSpecError as error:
+                assert "longer than the clock period" in str(error)
+                refused = True
+            else:
+                refused = False
+            assert refused == worker_refused, (design["name"], clock_ns, mul_latency)
 
     def test_cache_key_ignores_parameter_spelling(self):
         assert cache_key(_spec(body={"cs": 4})) == cache_key(
