@@ -1,17 +1,17 @@
-"""Reshard-cost harness: hit retention, handoff time, cold throughput.
+"""Reshard-cost harness: hit retention across a resize, cold throughput.
 
-Measures three numbers of the elastic fleet, against a real
-:class:`~repro.serve.router.ShardRouter` fleet over sockets:
+Measures the elastic fleet against a real
+:class:`~repro.serve.router.ShardRouter` fleet over sockets, at default
+cache sizes:
 
 * **cache-hit retention** — warm a 2-shard fleet with distinct designs,
   grow it to 3 shards through ``POST /admin/shards``, resubmit every
-  design, and count the cache hits.  The router L2 is pinned to a
-  single entry, so surviving hits can only come from the warm handoff
-  into the shards' L1s — the zero-downtime-reshard claim.  Budget:
-  **≥ 90 %** retained (in practice 100 %; the handoff is push-before-
-  flip, not best-effort invalidation).
-* **handoff wall time** — how long the warm push itself took, from the
-  router's ``handoff_seconds`` summary.
+  design and count the cache hits; then remove ``shard-0`` (3 → 2) and
+  count again.  A resize is a boot or a drain plus a ring flip, and the
+  router L2 answers repeats whatever the ring says.  Budget: **≥ 90 %**
+  retained on both resizes (in practice 100 %).
+* **resize wall time** — how long each admin call took, boot or drain
+  included.
 * **cold throughput** — cache-cold jobs/s through a fresh 2-shard
   fleet, best of ``--trials`` runs (best-of-N is the standard estimate
   of uncontended capability for a throughput microbenchmark).  Compare
@@ -56,17 +56,19 @@ def _sources(count, salt=0):
     return [DESIGN.format(k=3 + salt + i, k2=7 + salt + i) for i in range(count)]
 
 
+def _hit_pct(client, sources, cs):
+    """Resubmit every design: % answered as cache hits."""
+    hits = 0
+    for source in sources:
+        again = client.schedule(source=source, cs=cs, wait=True, timeout=300)
+        assert again["result"]["ok"], again
+        hits += again["job"]["cache"] == "hit"
+    return round(100.0 * hits / len(sources), 2)
+
+
 def measure_retention(entries, cs):
-    """Warm 2 shards, grow to 3, resubmit: % still served as hits."""
-    router = ShardRouter(
-        RouterConfig(
-            port=0,
-            shards=2,
-            cache_entries=1,  # the router L2 cannot mask a broken handoff
-            shard_args=("--serial",
-                        "--cache-entries", str(max(1024, 2 * entries))),
-        )
-    )
+    """Warm 2 shards, grow to 3, then drain one: % still hits after each."""
+    router = ShardRouter(RouterConfig(port=0, shards=2, shard_args=("--serial",)))
     handle = router.start_in_thread()
     try:
         client = Client(handle.url, timeout=300.0)
@@ -75,23 +77,20 @@ def measure_retention(entries, cs):
             out = client.schedule(source=source, cs=cs, wait=True, timeout=300)
             assert out["result"]["ok"], out
 
-        reshard_start = time.perf_counter()
-        added = client.admin_add_shard()
-        reshard_s = time.perf_counter() - reshard_start
+        start = time.perf_counter()
+        client.admin_add_shard()
+        add_s = time.perf_counter() - start
+        add_pct = _hit_pct(client, sources, cs)
 
-        hits = 0
-        for source in sources:
-            again = client.schedule(source=source, cs=cs, wait=True, timeout=300)
-            assert again["result"]["ok"], again
-            if again["job"]["cache"] == "hit":
-                hits += 1
-        retention_pct = 100.0 * hits / entries
-        handoff_s, _count = router.metrics.summary_value("handoff_seconds")
+        start = time.perf_counter()
+        client.admin_remove_shard("shard-0")
+        remove_s = time.perf_counter() - start
+        remove_pct = _hit_pct(client, sources, cs)
         return {
-            "retention_pct": round(retention_pct, 2),
-            "handoff_entries": added["handoff_entries"],
-            "handoff_seconds": round(handoff_s, 4),
-            "reshard_seconds": round(reshard_s, 3),
+            "add_retention_pct": add_pct,
+            "remove_retention_pct": remove_pct,
+            "add_seconds": round(add_s, 3),
+            "remove_seconds": round(remove_s, 3),
         }
     finally:
         handle.stop()
@@ -153,7 +152,7 @@ def main(argv=None):
                              "(default 3)")
     parser.add_argument("--budget", type=float, default=180.0,
                         help="smoke wall-time budget in seconds (default 180)")
-    parser.add_argument("--label", default="elastic-fleet",
+    parser.add_argument("--label", default="ring-flip reshard",
                         help="history-entry label recorded in BENCH_core.json")
     parser.add_argument(
         "--out",
@@ -165,23 +164,24 @@ def main(argv=None):
 
     start = time.perf_counter()
     retention = measure_retention(entries, args.cs)
-    print(
-        f"retention: {retention['retention_pct']:.1f}% of {entries} warm "
-        f"entries still hits after 2→3 reshard "
-        f"({retention['handoff_entries']} handed off in "
-        f"{retention['handoff_seconds']:.3f} s)"
-    )
+    short = []
+    for action, resize in (("add", "2→3"), ("remove", "3→2")):
+        pct = retention[f"{action}_retention_pct"]
+        print(
+            f"retention: {pct:.1f}% of {entries} warm entries still hits "
+            f"after {action} ({resize}, {retention[f'{action}_seconds']:.3f} s)"
+        )
+        if pct < RETENTION_FLOOR_PCT:
+            short.append(f"{action} retention {pct:.1f}%")
 
     if args.smoke:
         wall = time.perf_counter() - start
-        failed = False
-        if retention["retention_pct"] < RETENTION_FLOOR_PCT:
+        for message in short:
             print(
-                f"FAIL: retention {retention['retention_pct']:.1f}% "
-                f"< {RETENTION_FLOOR_PCT:g}% floor",
+                f"FAIL: {message} < {RETENTION_FLOOR_PCT:g}% floor",
                 file=sys.stderr,
             )
-            failed = True
+        failed = bool(short)
         if wall > args.budget:
             print(
                 f"FAIL: smoke took {wall:.1f} s (budget {args.budget:g} s)",
@@ -197,7 +197,7 @@ def main(argv=None):
         args.jobs, args.clients, args.cs, trials=args.trials
     )
     print(f"cold throughput: {rate:.1f} jobs/s (best of {args.trials} trials)")
-    assert retention["retention_pct"] >= RETENTION_FLOOR_PCT, retention
+    assert not short, retention
 
     entry = {
         "benchmark": "reshard",
@@ -208,10 +208,7 @@ def main(argv=None):
         "trials": args.trials,
         "cpus": default_workers(),
         "cs": args.cs,
-        "retention_pct": retention["retention_pct"],
-        "handoff_entries": retention["handoff_entries"],
-        "handoff_seconds": retention["handoff_seconds"],
-        "reshard_seconds": retention["reshard_seconds"],
+        **retention,
         "cold_jobs_per_s": round(rate, 2),
     }
     out = append_entry(entry, "reshard", Path(args.out))

@@ -193,11 +193,6 @@ def optimize_mux_inputs(operands: Sequence[MuxOperand]) -> MuxAssignment:
     return MuxAssignment(l1=tuple(sorted(l1)), l2=tuple(sorted(l2)), swapped=swapped)
 
 
-def mux_cost_of(assignment: MuxAssignment, mux_costs) -> float:
-    """Cost of the two input muxes under a :class:`MuxCostTable`."""
-    return mux_costs.cost(len(assignment.l1)) + mux_costs.cost(len(assignment.l2))
-
-
 # ---------------------------------------------------------------------------
 # Process-wide memo over renaming-canonical operand lists.
 #
@@ -248,37 +243,6 @@ def _canonical_form(
                 names.append(item.right)
         key.append((left, right, item.commutative))
     return tuple(key), names
-
-
-def cached_mux_input_sizes(
-    operands: Sequence[MuxOperand], perf=None
-) -> Tuple[int, int]:
-    """``(|L1|, |L2|)`` of the optimised assignment, via the memo.
-
-    The cost-only variant of :func:`cached_optimize_mux_inputs`: a memo
-    hit skips reconstructing the real-name assignment entirely (sizes are
-    renaming-invariant).
-    """
-    key, names = _canonical_form(operands)
-    if key is None:
-        assignment = optimize_mux_inputs(operands)
-        return len(assignment.l1), len(assignment.l2)
-    hit = _CANON_CACHE.get(key)
-    if hit is not None:
-        if perf is not None:
-            perf.incr("mux.canon_hits")
-        return len(hit[0]), len(hit[1])
-    if perf is not None:
-        perf.incr("mux.canon_misses")
-    assignment = optimize_mux_inputs(operands)
-    if len(_CANON_CACHE) < _CANON_CACHE_MAX:
-        ids = {name: i for i, name in enumerate(names)}
-        _CANON_CACHE[key] = (
-            tuple(sorted(ids[s] for s in assignment.l1)),
-            tuple(sorted(ids[s] for s in assignment.l2)),
-            tuple(assignment.swapped.get(item.op, False) for item in operands),
-        )
-    return len(assignment.l1), len(assignment.l2)
 
 
 def _optimize_canonical(

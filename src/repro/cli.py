@@ -915,14 +915,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve-admin",
         help="administer a running sharded MFS (§3) / MFSA (§4) fleet: "
-        "show ring membership, or grow/drain a worker shard online with "
-        "a warm cache handoff (zero-downtime reshard)",
+        "show ring membership, or grow/drain a worker shard online "
+        "(zero-downtime reshard: boot or drain plus a ring flip)",
     )
     p.add_argument(
         "action",
         choices=["status", "add", "remove"],
         help="status = ring + per-shard state, add = boot one shard and "
-        "hand its keys off warm, remove = drain a shard out of the fleet",
+        "put it on the ring, remove = drain a shard out of the fleet",
     )
     p.add_argument("--url", default="http://127.0.0.1:8421",
                    help="router base URL")
@@ -930,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard name to remove (required for 'remove')")
     p.add_argument("--timeout", type=float, default=120.0,
                    help="admin request timeout in seconds — covers shard "
-                   "boot plus the cache handoff (default 120)")
+                   "boot or drain (default 120)")
 
     p = sub.add_parser(
         "submit",

@@ -56,7 +56,6 @@ FAULT_SITES = (
     "sweep.submit",         # SweepExecutor, per-item pool submission
     "scheduler.run",        # execute_spec, before the scheduler runs
     "router.forward",       # ShardRouter, before proxying to a shard
-    "router.handoff",       # ShardRouter, before pushing a reshard handoff batch
 )
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro.perf import PerfCounters
 from repro.resilience.faults import InjectedFault, fault_point
@@ -46,7 +46,6 @@ from repro.serve.httpcore import (
     ProtocolError,
     Response,
     flag,
-    json_object,
     remember,
 )
 from repro.serve.batcher import MicroBatcher
@@ -312,11 +311,7 @@ class ServeApp(BaseServer):
             if entry.status == "done" and entry.text is not None:
                 job.future.set_result(entry.text)
                 if entry.key:
-                    self.cache.put(
-                        entry.key,
-                        entry.text,
-                        tag=self._entry_fingerprint(entry.spec),
-                    )
+                    self.cache.put(entry.key, entry.text)
             else:
                 # Nothing awaits a resurrected failure; a cancelled
                 # future is silent on collection, an exception is not.
@@ -357,7 +352,8 @@ class ServeApp(BaseServer):
 
     @staticmethod
     def _entry_fingerprint(spec: Optional[Mapping[str, Any]]) -> Optional[str]:
-        """Best-effort routing tag for a journal entry's cached result."""
+        """Best-effort DFG fingerprint of a journal entry's design (the
+        ``fingerprint`` of a replayed job's description)."""
         if not spec or "dfg_json" not in spec:
             return None
         try:
@@ -374,7 +370,7 @@ class ServeApp(BaseServer):
             # the entry costs future hits, never this job's result.
             try:
                 fault_point("serve.cache.put")
-                self.cache.put(job.key, text, tag=job.fingerprint)
+                self.cache.put(job.key, text)
             except InjectedFault:
                 self.metrics.incr("cache_put_errors")
         if self.inflight.get(job.key) is job:
@@ -384,70 +380,6 @@ class ServeApp(BaseServer):
     # ------------------------------------------------------------------
     # HTTP layer
     # ------------------------------------------------------------------
-    async def _route(
-        self, method: str, path: str, query: Mapping[str, str], body: bytes
-    ) -> Tuple[str, Response]:
-        if path.startswith("/admin/cache/"):
-            return path, self._handle_admin_cache(method, path, body)
-        return await super()._route(method, path, query, body)
-
-    def _handle_admin_cache(
-        self, method: str, path: str, body: bytes
-    ) -> Response:
-        """Cache transfer endpoints backing the router's reshard handoff.
-
-        * ``GET  /admin/cache/index``  — every entry's ``(key, tag)``;
-        * ``POST /admin/cache/export`` — ``{"keys": [...]}`` → full
-          entries for the keys still cached;
-        * ``POST /admin/cache/import`` — ``{"entries": [...]}`` → puts,
-          returning ``{"imported": n}``.
-        """
-        sub = path[len("/admin/cache/"):]
-        if sub == "index":
-            if method != "GET":
-                return 405, {}, {"error": "GET required"}
-            entries = [
-                {"key": key, "tag": tag}
-                for key, tag, _text in self.cache.tagged_entries()
-            ]
-            return 200, {}, {"entries": entries, "total": len(self.cache)}
-        if sub in ("export", "import"):
-            if method != "POST":
-                return 405, {}, {"error": "POST required"}
-            parsed = json_object(body)
-            if sub == "export":
-                keys = parsed.get("keys")
-                if not isinstance(keys, list):
-                    return 400, {}, {"error": "'keys' must be a list"}
-                entries = []
-                for key in keys:
-                    text = self.cache.peek(key) if isinstance(key, str) else None
-                    if text is not None:
-                        entries.append(
-                            {
-                                "key": key,
-                                "tag": self.cache.tag(key),
-                                "text": text,
-                            }
-                        )
-                return 200, {}, {"entries": entries}
-            items = parsed.get("entries")
-            if not isinstance(items, list):
-                return 400, {}, {"error": "'entries' must be a list"}
-            imported = 0
-            for item in items:
-                if not isinstance(item, Mapping):
-                    continue
-                key, text = item.get("key"), item.get("text")
-                if isinstance(key, str) and isinstance(text, str):
-                    tag = item.get("tag")
-                    self.cache.put(
-                        key, text, tag=tag if isinstance(tag, str) else None
-                    )
-                    imported += 1
-            return 200, {}, {"imported": imported}
-        return 404, {}, {"error": f"unknown admin resource {sub!r}"}
-
     async def _handle_submit(
         self, algorithm: str, path: str, query: Mapping[str, str], body: bytes
     ) -> Response:

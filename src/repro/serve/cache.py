@@ -20,7 +20,7 @@ cache only ever sees completed results.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Optional
 
 from repro.serve.metrics import Metrics
 
@@ -38,10 +38,6 @@ class ResultCache:
         self.max_entries = max_entries
         self.metrics = metrics
         self._entries: "OrderedDict[str, str]" = OrderedDict()
-        # Ring-placement tags: cache keys are opaque sha256 digests, so an
-        # entry that must survive a ring resize carries the DFG fingerprint
-        # it routes by.  Untagged entries simply cannot be handed off.
-        self._tags: Dict[str, Optional[str]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -70,43 +66,19 @@ class ResultCache:
         """Like :meth:`get` but without touching recency or counters."""
         return self._entries.get(key)
 
-    def put(self, key: str, text: str, tag: Optional[str] = None) -> None:
-        """Store a completed result; evicts the least-recently-used entry.
-
-        ``tag`` is the entry's routing fingerprint (the DFG fingerprint
-        the hash ring places it by); pass it wherever the entry may need
-        to be handed off on a ring resize.
-        """
+    def put(self, key: str, text: str) -> None:
+        """Store a completed result; evicts the least-recently-used entry."""
         self._entries[key] = text
         self._entries.move_to_end(key)
-        if tag is not None:
-            self._tags[key] = tag
         while len(self._entries) > self.max_entries:
-            evicted, _text = self._entries.popitem(last=False)
-            self._tags.pop(evicted, None)
+            self._entries.popitem(last=False)
             self.evictions += 1
             if self.metrics is not None:
                 self.metrics.incr("cache_evictions")
 
-    def tag(self, key: str) -> Optional[str]:
-        """The routing fingerprint stored with ``key``, if any."""
-        return self._tags.get(key)
-
-    def tagged_entries(self) -> Iterator[Tuple[str, str, str]]:
-        """``(key, tag, text)`` for every entry with a routing tag.
-
-        LRU order (coldest first); the reshard handoff walks this to
-        find entries whose owner changes under a pending ring.
-        """
-        for key, text in self._entries.items():
-            tag = self._tags.get(key)
-            if tag is not None:
-                yield key, tag, text
-
     def clear(self) -> None:
         """Drop every entry (counters are kept — they are totals)."""
         self._entries.clear()
-        self._tags.clear()
 
     def hit_rate(self) -> Optional[float]:
         """Lifetime hit rate, ``None`` before the first lookup."""

@@ -331,7 +331,7 @@ class Client:
         return self._checked("GET", "/admin/shards")
 
     def admin_add_shard(self) -> Dict[str, Any]:
-        """Grow the fleet by one shard; blocks through the warm handoff.
+        """Grow the fleet by one shard; blocks until it is on the ring.
 
         Admin reshards are not retried: a timeout could otherwise boot
         two shards.  409 means another reshard is already running.
@@ -339,7 +339,7 @@ class Client:
         return self._request_once("POST", "/admin/shards", {"action": "add"})
 
     def admin_remove_shard(self, shard: str) -> Dict[str, Any]:
-        """Drain ``shard`` out of the fleet (handoff → drain → exit)."""
+        """Drain ``shard`` out of the fleet (ring flip → drain → exit)."""
         return self._request_once(
             "POST", "/admin/shards", {"action": "remove", "shard": shard}
         )

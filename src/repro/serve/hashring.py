@@ -108,10 +108,8 @@ class HashRing:
     def grown(self, node: str) -> "HashRing":
         """A new ring with ``node`` added (this ring is untouched).
 
-        The online-reshard primitive: the router builds the *pending*
-        ring first, computes the handoff set against it with
-        :func:`moved_keys`, pushes the warm cache entries, and only then
-        flips its live ring to the grown one.
+        The online-reshard primitive: the router boots the new shard,
+        then swaps its live ring for the grown one in a single step.
         """
         return HashRing(self._nodes + [node], replicas=self.replicas)
 
@@ -158,24 +156,3 @@ class HashRing:
             counts[self.node_for(key)] += 1
         return counts
 
-
-def moved_keys(
-    before: "HashRing", after: "HashRing", keys: Iterable[str]
-) -> Dict[str, Tuple[str, str]]:
-    """Keys whose owner changes between two rings.
-
-    This *is* the handoff set of a resize: a cached result must be
-    pushed from its old owner to its new owner for exactly the keys
-    returned here, and for no others.  Maps each relocated key to its
-    ``(old_owner, new_owner)`` pair; growing a ring by one shard maps
-    every relocated key to the new shard, shrinking maps every key the
-    removed shard owned to its ring successor (a property test pins
-    both).
-    """
-    out: Dict[str, Tuple[str, str]] = {}
-    for key in keys:
-        old_owner = before.node_for(key)
-        new_owner = after.node_for(key)
-        if old_owner != new_owner:
-            out[key] = (old_owner, new_owner)
-    return out

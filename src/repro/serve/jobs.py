@@ -284,9 +284,8 @@ def key_and_fingerprint(spec: Mapping[str, Any]) -> Tuple[str, str]:
     ``verify``/``trace`` flags are part of the key because they change
     the response payload (audit fields, the trace artifact), and cached
     responses are returned byte-identical.  The fingerprint is returned
-    alongside because it is the *routing* key: the hash ring places jobs
-    and cache entries by it, and every cache write tags the entry with
-    it so a ring resize can compute the handoff set.  A spec fresh from
+    alongside because it is the *routing* key: the hash ring places
+    each job on a shard by it.  A spec fresh from
     :func:`normalize_spec` is not parsed again: its design's name and
     fingerprint come from the admission memo.
     """
@@ -360,17 +359,17 @@ def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
     from repro.io.jsonio import schedule_to_json, synthesis_to_json
 
     dfg = dfg_from_json(spec["dfg_json"])
-    # Warm-worker caches: the timing model and cell library are pure
-    # functions of their fingerprinted parameters, so a long-lived pool
-    # worker builds each exactly once and reuses it across every job it
-    # serves (see repro.sweep.worker_cached).
-    timing = worker_cached(
-        ("serve.timing", spec["mul_latency"], spec["clock_ns"]),
-        lambda: TimingModel(
-            ops=standard_operation_set(mul_latency=spec["mul_latency"]),
-            clock_period_ns=spec["clock_ns"],
-        ),
+    # Only the operation sets admission keeps (mul_latency 1 and 2) and
+    # the cell library are cached per process; another mul_latency is
+    # built for this job alone, so no client parameter grows a cache.
+    # A TimingModel holds no caches of its own and is built per job.
+    mul_latency = spec["mul_latency"]
+    ops = (
+        _operation_set(mul_latency)
+        if mul_latency <= 2
+        else standard_operation_set(mul_latency=mul_latency)
     )
+    timing = TimingModel(ops=ops, clock_period_ns=spec["clock_ns"])
     cs = spec["cs"] or critical_path_length(dfg, timing)
 
     trace = None

@@ -21,7 +21,7 @@ Design choices, and why:
 * **Routing key = the canonical DFG fingerprint** (:func:`repro.dfg.
   fingerprint.dfg_fingerprint`), not the full cache key — all parameter
   sweeps over one design land on the same shard, so its warm worker
-  caches (timing model, cell library) and L1 result cache do maximal
+  caches (operation sets, cell library) and L1 result cache do maximal
   work.
 * **Two cache tiers.**  Each shard keeps its L1
   :class:`~repro.serve.cache.ResultCache`; the router keeps a shared L2
@@ -40,12 +40,12 @@ Design choices, and why:
   and re-emits the union with a ``shard="shard-<i>"`` label (its own
   series carry ``shard="router"``).
 * **The fleet is elastic.**  ``POST /admin/shards`` (and the
-  ``repro-hls serve-admin`` CLI) boots or drains a shard at runtime: the
-  router builds the pending ring, pushes every cache entry whose owner
-  changes to its new owner (*warm handoff*, so repeat submissions stay
-  hits across the resize), and only then flips the live ring; a removed
-  shard finishes its in-flight jobs and compacts its journal before the
-  process exits.
+  ``repro-hls serve-admin`` CLI) boots or drains a shard at runtime: a
+  resize is a boot or a drain plus a ring flip.  Repeat submissions stay
+  hits across it because the router L2 answers them whatever the ring
+  says; MFS and MFSA are deterministic, so an entry no tier holds costs
+  one recompute of the same bytes.  A removed shard finishes its
+  in-flight jobs and compacts its journal before the process exits.
 * **Supervision is crash-loop safe.**  A dead shard respawns after a
   capped exponential backoff with seeded *equal* jitter (monotone
   non-decreasing gaps, :class:`repro.resilience.retry.RetryPolicy`);
@@ -74,7 +74,7 @@ from urllib.parse import urlencode
 
 from repro.resilience.faults import InjectedFault, fault_point
 from repro.resilience.retry import RetryPolicy
-from repro.serve.hashring import HashRing, moved_keys
+from repro.serve.hashring import HashRing
 from repro.serve.httpcore import (
     BaseServer,
     Response,
@@ -242,9 +242,6 @@ class ShardRouter(BaseServer):
         m.describe("shard_demoted", "Shards permanently demoted by the crash-loop detector.")
         m.describe("shard_respawn_backoff_seconds", "Current respawn backoff delay, by shard.")
         m.describe("reshards", "Ring resizes completed, by action.")
-        m.describe("handoff_entries", "Cache entries warm-pushed during reshards, by receiver.")
-        m.describe("handoff_errors", "Handoff pushes that failed, by receiver.")
-        m.describe("handoff_seconds", "Wall time of one reshard warm handoff.")
         m.gauge("shards_total", lambda: len(self.shards))
         m.gauge(
             "healthy_shards",
@@ -558,188 +555,33 @@ class ShardRouter(BaseServer):
         ):
             # response_text() of the parsed result reproduces the exact
             # bytes the shard cached — canonical JSON both sides.
-            fingerprint = info.get("fingerprint")
-            if not isinstance(fingerprint, str):
-                fingerprint = None
-            self.cache.put(info["key"], response_text(result), tag=fingerprint)
+            self.cache.put(info["key"], response_text(result))
 
     # ------------------------------------------------------------------
     # online reshard
     # ------------------------------------------------------------------
-    async def _shard_call(
-        self,
-        shard: ShardProcess,
-        method: str,
-        target: str,
-        payload: Optional[Mapping[str, Any]] = None,
-    ) -> bytes:
-        """One router-originated admin or health request to a shard.
-
-        Returns the body of a 200 answer; any other status raises
-        ``ConnectionError``, so callers treat it like a transport
-        failure (``OSError``/``asyncio.TimeoutError``).
-        """
-        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
-        status, _headers, raw = await proxy_request(
-            self.config.host,
-            shard.port,
-            method,
-            target,
-            body=body,
-            timeout_s=self.config.health_timeout_s,
-        )
-        if status != 200:
-            raise ConnectionError(f"{method} {target} answered {status}")
-        return raw
-
-    async def _shard_entries(
-        self,
-        shard: ShardProcess,
-        method: str,
-        target: str,
-        fields: Tuple[str, ...],
-        payload: Optional[Mapping[str, Any]] = None,
-    ) -> List[Dict[str, Any]]:
-        """The well-formed ``entries`` of a shard's cache index or export
-        answer (every ``fields`` value a string); empty on any failure."""
-        try:
-            answer = json.loads(
-                await self._shard_call(shard, method, target, payload)
-            )
-        except (OSError, asyncio.TimeoutError, ValueError):
-            return []
-        return [
-            item
-            for item in answer.get("entries", ())
-            if isinstance(item, Mapping)
-            and all(isinstance(item.get(name), str) for name in fields)
-        ]
-
-    async def _relocated_entries(
-        self, after: HashRing
-    ) -> List[Dict[str, Any]]:
-        """Every cached entry whose owner changes under the ``after`` ring.
-
-        Sources both tiers: the router's own L2 (text already in hand)
-        and each live shard's L1 via its cache-index/export endpoints.
-        Deduplicated by cache key — one push per entry no matter how
-        many tiers hold it.
-        """
-        tagged = list(self.cache.tagged_entries())
-        tags = {tag for _key, tag, _text in tagged}
-        indexes: List[Tuple[ShardProcess, List[Dict[str, str]]]] = []
-        for shard in list(self.shards.values()):
-            if shard.port is None or not shard.alive or shard.demoted:
-                continue
-            index = await self._shard_entries(
-                shard, "GET", "/admin/cache/index", ("key", "tag")
-            )
-            indexes.append((shard, index))
-            tags.update(item["tag"] for item in index)
-        moved = moved_keys(self.ring, after, sorted(tags))
-        entries: Dict[str, Dict[str, Any]] = {}
-        for key, tag, text in tagged:
-            if tag in moved:
-                entries[key] = {"key": key, "tag": tag, "text": text}
-        for shard, index in indexes:
-            wanted = [
-                item["key"]
-                for item in index
-                if item["tag"] in moved and item["key"] not in entries
-            ]
-            if not wanted:
-                continue
-            exported = await self._shard_entries(
-                shard,
-                "POST",
-                "/admin/cache/export",
-                ("key", "text", "tag"),
-                {"keys": wanted},
-            )
-            for item in exported:
-                entries.setdefault(item["key"], dict(item))
-        return list(entries.values())
-
-    async def _handoff(self, after: HashRing, absorb: bool = False) -> int:
-        """Warm-push every relocated cache entry to its new owner.
-
-        Runs *before* the live ring flips to ``after``, so the new
-        owners are already warm when routing changes.  ``absorb`` also
-        copies each relocated entry into the router L2 — insurance when
-        the old owner is about to exit.  Push failures are counted, not
-        fatal: a lost handoff entry costs a future cache hit, never a
-        result.
-        """
-        started = time.monotonic()
-        entries = await self._relocated_entries(after)
-        by_owner: Dict[str, List[Dict[str, Any]]] = {}
-        for entry in entries:
-            if absorb:
-                self.cache.put(entry["key"], entry["text"], tag=entry["tag"])
-            by_owner.setdefault(after.node_for(entry["tag"]), []).append(entry)
-        pushed = 0
-        for owner in sorted(by_owner):
-            batch = by_owner[owner]
-            shard = self.shards.get(owner)
-            if shard is None or shard.port is None or not shard.alive:
-                self.metrics.incr(
-                    "handoff_errors", amount=len(batch), target=owner
-                )
-                continue
-            for start in range(0, len(batch), 64):
-                chunk = batch[start:start + 64]
-                try:
-                    fault_point("router.handoff")
-                    await self._shard_call(
-                        shard, "POST", "/admin/cache/import", {"entries": chunk}
-                    )
-                except (OSError, asyncio.TimeoutError, InjectedFault):
-                    self.metrics.incr(
-                        "handoff_errors", amount=len(chunk), target=owner
-                    )
-                    continue
-                pushed += len(chunk)
-                self.metrics.incr(
-                    "handoff_entries", amount=len(chunk), target=owner
-                )
-        self.metrics.observe("handoff_seconds", time.monotonic() - started)
-        return pushed
-
     async def add_shard(self) -> Dict[str, Any]:
-        """Boot a new shard, warm-hand off its keys, then flip the ring."""
+        """Boot a new shard, then flip the ring to include it."""
         name = f"shard-{self._next_index}"
         index = self._next_index
         self._next_index += 1
         shard = self._new_shard(name, index)
         self._spawn(shard)
         await self._await_port(shard)
-        after = self.ring.grown(name)
-        moved = await self._handoff(after)
-        self.ring = after
+        self.ring = self.ring.grown(name)
         self.metrics.incr("reshards", action="add")
-        self._log(
-            f"{name} joined the ring ({len(self.ring)} shards); "
-            f"{moved} cache entries handed off"
-        )
-        return {
-            "action": "add",
-            "shard": name,
-            "ring": list(self.ring.nodes),
-            "handoff_entries": moved,
-        }
+        self._log(f"{name} joined the ring ({len(self.ring)} shards)")
+        return {"action": "add", "shard": name, "ring": list(self.ring.nodes)}
 
     async def remove_shard(self, name: Any) -> Dict[str, Any]:
-        """Hand off a shard's keys, drain it, and retire the process."""
+        """Flip the ring off a shard, drain it, and retire the process."""
         if not isinstance(name, str) or name not in self.shards:
             raise ValueError(f"unknown shard {name!r}")
         shard = self.shards[name]
-        moved = 0
         if name in self.ring:
             if len(self.ring) == 1:
                 raise ValueError("cannot remove the last shard on the ring")
-            after = self.ring.shrunk(name)
-            moved = await self._handoff(after, absorb=True)
-            self.ring = after
+            self.ring = self.ring.shrunk(name)
         shard.draining = True
         shard.healthy = False
         await self._drain_shard(shard)
@@ -751,24 +593,25 @@ class ShardRouter(BaseServer):
             if location == name:
                 self.job_locations.pop(job_id, None)
         self.metrics.incr("reshards", action="remove")
-        self._log(
-            f"{name} drained and left the ring ({len(self.ring)} shards); "
-            f"{moved} cache entries handed off"
-        )
-        return {
-            "action": "remove",
-            "shard": name,
-            "ring": list(self.ring.nodes),
-            "handoff_entries": moved,
-        }
+        self._log(f"{name} drained and left the ring ({len(self.ring)} shards)")
+        return {"action": "remove", "shard": name, "ring": list(self.ring.nodes)}
 
     async def _fetch_health(
         self, shard: ShardProcess
     ) -> Optional[Dict[str, Any]]:
+        """The shard's ``/healthz`` answer; ``None`` on a transport
+        failure, a timeout or a status other than 200."""
         if shard.port is None:
             return None
         try:
-            return json.loads(await self._shard_call(shard, "GET", "/healthz"))
+            status, _headers, raw = await proxy_request(
+                self.config.host,
+                shard.port,
+                "GET",
+                "/healthz",
+                timeout_s=self.config.health_timeout_s,
+            )
+            return json.loads(raw) if status == 200 else None
         except (OSError, asyncio.TimeoutError, ValueError):
             return None
 

@@ -173,8 +173,8 @@ def test_fault_sites_cover_the_production_layers():
     # The registry names every layer the PR threads faults through.
     prefixes = {site.split(".")[0] for site in FAULT_SITES}
     assert prefixes == {"serve", "sweep", "scheduler", "router"}
-    # The elastic-fleet site is router-side: it fires in the router
-    # process so router-armed plans can chaos-test it.
-    assert "router.handoff" in FAULT_SITES
-    # The router keeps no cache replicas, so it has no replica-write site.
-    assert "shard.replica.put" not in FAULT_SITES
+    # The router only forwards: it keeps no cache replicas and pushes no
+    # cache entries on a reshard, so it has no site for either.
+    assert [site for site in FAULT_SITES if site.startswith("router.")] == [
+        "router.forward"
+    ]

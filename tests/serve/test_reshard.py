@@ -3,8 +3,9 @@
 The three robustness claims the shard router makes:
 
 * **zero-downtime reshard** — ``POST /admin/shards`` grows or drains
-  the fleet at runtime, and the warm cache handoff runs *before* the
-  ring flips, so repeat submissions stay cache hits across the resize;
+  the fleet at runtime with a boot or a drain plus a ring flip; the
+  router L2 keeps repeat submissions cache hits across the resize, and
+  a repeat no tier holds is recomputed to the same bytes;
 * **journal re-warm** — a shard respawned after ``kill -9`` replays its
   journal into its L1 before it listens, so a result the router L2 has
   already evicted is still a cache hit, served by its owner;
@@ -71,21 +72,18 @@ def _warm(client, count, prefix="warm"):
 
 class TestOnlineReshard:
     def test_add_shard_keeps_repeat_submissions_hits(self):
-        """Scale-out acceptance: grow 2 → 3 under a tiny router L2, and
-        every previously computed design is still answered as a cache
-        hit — the relocated entries must have been warm-handed to the
-        new shard's L1 *before* the ring flipped."""
-        with fleet(cache_entries=1) as (router, client):
+        """Scale-out acceptance at the default router L2 size: grow
+        2 → 3, and every previously computed design is still answered as
+        a cache hit, byte-identical to a fresh run."""
+        with fleet() as (router, client):
             designs = _warm(client, 12)
 
             out = client.admin_add_shard()
-            assert out["action"] == "add"
-            assert out["shard"] == "shard-2"
-            assert sorted(out["ring"]) == ["shard-0", "shard-1", "shard-2"]
-            # Placement is deterministic (sha256), so with 12 designs a
-            # 2→3 resize always relocates some keys.
-            assert out["handoff_entries"] >= 1
-
+            assert out == {
+                "action": "add",
+                "shard": "shard-2",
+                "ring": ["shard-0", "shard-1", "shard-2"],
+            }
             assert sorted(router.ring.nodes) == [
                 "shard-0", "shard-1", "shard-2",
             ]
@@ -102,19 +100,39 @@ class TestOnlineReshard:
             assert status["shards"]["shard-2"]["status"] == "ok"
             assert router.metrics.counter_value("reshards", action="add") == 1
 
+    def test_add_shard_recomputes_what_no_tier_holds(self):
+        """With a one-entry router L2, designs that move to the new
+        shard meet a cold L1: each is computed again, and the answer is
+        the same bytes as before the resize."""
+        with fleet(cache_entries=1) as (router, client):
+            designs = _warm(client, 12, prefix="cold")
+            client.admin_add_shard()
+            moved = 0
+            for source, name in designs:
+                again = client.schedule(source=source, name=name)
+                assert again["job"]["status"] == "done"
+                if again["job"]["shard"] == "shard-2":
+                    moved += 1
+                    assert again["job"]["cache"] == "miss"
+                assert client.result_text(
+                    again["job"]["id"]
+                ) == _expected_text(source, name)
+            # Placement is deterministic (sha256): 12 designs over a
+            # 2 → 3 resize always move some to the newcomer.
+            assert moved >= 1
+
     def test_remove_shard_drains_hands_off_and_exits(self, tmp_path):
-        """Scale-in acceptance: the drained shard's entries survive the
-        removal (handoff + L2 absorb) and its process exits cleanly
-        after compacting its journal."""
-        with fleet(
-            cache_entries=64, state_dir=str(tmp_path)
-        ) as (router, client):
+        """Scale-in acceptance: the drained shard's keys go to its ring
+        successor, the router L2 keeps their repeats hits, and the
+        process exits cleanly after compacting its journal."""
+        with fleet(state_dir=str(tmp_path)) as (router, client):
             designs = _warm(client, 8)
             victim_process = router.shards["shard-0"].process
 
             out = client.admin_remove_shard("shard-0")
-            assert out["action"] == "remove"
-            assert out["ring"] == ["shard-1"]
+            assert out == {
+                "action": "remove", "shard": "shard-0", "ring": ["shard-1"],
+            }
             assert "shard-0" not in router.shards
             assert router.ring.nodes == ("shard-1",)
             assert _wait_until(lambda: victim_process.poll() is not None)
@@ -143,6 +161,14 @@ class TestOnlineReshard:
             with pytest.raises(ServiceError) as err:
                 client.admin_remove_shard("shard-0")  # last ring member
             assert err.value.status == 400
+            for body in ([], "add", 5):
+                status, _headers, payload = client._request(
+                    "POST", "/admin/shards", body=body
+                )
+                assert status == 400, body
+                assert payload == {
+                    "error": "request body must be a JSON object"
+                }
             status = client.admin_status()
             assert status["ring"] == ["shard-0"]
             assert "replication" not in status
@@ -285,28 +311,3 @@ class TestReshardUnderLoad:
         drill = [o.get("fingerprint") for o in report.outcomes]
         serial = [o.get("fingerprint") for o in reference.outcomes]
         assert drill == serial
-
-
-class TestElasticFaultDrills:
-    """Drill for the router-side elastic-fleet fault site: a failed
-    handoff push is counted, never fatal."""
-
-    def test_failed_handoff_push_is_counted_and_reshard_completes(self):
-        with fleet(
-            faults="router.handoff:n=1", cache_entries=1
-        ) as (router, client):
-            designs = _warm(client, 12, prefix="handoff")
-            out = client.admin_add_shard()
-            assert out["action"] == "add"
-            assert router.fault_plan.fired("router.handoff") == 1
-            assert sum(
-                router.metrics.counter_value("handoff_errors", target=name)
-                for name in router.shards
-            ) >= 1
-            # A lost handoff push costs a cache hit, never a result.
-            for source, name in designs:
-                again = client.schedule(source=source, name=name)
-                assert again["job"]["status"] == "done"
-                assert client.result_text(
-                    again["job"]["id"]
-                ) == _expected_text(source, name)

@@ -310,6 +310,31 @@ class TestHttpSurface:
             status, _body = self._raw(client, "GET", "/v2/nothing")
             assert status == 404
 
+    def test_non_object_json_is_400(self):
+        with service() as (app, client):
+            for body in ([], "text", 5):
+                status, _headers, payload = client._request(
+                    "POST", "/v1/schedule", body=body
+                )
+                assert status == 400, body
+                assert payload == {
+                    "error": "request body must be a JSON object"
+                }
+            assert app.jobs == {}
+
+    def test_admin_cache_paths_are_404(self):
+        """A shard serves no cache-transfer routes, whatever the method."""
+        with service() as (_app, client):
+            for method, path in [
+                ("GET", "/admin/cache/index"),
+                ("GET", "/admin/cache/entry?key=k"),
+                ("POST", "/admin/cache/export"),
+                ("POST", "/admin/cache/import"),
+                ("POST", "/admin/shards"),
+            ]:
+                status, _body = self._raw(client, method, path, b"{}")
+                assert status == 404, (method, path)
+
     def test_wrong_method_is_405(self):
         with service() as (_app, client):
             status, _body = self._raw(client, "GET", "/v1/schedule")
@@ -376,66 +401,3 @@ class TestHttpSurface:
             assert health["status"] == "ok"
             assert health["queue_depth"] == 0
             assert "uptime_seconds" in health
-
-
-class TestAdminCacheEndpoints:
-    """The cache-transfer surface the router's reshard handoff rides
-    on: index, export, import."""
-
-    def test_index_entry_export_import_roundtrip(self):
-        with service() as (app, client):
-            out = client.schedule(source=SRC, cs=6, wait=True)
-            key = out["job"]["key"]
-            fingerprint = out["job"]["fingerprint"]
-
-            index = client._request("GET", "/admin/cache/index")[2]
-            assert index["total"] == 1
-            assert index["entries"] == [{"key": key, "tag": fingerprint}]
-
-            text = client.result_text(out["job"]["id"])
-            assert json.loads(text)["ok"] is True
-
-            exported = client._request(
-                "POST", "/admin/cache/export",
-                body={"keys": [key, "missing"]},
-            )[2]
-            assert len(exported["entries"]) == 1
-            entry = exported["entries"][0]
-            assert entry["key"] == key and entry["tag"] == fingerprint
-            assert entry["text"] == text
-
-            # A fresh service warmed purely by import answers a hit.
-            with service() as (_twin, twin_client):
-                imported = twin_client._request(
-                    "POST", "/admin/cache/import",
-                    body={"entries": exported["entries"]},
-                )[2]
-                assert imported == {"imported": 1}
-                again = twin_client.schedule(source=SRC, cs=6, wait=True)
-                assert again["job"]["cache"] == "hit"
-                assert twin_client.result_text(again["job"]["id"]) == text
-
-    def test_entry_validation(self):
-        with service() as (_app, client):
-            # No single-entry read: the handoff moves entries in bulk.
-            status = client._request(
-                "GET", "/admin/cache/entry", query={"key": "nope"}
-            )[0]
-            assert status == 404
-            status = client._request(
-                "POST", "/admin/cache/export", body={"keys": "not-a-list"}
-            )[0]
-            assert status == 400
-            status = client._request("POST", "/admin/cache/index")[0]
-            assert status == 405
-
-    def test_non_object_json_is_400(self):
-        with service() as (_app, client):
-            for path in ("/admin/cache/import", "/admin/cache/export"):
-                status, _headers, payload = client._request(
-                    "POST", path, body=[]
-                )
-                assert status == 400, path
-                assert payload == {
-                    "error": "request body must be a JSON object"
-                }

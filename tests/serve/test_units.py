@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from repro import sweep
 from repro.bench.suites import EXAMPLES
 from repro.io.jsonio import dfg_to_json
 from repro.serve.cache import ResultCache
@@ -196,6 +197,23 @@ class TestSpecs:
         assert payload["ok"] is False
         assert payload["error"]["type"]
 
+    def test_distinct_clocks_and_latencies_leave_the_worker_cache_alone(self):
+        """A client that varies ``clock_ns`` and ``mul_latency`` adds no
+        process-wide cache entry: 300 jobs that differ only there leave
+        ``repro.sweep._WORKER_CACHE`` no larger than the first job did."""
+        specs = [
+            _spec(
+                algorithm=("mfs", "mfsa")[i % 2],
+                body={"clock_ns": 50.0 + i / 4, "mul_latency": 1 + i % 7},
+            )
+            for i in range(300)
+        ]
+        assert execute_spec(specs[0])[0]["ok"] is True
+        size = len(sweep._WORKER_CACHE)
+        for spec in specs[1:]:
+            assert execute_spec(spec)[0]["ok"] is True
+        assert len(sweep._WORKER_CACHE) <= size
+
     def test_response_text_is_canonical(self):
         payload = {"ok": True, "z": 1, "a": 2}
         text = response_text(payload)
@@ -227,25 +245,6 @@ class TestResultCache:
         assert metrics.counter_value("cache_misses") == 1
         assert metrics.counter_value("cache_hits") == 1
         assert metrics.counter_value("cache_evictions") == 1
-
-    def test_fingerprint_tags_follow_entries(self):
-        """Tags ride along for ring placement: readable, listed in LRU
-        order, and dropped with their entry on eviction or clear."""
-        cache = ResultCache(max_entries=2)
-        cache.put("k1", "T1", tag="fp1")
-        cache.put("k2", "T2")  # untagged entries stay anonymous
-        assert cache.tag("k1") == "fp1"
-        assert cache.tag("k2") is None
-        assert cache.tag("missing") is None
-        assert list(cache.tagged_entries()) == [("k1", "fp1", "T1")]
-        cache.put("k3", "T3", tag="fp3")  # evicts k1 (LRU)
-        assert cache.peek("k1") is None
-        assert cache.tag("k1") is None
-        assert list(cache.tagged_entries()) == [("k3", "fp3", "T3")]
-        cache.put("k3", "T3", tag="fp3b")  # re-put refreshes the tag
-        assert cache.tag("k3") == "fp3b"
-        cache.clear()
-        assert list(cache.tagged_entries()) == []
 
 
 class TestJobQueue:
