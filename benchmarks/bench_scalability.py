@@ -115,8 +115,7 @@ def test_mfs_kernels_1k(benchmark, kern):
 
     result = benchmark.pedantic(
         lambda: MFSScheduler(
-            g, TIMING, cs=cs, mode="time", kernel=kern,
-            record_alternatives=False,
+            g, TIMING, cs=cs, mode="time", kernel=kern
         ).run(),
         rounds=3,
     )
@@ -134,10 +133,7 @@ def test_mfsa_kernels_100(benchmark, kern):
         # Cold caches each round: the process-wide mux memo would
         # otherwise let the second kernel ride the first one's work.
         clear_mux_memo()
-        return MFSAScheduler(
-            g, TIMING, library, cs=cs, kernel=kern,
-            record_alternatives=False,
-        ).run()
+        return MFSAScheduler(g, TIMING, library, cs=cs, kernel=kern).run()
 
     result = benchmark(run)
     result.schedule.validate()
@@ -153,10 +149,7 @@ def test_mfsa_kernels_1k(benchmark, kern):
 
     def run():
         clear_mux_memo()
-        return MFSAScheduler(
-            g, TIMING, library, cs=cs, kernel=kern,
-            record_alternatives=False,
-        ).run()
+        return MFSAScheduler(g, TIMING, library, cs=cs, kernel=kern).run()
 
     result = benchmark.pedantic(run, rounds=1)
     result.schedule.validate()

@@ -36,6 +36,7 @@ def _run(example: str, cs: Optional[int] = None) -> MFSResult:
         latency_l=case.latency_l,
         pipelined_kinds=case.pipelined_kinds,
         record_frames=True,
+        record_alternatives=True,  # Figure 1 draws a move's alternatives
     )
     return scheduler.run()
 

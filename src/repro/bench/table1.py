@@ -62,7 +62,9 @@ def run_case(
     case: Table1Case,
     perf: Optional[PerfCounters] = None,
 ) -> MFSResult:
-    """Run MFS for one Table-1 cell."""
+    """Run MFS for one Table-1 cell, recording each move's frame
+    energies so ``repro check`` can audit the run (paper-size frames,
+    where recording costs next to nothing)."""
     dfg = spec.build()
     # Per-worker cached: a pool worker running several cells with the
     # same (mul_latency, clock) builds the timing model once.
@@ -80,6 +82,7 @@ def run_case(
         mode="time",
         latency_l=case.latency_l,
         pipelined_kinds=case.pipelined_kinds,
+        record_alternatives=True,
         perf=perf,
     )
     return scheduler.run()

@@ -57,7 +57,9 @@ def run_example(
     perf: Optional[PerfCounters] = None,
     no_cache: bool = False,
 ) -> MFSAResult:
-    """Run MFSA for one Table-2 row."""
+    """Run MFSA for one Table-2 row, recording each move's frame
+    energies so ``repro check`` can audit the run (paper-size frames,
+    where recording costs next to nothing)."""
     dfg = spec.build()
     # Per-worker cached: a pool worker regenerating several rows with the
     # same (mul_latency, clock) builds the timing model once.
@@ -76,6 +78,7 @@ def run_example(
         style=style,
         perf=perf,
         no_cache=no_cache,
+        record_alternatives=True,
     )
     return scheduler.run()
 

@@ -13,10 +13,18 @@ One caveat is inherited from the mux-pruning fast path: with
 ``record_alternatives`` off, the vector kernel can skip whole columns
 via a zero-mux lower bound, so the mux/operand *cache* counters (how
 often the optimiser was consulted) legitimately differ between kernels
-even though every placement and every cost agrees.  Counter comparison
-therefore excludes ``mux``/``operand`` keys; everything else —
-candidates evaluated, frames computed, register-estimator traffic —
-must match exactly.
+even though every placement and every cost agrees.  Alternatives are
+off by default, so any program caller that does not audit its runs —
+serve without ``verify=1``, sweeps, the CLI without ``--verify``,
+perfbench — can prune, when the library's mux cost table is monotone
+(``mux_costs_monotone``); the shipped NCR table is not past 12 inputs,
+so with the shipped libraries no design of six or more operations
+prunes.  Counter comparison therefore excludes
+``mux``/``operand`` keys; everything else — candidates evaluated,
+frames computed, register-estimator traffic — must match exactly.
+:func:`check_mfs_kernels` records alternatives on both walks, so their
+trajectories are compared position by position;
+:func:`check_mfsa_kernels` records them when asked.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ def check_mfs_kernels(
             pipelined_kinds=pipelined_kinds,
             kernel=kern,
             perf=perfs[kern],
+            record_alternatives=True,
         ).run()
     _compare(report, results["scalar"], results["vector"], perfs)
     report.ran("kernel-fu-counts")

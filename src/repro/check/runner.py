@@ -168,11 +168,15 @@ def check_random_dfgs(
     for index in range(count):
         dfg = random_dfg(seed=seed + index, n_ops=n_ops)
         cs = critical_path_length(dfg, timing) + (index % 3)
-        mfs = MFSScheduler(dfg, timing, cs=cs, mode="time").run()
+        mfs = MFSScheduler(
+            dfg, timing, cs=cs, mode="time", record_alternatives=True
+        ).run()
         sub = check_mfs_result(mfs, differential=differential)
         sub.target = f"random[{index}] MFS (cs={cs})"
         _merge_sub(report, sub)
-        mfsa = MFSAScheduler(dfg, timing, library, cs=cs).run()
+        mfsa = MFSAScheduler(
+            dfg, timing, library, cs=cs, record_alternatives=True
+        ).run()
         sub = check_mfsa_result(mfsa, differential=differential)
         sub.target = f"random[{index}] MFSA (cs={cs})"
         _merge_sub(report, sub)

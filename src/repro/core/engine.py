@@ -56,7 +56,8 @@ class MoveFrameEngine:
         self.cs = cs
         self.latency_l = latency_l
         self.pipelined_kinds = frozenset(str(k) for k in pipelined_kinds)
-        self.record_alternatives = record_alternatives
+        # The verify=True audit reads the recorded lists.
+        self.record_alternatives = record_alternatives or verify
         self.kernel = kernel
         self.verify = verify
         self.perf = perf
@@ -234,8 +235,9 @@ class MoveFrameEngine:
     def _schedule(
         self, resource_bounds: Optional[Mapping[str, int]] = None
     ) -> Schedule:
-        """The run's validated schedule; the trajectory's Liapunov
-        descent is verified too."""
+        """The run's validated schedule; ``Trajectory.verify`` runs
+        too, and checks each move's argmin where alternatives were
+        recorded."""
         schedule = Schedule(
             dfg=self.dfg,
             timing=self.timing,

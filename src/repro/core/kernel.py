@@ -82,10 +82,12 @@ VECTOR_MIN_OPS = 48
 
 #: Within a vector-eligible ``auto`` run, an operation takes the vector
 #: walk only when its frame rectangle (PF rows clipped to the grid × open
-#: columns) has at least this many cells.  Fitted on 45 ``compile_large``
-#: jobs (2-vCPU VM, best of 3 per job, decode + schedule + encode): 0
-#: cells (every frame vector) 2184 ms, 32 → 1582, 48 → 1609, 64 → 1530,
-#: 96 → 1560, 128 → 1645 ms; every frame scalar 1730 ms.
+#: columns) has at least this many cells.  Re-fitted with move-frame
+#: alternatives off, the default, on 45 ``compile_large`` jobs of seed 906
+#: (2-vCPU VM, best of 3 per job, decode + schedule + encode, two
+#: interleaved passes): 32 cells 1906/1954 ms, 48 → 1882/1918, 64 →
+#: 1848/1984, 96 → 1906/2083, 128 → 2048/2127; every frame vector
+#: 2395/2571 ms, every frame scalar 2131/2299 ms.
 VECTOR_MIN_CELLS = 64
 
 

@@ -103,9 +103,15 @@ class MFSScheduler(MoveFrameEngine):
         Off by default — only the figure harness reads it.
     record_alternatives:
         Keep the full (position, energy) list of every move frame in the
-        trajectory (Figure-1 regeneration and the strongest stability
-        check).  On by default; sweeps that only need schedules may turn
-        it off to skip the per-move list construction.
+        trajectory.  Off by default: the list is an audit artifact, not
+        part of the algorithm, and on tall frames building it costs
+        more than the placement (``docs/PERFORMANCE.md``).
+        ``verify=True`` records it.  Its readers are the §2.2 argmin
+        audit of :mod:`repro.check` (``check_liapunov_descent``, which
+        has nothing to compare without it), ``Trajectory.verify``'s
+        argmin check and the Figure-1 harness; the entry points that
+        audit or draw a run (``repro check``, the scenario matrix, serve
+        ``verify=1``, ``figure1``) turn it on.
     liapunov:
         Optional energy-function override.  The default is the mode's
         paper function (``x + n·y`` / ``cs·x + y``); a supplied instance
@@ -148,7 +154,7 @@ class MFSScheduler(MoveFrameEngine):
         latency_l: Optional[int] = None,
         pipelined_kinds: Iterable[str] = (),
         record_frames: bool = False,
-        record_alternatives: bool = True,
+        record_alternatives: bool = False,
         liapunov: Optional[StaticLiapunov] = None,
         kernel: str = "auto",
         verify: bool = False,

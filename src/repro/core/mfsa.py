@@ -360,8 +360,12 @@ class MFSAScheduler(MoveFrameEngine):
         a run to the scalar walk, and the measured regimes each walk wins.
     record_alternatives:
         Keep the full (position, energy) candidate list per move in the
-        trajectory.  On by default (it backs the strongest stability
-        check); sweeps may disable it to skip the list construction.
+        trajectory.  Off by default, and ``verify=True`` records it; its
+        readers and the entry points that turn it on are those of
+        :class:`~repro.core.mfs.MFSScheduler`.  While it is off and the
+        library's mux costs are monotone, the vector pricer skips
+        columns whose zero-mux energy cannot beat the running best (see
+        ``prune_mux`` in the run loop).
     verify:
         Audit the finished run with :mod:`repro.check` (schedule
         legality, grid-occupancy consistency, Liapunov descent, datapath
@@ -394,7 +398,7 @@ class MFSAScheduler(MoveFrameEngine):
         latency_l: Optional[int] = None,
         pipelined_kinds: Iterable[str] = (),
         no_cache: bool = False,
-        record_alternatives: bool = True,
+        record_alternatives: bool = False,
         open_policy: str = "reuse-first",
         area_budget: Optional[float] = None,
         kernel: str = "auto",
@@ -510,8 +514,8 @@ class MFSAScheduler(MoveFrameEngine):
         # lower-bounds a column, so columns that cannot beat the running
         # best skip the §5.6 optimiser entirely.  The argmin (and hence
         # every result) is unchanged; only the mux/operand cache counters
-        # reflect the skipped work, so pruning stays off when the caller
-        # wants the full per-candidate record.
+        # reflect the skipped work.  A recorded run prices every
+        # candidate, so pruning runs only with alternatives off.
         prune_mux = (
             vector
             and not self.record_alternatives

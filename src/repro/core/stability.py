@@ -7,10 +7,17 @@ its equilibrium.  The schedulers record every placement decision as a
 fact, that
 
 * every chosen position had the minimum energy within the move frame the
-  algorithm saw (the movement mechanism of §2.4), and
+  algorithm saw (the movement mechanism of §2.4), on the events whose
+  alternatives were recorded, and
 * per operation, successive re-placements (local rescheduling) never
   increased the energy — property (2) of the theorem, ``V(X(k+1)) −
   V(X(k)) < 0`` along the trajectory.
+
+The schedulers commit each operation once per run, so on their own
+trajectories the second check finds a single energy per operation and
+compares nothing; a run that recorded no alternatives carries no
+audit.  Replayed and hand-built trajectories can carry more events per
+operation.
 
 The verifier backs both the test suite and the Figure-1 regeneration.
 """
@@ -29,7 +36,9 @@ class TrajectoryEvent:
     """One placement decision.
 
     ``alternatives`` holds the energies of every move-frame position the
-    algorithm evaluated, including the chosen one.
+    algorithm evaluated, including the chosen one.  It is empty unless
+    the run recorded them (the schedulers' ``record_alternatives``, on
+    under ``verify=True``).
     """
 
     iteration: int

@@ -345,6 +345,7 @@ def run_scenario(
                 cs=cs,
                 kernel=scenario.get("kernel", "scalar"),
                 pipelined_kinds=pipelined_kinds,
+                record_alternatives=True,
             ).run()
             report = check_mfs_result(result)
             makespan = result.schedule.makespan()
@@ -359,6 +360,7 @@ def run_scenario(
                 style=scenario.get("style") or 1,
                 kernel=scenario.get("kernel", "scalar"),
                 pipelined_kinds=pipelined_kinds,
+                record_alternatives=True,
             ).run()
             report = check_mfsa_result(result)
             makespan = result.schedule.makespan()

@@ -390,6 +390,7 @@ def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
             mode="time",
             latency_l=spec["latency_l"],
             pipelined_kinds=tuple(spec["pipelined"]),
+            record_alternatives=spec["verify"],
             perf=perf,
             trace=trace,
         ).run()
@@ -403,6 +404,7 @@ def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
             style=spec["style"],
             latency_l=spec["latency_l"],
             pipelined_kinds=tuple(spec["pipelined"]),
+            record_alternatives=spec["verify"],
             perf=perf,
             trace=trace,
         ).run()

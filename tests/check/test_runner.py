@@ -12,7 +12,10 @@ from repro.errors import VerificationError
 
 class TestRunner:
     def test_mfs_report_lists_check_families(self, timing):
-        result = mfs_schedule(hal_diffeq(), timing, cs=5)
+        result = mfs_schedule(
+            hal_diffeq(), timing, cs=5, record_alternatives=True
+        )
+        assert all(event.alternatives for event in result.trajectory)
         report = check_mfs_result(result, differential=True)
         assert report.ok, report.render()
         assert set(report.checks_run) == {

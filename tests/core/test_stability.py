@@ -11,6 +11,13 @@ def pos(x, y):
     return GridPosition("t", x, y)
 
 
+def assert_audited(trajectory):
+    """Verify a scheduler's trajectory, with a frame list on every
+    event for the argmin check to read."""
+    assert all(event.alternatives for event in trajectory)
+    trajectory.verify()
+
+
 class TestRecording:
     def test_events_accumulate(self):
         trajectory = Trajectory()
@@ -94,13 +101,17 @@ class TestSchedulerIntegration:
         for seed in range(6):
             g = random_dfg(seed=seed, n_ops=25)
             cs = critical_path_length(g, timing) + 2
-            result = MFSScheduler(g, timing, cs=cs, mode="time").run()
-            result.trajectory.verify()
+            result = MFSScheduler(
+                g, timing, cs=cs, mode="time", record_alternatives=True
+            ).run()
+            assert_audited(result.trajectory)
             assert len(result.trajectory) == len(g)
 
     def test_mfsa_trajectories_always_verify(self, timing, alu_family):
         from repro.core.mfsa import MFSAScheduler
         from repro.bench.suites import hal_diffeq
 
-        result = MFSAScheduler(hal_diffeq(), timing, alu_family, cs=6).run()
-        result.trajectory.verify()
+        result = MFSAScheduler(
+            hal_diffeq(), timing, alu_family, cs=6, record_alternatives=True
+        ).run()
+        assert_audited(result.trajectory)

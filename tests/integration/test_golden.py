@@ -72,6 +72,35 @@ class TestGoldenArtifacts:
         assert render_table2(table2_rows()) == render_table2(table2_rows())
 
 
+def assert_mfs_pinned(kernel, slack):
+    from repro.core.kernel import resolve_kernel
+    from repro.core.mfs import MFSScheduler
+    from repro.io.jsonio import schedule_to_json
+
+    dfg, timing, critical = layered_design()
+    assert resolve_kernel("auto", len(dfg)) == "vector"
+    cs = critical + slack
+    result = MFSScheduler(dfg, timing, cs=cs, kernel=kernel).run()
+    assert schedule_to_json(result.schedule) + "\n" == golden(
+        f"layered_cs{cs}_mfs.json"
+    )
+
+
+def assert_mfsa_pinned(kernel, slack, style):
+    from repro.core.mfsa import MFSAScheduler
+    from repro.io.jsonio import synthesis_to_json
+    from repro.library.ncr import datapath_library
+
+    dfg, timing, critical = layered_design()
+    cs = critical + slack
+    result = MFSAScheduler(
+        dfg, timing, datapath_library(), cs=cs, style=style, kernel=kernel
+    ).run()
+    assert synthesis_to_json(result) + "\n" == golden(
+        f"layered_cs{cs}_mfsa_s{style}.json"
+    )
+
+
 @pytest.mark.parametrize("kernel", ["auto", "scalar", "vector"])
 @pytest.mark.parametrize("slack", [40, 2])
 class TestGoldenWalks:
@@ -79,35 +108,28 @@ class TestGoldenWalks:
 
     ``scalar`` and ``vector`` force one walk for every frame; at 100 ops
     ``auto`` mixes them, each operation picking its walk by frame size.
+    The suite's audit records move-frame alternatives; the
+    ``default_options`` tests run as program callers do, without them,
+    and must reproduce the same bytes.
     """
 
     def test_mfs_schedule_pinned(self, kernel, slack):
-        from repro.core.kernel import resolve_kernel
-        from repro.core.mfs import MFSScheduler
-        from repro.io.jsonio import schedule_to_json
+        assert_mfs_pinned(kernel, slack)
 
-        dfg, timing, critical = layered_design()
-        assert resolve_kernel("auto", len(dfg)) == "vector"
-        cs = critical + slack
-        result = MFSScheduler(dfg, timing, cs=cs, kernel=kernel).run()
-        assert schedule_to_json(result.schedule) + "\n" == golden(
-            f"layered_cs{cs}_mfs.json"
-        )
+    @pytest.mark.default_options
+    def test_mfs_schedule_pinned_with_default_options(self, kernel, slack):
+        assert_mfs_pinned(kernel, slack)
 
     @pytest.mark.parametrize("style", [1, 2])
     def test_mfsa_synthesis_pinned(self, kernel, slack, style):
-        from repro.core.mfsa import MFSAScheduler
-        from repro.io.jsonio import synthesis_to_json
-        from repro.library.ncr import datapath_library
+        assert_mfsa_pinned(kernel, slack, style)
 
-        dfg, timing, critical = layered_design()
-        cs = critical + slack
-        result = MFSAScheduler(
-            dfg, timing, datapath_library(), cs=cs, style=style, kernel=kernel
-        ).run()
-        assert synthesis_to_json(result) + "\n" == golden(
-            f"layered_cs{cs}_mfsa_s{style}.json"
-        )
+    @pytest.mark.default_options
+    @pytest.mark.parametrize("style", [1, 2])
+    def test_mfsa_synthesis_pinned_with_default_options(
+        self, kernel, slack, style
+    ):
+        assert_mfsa_pinned(kernel, slack, style)
 
 
 def test_ewf_mfsa_trace_pinned():

@@ -5,7 +5,8 @@ whatever DFG the seeded generator produces, the full audit (schedule
 legality, frame containment, grid occupancy, Liapunov descent, and for
 MFSA datapath/netlist consistency) finds nothing to complain about.  A
 smaller differential batch cross-validates against the baseline
-schedulers as well.
+schedulers as well.  Every run records its move-frame alternatives,
+which the §2.2 argmin audit compares the chosen energy with.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -43,7 +44,9 @@ def test_mfs_results_pass_full_audit(params, slack):
     seed, n_ops, n_inputs, locality = params
     g = random_dfg(seed=seed, n_ops=n_ops, n_inputs=n_inputs, locality=locality)
     cs = critical_path_length(g, TIMING1) + slack
-    result = MFSScheduler(g, TIMING1, cs=cs, mode="time").run()
+    result = MFSScheduler(
+        g, TIMING1, cs=cs, mode="time", record_alternatives=True
+    ).run()
     report = check_mfs_result(result)
     assert report.ok, report.render()
 
@@ -54,7 +57,9 @@ def test_mfs_multicycle_results_pass_full_audit(params):
     seed, n_ops, n_inputs, locality = params
     g = random_dfg(seed=seed, n_ops=n_ops, n_inputs=n_inputs, locality=locality)
     cs = critical_path_length(g, TIMING2) + 1
-    result = MFSScheduler(g, TIMING2, cs=cs, mode="time").run()
+    result = MFSScheduler(
+        g, TIMING2, cs=cs, mode="time", record_alternatives=True
+    ).run()
     report = check_mfs_result(result)
     assert report.ok, report.render()
 
@@ -64,7 +69,9 @@ def test_mfs_multicycle_results_pass_full_audit(params):
 def test_conditional_mfs_results_pass_full_audit(seed):
     g = random_conditional_dfg(seed=seed, n_ops=18)
     cs = critical_path_length(g, TIMING1) + 2
-    result = MFSScheduler(g, TIMING1, cs=cs, mode="time").run()
+    result = MFSScheduler(
+        g, TIMING1, cs=cs, mode="time", record_alternatives=True
+    ).run()
     report = check_mfs_result(result)
     assert report.ok, report.render()
 
@@ -78,7 +85,9 @@ def test_conditional_mfs_results_pass_full_audit(seed):
 def test_mfsa_results_pass_full_audit(seed, n_ops, style):
     g = random_dfg(seed=seed, n_ops=n_ops)
     cs = critical_path_length(g, TIMING1) + 2
-    result = MFSAScheduler(g, TIMING1, LIBRARY, cs=cs, style=style).run()
+    result = MFSAScheduler(
+        g, TIMING1, LIBRARY, cs=cs, style=style, record_alternatives=True
+    ).run()
     report = check_mfsa_result(result)
     assert report.ok, report.render()
 
@@ -91,6 +100,8 @@ def test_mfsa_results_pass_full_audit(seed, n_ops, style):
 def test_mfs_results_survive_differential_cross_validation(seed, n_ops):
     g = random_dfg(seed=seed, n_ops=n_ops)
     cs = critical_path_length(g, TIMING1) + 1
-    result = MFSScheduler(g, TIMING1, cs=cs, mode="time").run()
+    result = MFSScheduler(
+        g, TIMING1, cs=cs, mode="time", record_alternatives=True
+    ).run()
     report = check_mfs_result(result, differential=True)
     assert report.ok, report.render()

@@ -44,8 +44,11 @@ def test_mfs_schedules_are_always_valid(params, slack):
     seed, n_ops, n_inputs, locality = params
     g = random_dfg(seed=seed, n_ops=n_ops, n_inputs=n_inputs, locality=locality)
     cs = critical_path_length(g, TIMING1) + slack
-    result = MFSScheduler(g, TIMING1, cs=cs, mode="time").run()
+    result = MFSScheduler(
+        g, TIMING1, cs=cs, mode="time", record_alternatives=True
+    ).run()
     result.schedule.validate()
+    assert all(event.alternatives for event in result.trajectory)
     result.trajectory.verify()
 
 
@@ -132,8 +135,11 @@ def test_mfsa_datapaths_are_functionally_equivalent(seed, n_ops, style):
         kinds=(OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.AND, OpKind.OR),
     )
     cs = critical_path_length(g, TIMING1) + 2
-    result = MFSAScheduler(g, TIMING1, LIBRARY, cs=cs, style=style).run()
+    result = MFSAScheduler(
+        g, TIMING1, LIBRARY, cs=cs, style=style, record_alternatives=True
+    ).run()
     result.schedule.validate()
+    assert all(event.alternatives for event in result.trajectory)
     result.trajectory.verify()
     if style == 2:
         assert not result.datapath.has_self_loop()

@@ -8,14 +8,18 @@ performance layer; any observable divergence is a bug, so these tests
 lean on :mod:`repro.check.kernels` for the comparison and only add the
 hypothesis-driven workload space on top.
 
-Counter caveat: with ``record_alternatives=False`` the vector MFSA path
-prunes whole columns via a zero-mux lower bound, so mux/operand *cache*
-counters (how often the optimiser was consulted) legitimately differ;
-``comparable_counters`` excludes them.
+Counter caveat: with alternatives off (the default) and a monotone mux
+cost table, the vector MFSA path prunes whole columns via a zero-mux
+lower bound, so mux/operand *cache* counters (how often the optimiser
+was consulted) legitimately differ; ``comparable_counters`` excludes
+them.
 
 ``kernel="auto"`` mixes the walks within one run on designs of
 ``VECTOR_MIN_OPS`` and more, each operation picking its walk by frame
-size; the mixed runs must equal the scalar walk in every counter too.
+size; with alternatives recorded, the mixed runs must equal the scalar
+walk in every counter too.  With default options they must still place
+every operation as the recorded scalar walk does, with the shipped
+library and with ``MONOTONE_LIBRARY``, where the pruning runs.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -39,12 +43,21 @@ from repro.dfg.generators import (
 )
 from repro.dfg.ops import standard_operation_set
 from repro.io.jsonio import schedule_to_json, synthesis_to_json
+from repro.library.cells import CellLibrary
 from repro.library.ncr import datapath_library
 from repro.perf import PerfCounters
 
 TIMING = TimingModel(ops=standard_operation_set())
 TIMING_MUL2 = TimingModel(ops=standard_operation_set(mul_latency=2))
 LIBRARY = datapath_library()
+#: ``LIBRARY``'s cells with the default mux cost table, which never gets
+#: cheaper with more inputs.  The shipped table does (12 inputs cost more
+#: than the fitted 13-input extension), so ``mux_costs_monotone`` fails
+#: past five operations and only this library lets the vector MFSA
+#: pricer prune on the large designs.
+MONOTONE_LIBRARY = CellLibrary(
+    "datapath-monotone-mux", LIBRARY.cells(), LIBRARY.register_area
+)
 
 dfg_params = st.tuples(
     st.integers(min_value=0, max_value=10_000),   # seed
@@ -190,19 +203,34 @@ large_designs = st.one_of(
 )
 
 
-def run_walk(g, cs, kern, style):
-    """(JSON bytes, trajectory, counters) of one run; ``style`` 0 is MFS."""
+def run_design(g, cs, style, library=LIBRARY, **options):
+    """(JSON bytes, trajectory, perf) of one cache-cold run; ``style`` 0
+    is MFS."""
     clear_mux_memo()
     perf = PerfCounters()
     if style == 0:
-        result = MFSScheduler(g, TIMING, cs=cs, kernel=kern, perf=perf).run()
+        result = MFSScheduler(g, TIMING, cs=cs, perf=perf, **options).run()
         text = schedule_to_json(result.schedule)
     else:
         result = MFSAScheduler(
-            g, TIMING, LIBRARY, cs=cs, style=style, kernel=kern, perf=perf
+            g, TIMING, library, cs=cs, style=style, perf=perf, **options
         ).run()
         text = synthesis_to_json(result)
-    return text, result.trajectory, dict(perf.counters)
+    return text, result.trajectory, perf
+
+
+def run_walk(g, cs, kern, style):
+    """(JSON bytes, trajectory, counters) of one run with alternatives
+    recorded."""
+    text, trajectory, perf = run_design(
+        g, cs, style, kernel=kern, record_alternatives=True
+    )
+    return text, trajectory, dict(perf.counters)
+
+
+def moves(trajectory):
+    """The (node, position, energy) sequence of a trajectory."""
+    return [(event.node, event.position, event.energy) for event in trajectory]
 
 
 @given(
@@ -220,6 +248,47 @@ def test_auto_mixed_walks_equal_scalar(g, slack, style):
     assert len(g) >= kernel.VECTOR_MIN_OPS
     cs = critical_path_length(g, TIMING) + slack
     assert run_walk(g, cs, "auto", style) == run_walk(g, cs, "scalar", style)
+
+
+@given(
+    g=large_designs,
+    slack=st.integers(min_value=0, max_value=40),
+    style=st.sampled_from([0, 1, 2]),
+    library=st.sampled_from([LIBRARY, MONOTONE_LIBRARY]),
+)
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_default_options_equal_recorded_scalar(g, slack, style, library):
+    """Default options — ``auto``, alternatives off, and with
+    ``MONOTONE_LIBRARY`` the vector MFSA pricer pruning — give the
+    recorded scalar walk's bytes, moves and comparable counters."""
+    cs = critical_path_length(g, TIMING) + slack
+    text, trajectory, perf = run_design(g, cs, style, library)
+    ref_text, ref_trajectory, ref_perf = run_design(
+        g, cs, style, library, kernel="scalar", record_alternatives=True
+    )
+    assert text == ref_text
+    assert moves(trajectory) == moves(ref_trajectory)
+    assert comparable_counters(perf) == comparable_counters(ref_perf)
+
+
+def test_default_options_prune_with_a_monotone_mux_table():
+    """A 100-op MFSA run at 40 steps of slack skips mux pricing that the
+    recorded run does, and emits the same bytes."""
+    g = layered_workload(seed=7, layers=5, width=20)
+    cs = critical_path_length(g, TIMING) + 40
+    text, _, perf = run_design(g, cs, 1, MONOTONE_LIBRARY)
+    ref_text, _, ref_perf = run_design(
+        g, cs, 1, MONOTONE_LIBRARY, record_alternatives=True
+    )
+    assert text == ref_text
+    assert (
+        perf.counters["mfsa.mux_cache_misses"]
+        < ref_perf.counters["mfsa.mux_cache_misses"]
+    )
 
 
 def test_auto_builds_frames_on_both_walks(monkeypatch):

@@ -141,7 +141,12 @@ class TestReplay:
     ):
         trace = TraceRecorder()
         result = MFSAScheduler(
-            diamond_dfg, timing, alu_family, cs=4, trace=trace
+            diamond_dfg,
+            timing,
+            alu_family,
+            cs=4,
+            trace=trace,
+            record_alternatives=True,
         ).run()
         (run,) = split_runs(trace.events())
         replayed = to_trajectory(run)
