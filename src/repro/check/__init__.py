@@ -18,7 +18,7 @@ against that claim end to end:
   list / force-directed / exact baseline schedulers;
 * **kernel cross-validation** — the numpy vector kernel audited as
   byte-identical to the scalar reference path (schedules, trajectories,
-  datapaths, comparable perf counters) on the paper examples and random
+  datapaths, every perf counter) on the paper examples and random
   workloads (``repro check --kernels``).
 
 Entry points: :func:`check_mfs_result` / :func:`check_mfsa_result` for

@@ -9,22 +9,11 @@ same way the rest of :mod:`repro.check` audits the paper's invariants,
 and backs the ``repro check --kernels`` CLI flag plus the property
 suite in ``tests/property/test_property_kernel.py``.
 
-One caveat is inherited from the mux-pruning fast path: with
-``record_alternatives`` off, the vector kernel can skip whole columns
-via a zero-mux lower bound, so the mux/operand *cache* counters (how
-often the optimiser was consulted) legitimately differ between kernels
-even though every placement and every cost agrees.  Alternatives are
-off by default, so any program caller that does not audit its runs —
-serve without ``verify=1``, sweeps, the CLI without ``--verify``,
-perfbench — can prune, when the library's mux cost table is monotone
-(``mux_costs_monotone``); the shipped NCR table is not past 12 inputs,
-so with the shipped libraries no design of six or more operations
-prunes.  Counter comparison therefore excludes
-``mux``/``operand`` keys; everything else — candidates evaluated,
-frames computed, register-estimator traffic — must match exactly.
-:func:`check_mfs_kernels` records alternatives on both walks, so their
-trajectories are compared position by position;
-:func:`check_mfsa_kernels` records them when asked.
+Both walks consult every cache the same way, so every perf counter —
+candidates evaluated, frames computed, mux, operand and register cache
+traffic — must match exactly.  Both audits record move-frame
+alternatives on both walks, so their trajectories are compared
+position by position.
 """
 
 from __future__ import annotations
@@ -35,20 +24,6 @@ from repro.allocation.mux import clear_mux_memo
 from repro.check.report import CheckReport
 from repro.check.runner import _merge_sub
 from repro.perf import PerfCounters
-
-#: Perf-counter key fragments excluded from cross-kernel comparison
-#: (see the module docstring: pruning changes how often the mux
-#: optimiser is *consulted*, never what it returns).
-COUNTER_EXCLUDES = ("mux", "operand")
-
-
-def comparable_counters(perf: PerfCounters) -> dict:
-    """The perf counters that must match exactly across kernels."""
-    return {
-        key: value
-        for key, value in perf.counters.items()
-        if not any(part in key for part in COUNTER_EXCLUDES)
-    }
 
 
 def check_mfs_kernels(
@@ -97,7 +72,6 @@ def check_mfsa_kernels(
     cs: int,
     style: int = 1,
     weights=None,
-    record_alternatives: bool = False,
 ) -> CheckReport:
     """Run MFSA under both kernels and compare everything observable.
 
@@ -123,7 +97,7 @@ def check_mfsa_kernels(
             style=style,
             kernel=kern,
             perf=perfs[kern],
-            record_alternatives=record_alternatives,
+            record_alternatives=True,
             **kwargs,
         ).run()
     scalar, vector = results["scalar"], results["vector"]
@@ -167,8 +141,8 @@ def _compare(report: CheckReport, scalar, vector, perfs) -> None:
             f"vector {len(vector.trajectory)})",
         )
     report.ran("kernel-counters")
-    sc = comparable_counters(perfs["scalar"])
-    vc = comparable_counters(perfs["vector"])
+    sc = perfs["scalar"].counters
+    vc = perfs["vector"].counters
     if sc != vc:
         keys = sorted(
             key

@@ -294,27 +294,6 @@ def static_argmin(
     return chosen, int(best), alternatives
 
 
-def mux_costs_monotone(costs, up_to: int) -> bool:
-    """Certify ``Cost(MUX_{r+1}) >= Cost(MUX_r)`` for ``r < up_to``.
-
-    Grounds the vector kernel's f_MUX pruning bound: with a monotone
-    cost table, adding an operand to an instance can never *lower* its
-    optimal mux cost (any (r+1)-operand assignment restricts to an
-    r-operand one of no larger list sizes), hence ``f_MUX >= 0`` and an
-    energy priced with ``f_MUX = 0`` lower-bounds the true energy (IEEE
-    addition is monotone).  Custom tables can break monotonicity, so the
-    scheduler checks once per run — a failed certificate just disables
-    pruning, never correctness.
-    """
-    previous = costs.cost(1)
-    for r in range(2, up_to + 1):
-        current = costs.cost(r)
-        if current < previous:
-            return False
-        previous = current
-    return True
-
-
 def batched_reg_costs(
     estimator,
     births: Sequence[int],

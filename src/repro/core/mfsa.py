@@ -89,8 +89,7 @@ class _AllocationState:
       a new key — no invalidation walk.  Misses fall through to the
       process-wide renaming-canonical optimiser memo in
       :mod:`repro.allocation.mux`, where isomorphic operand lists across
-      instances, schedulers and runs share one ``optimize_mux_inputs``
-      call.
+      instances, schedulers and runs share one optimiser call.
 
     Both caches are exact (same inputs → same deterministic optimiser
     call), so cached and uncached runs produce byte-identical schedules —
@@ -295,28 +294,25 @@ class _AllocationState:
         entry = self._canon_prefix.get(key)
         if entry is not None:
             canon_key, canon_ids, canon_names = entry
-            if canon_key is None:  # pragma: no cover - duplicate op ids
-                self._canon_prefix.pop(key, None)
+            operand = self._mux_operand(name)
+            left = canon_ids.get(operand.left)
+            if left is None:
+                left = len(canon_names)
+                canon_ids[operand.left] = left
+                canon_names.append(operand.left)
+            if operand.right is None:
+                right = None
             else:
-                operand = self._mux_operand(name)
-                left = canon_ids.get(operand.left)
-                if left is None:
-                    left = len(canon_names)
-                    canon_ids[operand.left] = left
-                    canon_names.append(operand.left)
-                if operand.right is None:
-                    right = None
-                else:
-                    right = canon_ids.get(operand.right)
-                    if right is None:
-                        right = len(canon_names)
-                        canon_ids[operand.right] = right
-                        canon_names.append(operand.right)
-                self._canon_prefix[key] = (
-                    canon_key + ((left, right, operand.commutative),),
-                    canon_ids,
-                    canon_names,
-                )
+                right = canon_ids.get(operand.right)
+                if right is None:
+                    right = len(canon_names)
+                    canon_ids[operand.right] = right
+                    canon_names.append(operand.right)
+            self._canon_prefix[key] = (
+                canon_key + ((left, right, operand.commutative),),
+                canon_ids,
+                canon_names,
+            )
         self.opened_columns[cell.name] = max(
             self.opened_columns.get(cell.name, 0), x
         )
@@ -362,10 +358,7 @@ class MFSAScheduler(MoveFrameEngine):
         Keep the full (position, energy) candidate list per move in the
         trajectory.  Off by default, and ``verify=True`` records it; its
         readers and the entry points that turn it on are those of
-        :class:`~repro.core.mfs.MFSScheduler`.  While it is off and the
-        library's mux costs are monotone, the vector pricer skips
-        columns whose zero-mux energy cannot beat the running best (see
-        ``prune_mux`` in the run loop).
+        :class:`~repro.core.mfs.MFSScheduler`.
     verify:
         Audit the finished run with :mod:`repro.check` (schedule
         legality, grid-occupancy consistency, Liapunov descent, datapath
@@ -510,20 +503,6 @@ class MFSAScheduler(MoveFrameEngine):
                 reserve = max(reserve, cheapest_cell_area[kind])
             return reserve
 
-        # Lazy f_MUX: with a monotone mux-cost table the zero-mux energy
-        # lower-bounds a column, so columns that cannot beat the running
-        # best skip the §5.6 optimiser entirely.  The argmin (and hence
-        # every result) is unchanged; only the mux/operand cache counters
-        # reflect the skipped work.  A recorded run prices every
-        # candidate, so pruning runs only with alternatives off.
-        prune_mux = (
-            vector
-            and not self.record_alternatives
-            and _kernel.mux_costs_monotone(
-                self.library.mux_costs, 2 * len(dfg) + 2
-            )
-        )
-
         perf = self.perf
         record_alternatives = self.record_alternatives
         for name in order:
@@ -549,7 +528,7 @@ class MFSAScheduler(MoveFrameEngine):
                     for cell in candidates_by_kind[kind]
                 )
 
-            def price_vector(cell, sub, lo_y, overspend, best_key):
+            def price_vector(cell, sub, lo_y, overspend):
                 """The vector pricer: ``(key, position)`` of the cell's
                 best candidate in its frame mask ``sub``, or ``None``.
 
@@ -589,22 +568,6 @@ class MFSAScheduler(MoveFrameEngine):
                 for j in col_idx:
                     f_alu_vec[j] = state.f_alu(cell, int(j) + 1)
                 ys = np.arange(lo_y, lo_y + sub.shape[0], dtype=np.int64)
-                if prune_mux and best_key is not None:
-                    # Zero-mux energies lower-bound each column; a column
-                    # whose bound already exceeds the running best cannot
-                    # host the argmin and skips the §5.6 mux optimiser.
-                    bound = liapunov.value_grid(
-                        ys, f_alu_vec, np.zeros(width), f_reg_rows
-                    )
-                    col_lb = np.where(sub, bound, np.inf).min(axis=0)
-                    keep = col_lb[col_idx] <= best_key[0]
-                    if not keep.any():
-                        return None
-                    if not keep.all():
-                        col_idx = col_idx[keep]
-                        col_ok = np.zeros(width, dtype=bool)
-                        col_ok[col_idx] = True
-                        sub = sub & col_ok[None, :]
                 f_mux_vec = np.zeros(width)
                 for j in col_idx:
                     f_mux_vec[j] = state.f_mux(cell, int(j) + 1, name)
@@ -679,7 +642,6 @@ class MFSAScheduler(MoveFrameEngine):
                             mask if fresh_instance else mask[:, :opened],
                             lo_y,
                             overspend,
-                            best_key,
                         )
                         if priced is not None and (
                             best_key is None or priced[0] < best_key

@@ -16,9 +16,11 @@ Canonical counter names (grep targets for the BENCH trajectory harness):
 ``mfs.local_reschedules``       §3.2 Step-4 FU openings
 ``mfsa.frames_computed``        per-cell frame builds inside ``gather``
 ``mfsa.candidates_evaluated``   (cell, x, y) candidates energy-scored
-``mfsa.mux_cache_hits/misses``  memoized vs fresh ``optimize_mux_inputs``
+``mfsa.mux_cache_hits/misses``  memoized vs fresh per-run mux costs
 ``mfsa.operand_cache_hits/..``  memoized vs fresh ``MuxOperand`` builds
 ``mfsa.reg_cache_hits/misses``  memoized vs fresh f_REG/lifetime evals
+``mux.canon_hits/misses``       process-wide §5.6 optimiser memo: hits
+                                vs optimiser runs
 ``sweep.tasks``                 items fanned out by a sweep executor
 ``sweep.pool_failures``         process pools that started (or tried to
                                 start) and failed over to serial
@@ -26,9 +28,19 @@ Canonical counter names (grep targets for the BENCH trajectory harness):
                                 including payloads that never reached a
                                 pool
 ``sweep.fallback.<reason>``     fallback attribution: one of
-                                ``payload-unpicklable``, ``pool-start``,
-                                ``worker-crash``, ``result-unpicklable``
+                                ``payload-unpicklable``, ``pool-start``
+``sweep.quarantined``           poison items run in-process while the
+                                rest of the map kept its pool
+``sweep.quarantine.<reason>``   quarantine attribution: one of
+                                ``worker-crash``, ``result-unpicklable``,
+                                ``injected-fault``
+``sweep.item_retries``          unfinished items resubmitted alone to
+                                the pool
 ==============================  ==========================================
+
+Canonical timer names: ``mfs.run`` and ``mfsa.run`` (one scheduler run),
+``sweep.map`` (one executor map) and ``report.<section>`` (one section
+of ``repro report``).
 
 Timers use ``time.perf_counter`` and accumulate, so one counter object can
 aggregate a whole sweep (see :meth:`merge`, which parallel backends use to

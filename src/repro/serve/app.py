@@ -42,11 +42,12 @@ from repro.perf import PerfCounters
 from repro.resilience.faults import InjectedFault, fault_point
 from repro.resilience.journal import JobJournal
 from repro.serve.httpcore import (
+    DEFAULT_CACHE_ENTRIES,
     BaseServer,
-    ProtocolError,
     Response,
     flag,
     remember,
+    timeout_param,
 )
 from repro.serve.batcher import MicroBatcher
 from repro.serve.jobs import (
@@ -76,7 +77,7 @@ class ServeConfig:
     max_batch: int = 8
     workers: Optional[int] = None
     backend: str = "auto"
-    cache_entries: int = 1024
+    cache_entries: int = DEFAULT_CACHE_ENTRIES
     default_timeout_s: float = 60.0
     retry_after_s: float = 1.0
     job_history: int = 1024
@@ -384,12 +385,7 @@ class ServeApp(BaseServer):
         self, algorithm: str, path: str, query: Mapping[str, str], body: bytes
     ) -> Response:
         parsed = self._admit(body)
-        timeout_s: Optional[float] = None
-        if "timeout" in query:
-            try:
-                timeout_s = float(query["timeout"])
-            except ValueError:
-                raise ProtocolError(400, "'timeout' must be a number")
+        timeout_s = timeout_param(query)
         job = self.submit(
             algorithm,
             parsed,

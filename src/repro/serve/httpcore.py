@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import signal
 import sys
@@ -70,6 +71,10 @@ READ_TIMEOUT_S = 10.0
 #: Header lines accepted per request.
 MAX_HEADERS = 100
 
+#: Result-cache capacity of either role unless configured: a shard's L1
+#: and the router's L2 (``serve --cache-entries`` sets both).
+DEFAULT_CACHE_ENTRIES = 1024
+
 #: ``(status, headers, payload)`` as handed to :func:`write_response`.
 Response = Tuple[int, Dict[str, str], Any]
 
@@ -86,6 +91,25 @@ class ProtocolError(Exception):
 def flag(query: Mapping[str, str], name: str) -> bool:
     """Whether query parameter ``name`` is a truthy flag."""
     return query.get(name, "").lower() in TRUE_VALUES
+
+
+def timeout_param(query: Mapping[str, str]) -> Optional[float]:
+    """The ``timeout`` query parameter in seconds (``None`` if absent).
+
+    A positive finite number or a 400: NaN, infinities, zero and
+    negatives would arm no usable deadline.
+    """
+    if "timeout" not in query:
+        return None
+    try:
+        seconds = float(query["timeout"])
+    except ValueError:
+        raise ProtocolError(400, "'timeout' must be a number") from None
+    if not 0 < seconds < math.inf:  # NaN fails both comparisons
+        raise ProtocolError(
+            400, "'timeout' must be a positive, finite number of seconds"
+        )
+    return seconds
 
 
 def json_object(body: bytes) -> Dict[str, Any]:

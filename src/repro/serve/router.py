@@ -76,11 +76,13 @@ from repro.resilience.faults import InjectedFault, fault_point
 from repro.resilience.retry import RetryPolicy
 from repro.serve.hashring import HashRing
 from repro.serve.httpcore import (
+    DEFAULT_CACHE_ENTRIES,
     BaseServer,
     Response,
     flag,
     proxy_request,
     remember,
+    timeout_param,
 )
 from repro.serve.jobs import (
     key_and_fingerprint,
@@ -106,7 +108,7 @@ class RouterConfig:
     #: which it takes from a private temp dir).
     state_dir: Optional[str] = None
     #: Shared L2 result-cache capacity at the router.
-    cache_entries: int = 4096
+    cache_entries: int = DEFAULT_CACHE_ENTRIES
     job_history: int = 2048
     max_body_bytes: int = 8 * 1024 * 1024
     #: Seconds between shard health probes; a shard is unhealthy after
@@ -678,8 +680,10 @@ class ShardRouter(BaseServer):
         self, algorithm: str, path: str, query: Mapping[str, str], body: bytes
     ) -> Response:
         parsed = self._admit(body)
-        # Validate at the edge: a malformed design 400s here without
-        # burning a forward, and normalisation gives the routing key.
+        # Validate at the edge: a malformed timeout or design 400s here
+        # without burning a forward, and normalisation gives the routing
+        # key.  The shard parses the forwarded timeout itself.
+        timeout_param(query)
         spec = normalize_spec(
             algorithm,
             parsed,

@@ -1,6 +1,17 @@
 """Tests for the multiplexer input-list optimiser (§5.6)."""
 
-from repro.allocation.mux import MuxAssignment, MuxOperand, optimize_mux_inputs
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.allocation.mux import (
+    MuxAssignment,
+    MuxOperand,
+    cached_optimize_mux_inputs,
+    clear_mux_memo,
+    optimize_mux_inputs,
+)
+from repro.perf import PerfCounters
 
 
 def operand(op, left, right, commutative=True):
@@ -145,3 +156,112 @@ class TestInvariants:
         assert first.l1 == second.l1
         assert first.l2 == second.l2
         assert first.swapped == second.swapped
+
+
+def textbook_lists(operands):
+    """§5.6 as stated: non-commutative and unary operands fix their sides;
+    one greedy pass orients each commutative operand in order (ties stay
+    unswapped); then sweeps flip an operand whenever rebuilding both
+    lists from scratch gives a smaller total, until a sweep changes
+    nothing.  Returns ``(l1, l2, swapped)``."""
+    fixed1, fixed2, flexible = set(), set(), []
+    for item in operands:
+        if item.commutative and item.right is not None:
+            flexible.append(item)
+        else:
+            fixed1.add(item.left)
+            if item.right is not None:
+                fixed2.add(item.right)
+    swapped = {item.op: False for item in operands}
+
+    def lists(items):
+        l1, l2 = set(fixed1), set(fixed2)
+        for item in items:
+            flip = swapped[item.op]
+            l1.add(item.right if flip else item.left)
+            l2.add(item.left if flip else item.right)
+        return l1, l2
+
+    def size(items):
+        l1, l2 = lists(items)
+        return len(l1) + len(l2)
+
+    for count, item in enumerate(flexible, start=1):
+        straight = size(flexible[:count])
+        swapped[item.op] = True
+        swapped[item.op] = size(flexible[:count]) < straight
+    changed = True
+    while changed:
+        changed = False
+        for item in flexible:
+            before = size(flexible)
+            swapped[item.op] = not swapped[item.op]
+            if size(flexible) < before:
+                changed = True
+            else:
+                swapped[item.op] = not swapped[item.op]
+    l1, l2 = lists(flexible)
+    return tuple(sorted(l1)), tuple(sorted(l2)), swapped
+
+
+#: One operand: (left signal, right signal or None, commutative).  The
+#: right side is drawn from the same nine signals, so same-signal
+#: operands (``x * x``) come up as well as unary ones.
+mux_operands = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=8),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def as_operands(case, prefix=""):
+    return [
+        MuxOperand(
+            op=f"{prefix}o{index}",
+            left=f"{prefix}s{left}",
+            right=None if right is None else f"{prefix}s{right}",
+            commutative=commutative,
+        )
+        for index, (left, right, commutative) in enumerate(case)
+    ]
+
+
+def triple(assignment):
+    return assignment.l1, assignment.l2, assignment.swapped
+
+
+@given(case=mux_operands)
+@settings(max_examples=300, deadline=None)
+def test_optimiser_equals_the_textbook_oracle(case):
+    """Direct calls, a cold memo miss and a warm hit on a renamed copy
+    (same canonical key; its signal names sort in reverse) all equal the
+    oracle."""
+    operands = as_operands(case)
+    renamed = as_operands(
+        [
+            (8 - left, None if right is None else 8 - right, commutative)
+            for left, right, commutative in case
+        ],
+        prefix="r",
+    )
+    expected = textbook_lists(operands)
+    assert triple(optimize_mux_inputs(operands)) == expected
+    clear_mux_memo()
+    perf = PerfCounters()
+    assert triple(cached_optimize_mux_inputs(operands, perf)) == expected
+    assert triple(cached_optimize_mux_inputs(renamed, perf)) == (
+        textbook_lists(renamed)
+    )
+    assert perf.counters == {"mux.canon_misses": 1, "mux.canon_hits": 1}
+
+
+def test_a_repeated_op_id_is_refused():
+    operands = [operand("o1", "a", "b"), operand("o1", "b", "c")]
+    with pytest.raises(ValueError, match="'o1' appears twice"):
+        optimize_mux_inputs(operands)
+    with pytest.raises(ValueError, match="'o1' appears twice"):
+        cached_optimize_mux_inputs(operands)

@@ -35,7 +35,7 @@ class TestKernelAudits:
         assert report.ok, report.render()
 
     def test_layered_workload_with_slack(self):
-        """The benchmark regime: tall grids, pruning active."""
+        """The benchmark regime: tall grids, wide vector frames."""
         g = layered_workload(seed=7, layers=5, width=20)
         cs = critical_path_length(g, TIMING) + 40
         report = check_mfs_kernels(g, TIMING, cs=cs)

@@ -3,34 +3,24 @@
 Strategy: generate random DFGs through the seeded generator, run MFS
 and MFSA under both kernels, and assert the results are *byte-identical*
 — schedule starts, Liapunov trajectories, FU mixes, datapath costs and
-(where meaningful) perf counters.  The vector kernel is a pure
-performance layer; any observable divergence is a bug, so these tests
-lean on :mod:`repro.check.kernels` for the comparison and only add the
+every perf counter.  The vector kernel is a pure performance layer; any
+observable divergence is a bug, so these tests lean on
+:mod:`repro.check.kernels` for the comparison and only add the
 hypothesis-driven workload space on top.
-
-Counter caveat: with alternatives off (the default) and a monotone mux
-cost table, the vector MFSA path prunes whole columns via a zero-mux
-lower bound, so mux/operand *cache* counters (how often the optimiser
-was consulted) legitimately differ; ``comparable_counters`` excludes
-them.
 
 ``kernel="auto"`` mixes the walks within one run on designs of
 ``VECTOR_MIN_OPS`` and more, each operation picking its walk by frame
 size; with alternatives recorded, the mixed runs must equal the scalar
-walk in every counter too.  With default options they must still place
-every operation as the recorded scalar walk does, with the shipped
-library and with ``MONOTONE_LIBRARY``, where the pruning runs.
+walk in every counter too.  With default options (alternatives off)
+they must still place every operation, and count every event, as the
+recorded scalar walk does.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.allocation.mux import clear_mux_memo
-from repro.check.kernels import (
-    check_mfs_kernels,
-    check_mfsa_kernels,
-    comparable_counters,
-)
+from repro.check.kernels import check_mfs_kernels, check_mfsa_kernels
 from repro.core import engine, kernel
 from repro.core.liapunov import LiapunovWeights
 from repro.core.mfs import MFSScheduler
@@ -43,21 +33,12 @@ from repro.dfg.generators import (
 )
 from repro.dfg.ops import standard_operation_set
 from repro.io.jsonio import schedule_to_json, synthesis_to_json
-from repro.library.cells import CellLibrary
 from repro.library.ncr import datapath_library
 from repro.perf import PerfCounters
 
 TIMING = TimingModel(ops=standard_operation_set())
 TIMING_MUL2 = TimingModel(ops=standard_operation_set(mul_latency=2))
 LIBRARY = datapath_library()
-#: ``LIBRARY``'s cells with the default mux cost table, which never gets
-#: cheaper with more inputs.  The shipped table does (12 inputs cost more
-#: than the fitted 13-input extension), so ``mux_costs_monotone`` fails
-#: past five operations and only this library lets the vector MFSA
-#: pricer prune on the large designs.
-MONOTONE_LIBRARY = CellLibrary(
-    "datapath-monotone-mux", LIBRARY.cells(), LIBRARY.register_area
-)
 
 dfg_params = st.tuples(
     st.integers(min_value=0, max_value=10_000),   # seed
@@ -150,7 +131,7 @@ def test_nondefault_weights_and_latency_agree(seed):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_counters_identical_when_alternatives_recorded(seed, slack):
-    """With pruning off, *every* counter matches — including mux/operand."""
+    """Every counter matches — mux and operand cache traffic included."""
     g = random_dfg(seed=seed, n_ops=20)
     cs = critical_path_length(g, TIMING) + slack
     counters = {}
@@ -168,16 +149,6 @@ def test_counters_identical_when_alternatives_recorded(seed, slack):
         ).run()
         counters[kern] = dict(perf.counters)
     assert counters["scalar"] == counters["vector"]
-
-
-def test_comparable_counters_filters_mux_and_operand():
-    perf = PerfCounters()
-    perf.incr("mfsa.candidates_evaluated")
-    perf.incr("mfsa.mux_cache_hits")
-    perf.incr("mfsa.operand_cache_misses")
-    perf.incr("mux.canon_hits")
-    kept = comparable_counters(perf)
-    assert kept == {"mfsa.candidates_evaluated": 1}
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +174,7 @@ large_designs = st.one_of(
 )
 
 
-def run_design(g, cs, style, library=LIBRARY, **options):
+def run_design(g, cs, style, **options):
     """(JSON bytes, trajectory, perf) of one cache-cold run; ``style`` 0
     is MFS."""
     clear_mux_memo()
@@ -213,7 +184,7 @@ def run_design(g, cs, style, library=LIBRARY, **options):
         text = schedule_to_json(result.schedule)
     else:
         result = MFSAScheduler(
-            g, TIMING, library, cs=cs, style=style, perf=perf, **options
+            g, TIMING, LIBRARY, cs=cs, style=style, perf=perf, **options
         ).run()
         text = synthesis_to_json(result)
     return text, result.trajectory, perf
@@ -254,41 +225,23 @@ def test_auto_mixed_walks_equal_scalar(g, slack, style):
     g=large_designs,
     slack=st.integers(min_value=0, max_value=40),
     style=st.sampled_from([0, 1, 2]),
-    library=st.sampled_from([LIBRARY, MONOTONE_LIBRARY]),
 )
 @settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_default_options_equal_recorded_scalar(g, slack, style, library):
-    """Default options — ``auto``, alternatives off, and with
-    ``MONOTONE_LIBRARY`` the vector MFSA pricer pruning — give the
-    recorded scalar walk's bytes, moves and comparable counters."""
+def test_default_options_equal_recorded_scalar(g, slack, style):
+    """Default options — ``auto``, alternatives off — give the recorded
+    scalar walk's bytes, moves and every counter."""
     cs = critical_path_length(g, TIMING) + slack
-    text, trajectory, perf = run_design(g, cs, style, library)
+    text, trajectory, perf = run_design(g, cs, style)
     ref_text, ref_trajectory, ref_perf = run_design(
-        g, cs, style, library, kernel="scalar", record_alternatives=True
+        g, cs, style, kernel="scalar", record_alternatives=True
     )
     assert text == ref_text
     assert moves(trajectory) == moves(ref_trajectory)
-    assert comparable_counters(perf) == comparable_counters(ref_perf)
-
-
-def test_default_options_prune_with_a_monotone_mux_table():
-    """A 100-op MFSA run at 40 steps of slack skips mux pricing that the
-    recorded run does, and emits the same bytes."""
-    g = layered_workload(seed=7, layers=5, width=20)
-    cs = critical_path_length(g, TIMING) + 40
-    text, _, perf = run_design(g, cs, 1, MONOTONE_LIBRARY)
-    ref_text, _, ref_perf = run_design(
-        g, cs, 1, MONOTONE_LIBRARY, record_alternatives=True
-    )
-    assert text == ref_text
-    assert (
-        perf.counters["mfsa.mux_cache_misses"]
-        < ref_perf.counters["mfsa.mux_cache_misses"]
-    )
+    assert perf.counters == ref_perf.counters
 
 
 def test_auto_builds_frames_on_both_walks(monkeypatch):

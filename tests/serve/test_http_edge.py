@@ -1,10 +1,11 @@
 """Hostile-client edge of the shared HTTP parser.
 
 Every request here goes over a raw socket to an in-thread
-:class:`~repro.serve.app.ServeApp` (the long-integer bodies, and the
-``/admin/shards`` bodies, also to a one-shard router), so the bytes on
-the wire are exactly the ones written — malformed lengths, truncated
-bodies, oversized lines, idle connections.  The contract under test: no
+:class:`~repro.serve.app.ServeApp` (the long-integer bodies, the
+``timeout`` values and the ``/admin/shards`` bodies also to a one-shard
+router), so the bytes on the wire are exactly the ones written —
+malformed lengths, truncated bodies, oversized lines, unusable
+timeouts, idle connections.  The contract under test: no
 client byte sequence gets a 5xx, and none holds a connection open past
 the read deadline.  The router shares the same parser;
 ``tests/serve/test_router.py`` runs the ``Content-Length`` regressions
@@ -13,6 +14,7 @@ against a live fleet.
 
 from __future__ import annotations
 
+import json
 import socket
 
 import pytest
@@ -30,19 +32,32 @@ def server():
 
 
 @pytest.fixture(scope="module")
-def router_port():
-    router = ShardRouter(RouterConfig(port=0, shards=1, shard_args=("--serial",)))
+def router_port(tmp_path_factory):
+    router = ShardRouter(
+        RouterConfig(
+            port=0,
+            shards=1,
+            shard_args=("--serial",),
+            state_dir=str(tmp_path_factory.mktemp("fleet")),
+        )
+    )
     with router.start_in_thread() as handle:
         yield handle.port
 
 
 @pytest.fixture(scope="module", params=["serve", "router"])
-def either_role(request):
-    """A server of each role; the router parses a body before it forwards."""
+def either_role(request, tmp_path_factory):
+    """A journaling server of each role; the router parses a body before
+    it forwards."""
     if request.param == "router":
         yield request.getfixturevalue("router_port")
         return
-    with ServeApp(port=0, backend="serial").start_in_thread() as handle:
+    app = ServeApp(
+        port=0,
+        backend="serial",
+        state_dir=str(tmp_path_factory.mktemp("shard")),
+    )
+    with app.start_in_thread() as handle:
         yield handle.port
 
 
@@ -151,6 +166,52 @@ class TestLongIntegers:
         assert status_of(response) == 400
         assert b"request body is not JSON" in body_of(response)
         assert b"4300" in body_of(response)
+
+
+def work_counters(port: int) -> dict:
+    """Summed ``jobs`` and ``journal_writes`` samples of one scrape; a
+    router's scrape includes its shards'."""
+    totals = {"jobs": 0.0, "journal_writes": 0.0}
+    text = Client(f"http://127.0.0.1:{port}").metrics_text()
+    for line in text.splitlines():
+        name = line.split("{", 1)[0].split(" ", 1)[0]
+        for counter in totals:
+            if name == f"repro_serve_{counter}_total":
+                totals[counter] += float(line.rsplit(" ", 1)[1])
+    return totals
+
+
+def submit_with_timeout(port: int, timeout: str) -> bytes:
+    body = json.dumps(
+        {"source": "input a b\nx = a - b\noutput x\n", "cs": 2}
+    ).encode("ascii")
+    head = (
+        f"POST /v1/schedule?wait=1&timeout={timeout} HTTP/1.1\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    return exchange(port, head.encode("ascii") + body)
+
+
+class TestTimeoutParameter:
+    @pytest.mark.parametrize("timeout", ["nan", "0", "-1", "-inf", "inf", "1e309"])
+    def test_unusable_timeout_is_400_before_any_work(self, either_role, timeout):
+        """No deadline, or one already past: refused before a queue slot,
+        a journal record or a run."""
+        port = either_role
+        before = work_counters(port)
+        response = submit_with_timeout(port, timeout)
+        assert status_of(response) == 400, response
+        assert b"positive, finite number of seconds" in body_of(response)
+        assert work_counters(port) == before
+
+    def test_positive_timeout_runs_and_journals(self, either_role):
+        """The control: the counters above do move for admitted work."""
+        port = either_role
+        before = work_counters(port)
+        assert status_of(submit_with_timeout(port, "30")) == 200
+        after = work_counters(port)
+        assert after["jobs"] > before["jobs"]
+        assert after["journal_writes"] > before["journal_writes"]
 
 
 class TestReadDeadline:

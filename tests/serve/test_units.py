@@ -246,6 +246,16 @@ class TestResultCache:
         assert metrics.counter_value("cache_hits") == 1
         assert metrics.counter_value("cache_evictions") == 1
 
+    def test_one_default_capacity_for_both_roles_and_the_cli(self):
+        """A shard's L1, the router's L2 and ``serve --cache-entries``
+        (which sizes both tiers of a CLI fleet) default alike."""
+        from repro.cli import build_parser
+        from repro.serve import RouterConfig, ServeConfig
+
+        args = build_parser().parse_args(["serve", "--shards", "2"])
+        assert ServeConfig().cache_entries == RouterConfig().cache_entries
+        assert args.cache_entries == ServeConfig().cache_entries
+
 
 class TestJobQueue:
     def _run(self, coro):
