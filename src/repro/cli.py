@@ -502,6 +502,7 @@ def _command_submit(args) -> int:
     import json
 
     from repro.serve.client import Client, ServiceError
+    from repro.serve.jobs import response_text
 
     if (args.file is None) == (args.example is None):
         print(
@@ -562,7 +563,7 @@ def _command_submit(args) -> int:
     if args.raw:
         print(client.result_text(job["id"]), end="")
     else:
-        print(json.dumps(out["result"], sort_keys=True, indent=2))
+        print(response_text(out["result"]), end="")
     return 0 if out["result"].get("ok") else 1
 
 

@@ -362,9 +362,14 @@ class ServeApp(BaseServer):
         except Exception:  # pragma: no cover - corrupt journal entry
             return None
 
-    def _resolve(self, job: Job, payload: Mapping[str, Any], text: str) -> None:
-        """Batcher callback: publish a computed result (loop thread)."""
-        ok = bool(payload.get("ok"))
+    def _resolve(
+        self, job: Job, text: str, error: Optional[Dict[str, str]]
+    ) -> None:
+        """Batcher callback: publish a computed result (loop thread).
+
+        ``text`` is the job's response text as the worker rendered it;
+        ``error`` is ``None`` for a job that succeeded."""
+        ok = error is None
         if ok:
             # Cache before resolving waiters so anything they trigger
             # next already sees the entry.  A cache that cannot accept
@@ -376,7 +381,7 @@ class ServeApp(BaseServer):
                 self.metrics.incr("cache_put_errors")
         if self.inflight.get(job.key) is job:
             self.inflight.pop(job.key, None)
-        job.finish(ok, text, payload.get("error"))
+        job.finish(ok, text, error)
 
     # ------------------------------------------------------------------
     # HTTP layer
@@ -400,8 +405,8 @@ class ServeApp(BaseServer):
         except JobTimeout:
             return 504, {}, {"job": job.describe()}
         except (JobFailed, asyncio.CancelledError):
-            return 500, {}, self._job_payload(job)
-        return 200, {}, self._job_payload(job)
+            return 500, {}, self._job_answer(job)
+        return 200, {}, self._job_answer(job)
 
     def _health_fields(self) -> Dict[str, Any]:
         return {

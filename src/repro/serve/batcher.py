@@ -13,8 +13,10 @@ the first burst does not pay the fork.
 
 The batch map runs in a worker thread (``asyncio.to_thread``) so the
 event loop keeps serving requests, scrapes and health checks while
-synthesis is on the CPU.  Job resolution is delegated to the
-``resolve(job, payload, text)`` callback supplied by the app, which owns
+synthesis is on the CPU.  Each job's canonical response text comes back
+rendered by the worker (:func:`~repro.serve.jobs.execute_job`), so the
+event loop never renders a result.  Job resolution is delegated to the
+``resolve(job, text, error)`` callback supplied by the app, which owns
 cache insertion, single-flight bookkeeping and per-job metrics; the
 batcher only tracks batch-shaped metrics (sizes, execute latency) and
 merges worker perf snapshots.
@@ -27,7 +29,7 @@ from typing import Callable, List, Optional
 
 from repro.perf import PerfCounters
 from repro.resilience.faults import fault_point
-from repro.serve.jobs import execute_spec, response_text
+from repro.serve.jobs import execute_job, response_text
 from repro.serve.metrics import Metrics
 from repro.serve.queue import Job, JobQueue
 from repro.sweep import SweepExecutor
@@ -39,7 +41,7 @@ class MicroBatcher:
     def __init__(
         self,
         queue: JobQueue,
-        resolve: Callable[[Job, dict, str], None],
+        resolve: Callable[[Job, str, Optional[dict]], None],
         max_batch: int = 8,
         backend: str = "auto",
         workers: Optional[int] = None,
@@ -118,14 +120,11 @@ class MicroBatcher:
     def _fail_batch(self, batch: List[Job], error: BaseException) -> None:
         if self.metrics is not None:
             self.metrics.incr("dispatch_errors")
-        payload = {
-            "ok": False,
-            "error": {"type": type(error).__name__, "message": str(error)},
-        }
-        text = response_text(payload)
+        failure = {"type": type(error).__name__, "message": str(error)}
+        text = response_text({"ok": False, "error": failure})
         for job in batch:
             if not job.terminal:
-                self.resolve(job, payload, text)
+                self.resolve(job, text, failure)
 
     async def _dispatch(
         self, batch: List[Job], loop: asyncio.AbstractEventLoop
@@ -146,8 +145,8 @@ class MicroBatcher:
                     )
         specs = [job.spec for job in live]
         started = loop.time()
-        pairs = await asyncio.to_thread(
-            self.executor.map, execute_spec, specs
+        outcomes = await asyncio.to_thread(
+            self.executor.map, execute_job, specs
         )
         elapsed = loop.time() - started
         if self.metrics is not None:
@@ -155,7 +154,7 @@ class MicroBatcher:
             self.metrics.observe("batch_size", len(live))
             self.metrics.observe("stage_seconds", elapsed, stage="execute")
             self.metrics.incr("jobs_executed", len(live))
-        for job, (payload, snapshot) in zip(live, pairs):
+        for job, (text, error, snapshot) in zip(live, outcomes):
             if snapshot:
                 self.perf.merge(snapshot)
-            self.resolve(job, payload, response_text(payload))
+            self.resolve(job, text, error)

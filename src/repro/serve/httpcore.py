@@ -29,6 +29,7 @@ import asyncio
 import json
 import math
 import os
+import re
 import signal
 import sys
 import threading
@@ -77,6 +78,54 @@ DEFAULT_CACHE_ENTRIES = 1024
 
 #: ``(status, headers, payload)`` as handed to :func:`write_response`.
 Response = Tuple[int, Dict[str, str], Any]
+
+#: Request header by which the router asks a shard for a job answer in
+#: relay form (:meth:`JobAnswer.relay_body`), and the response header
+#: marking one.
+RELAY_HEADER = "X-Repro-Relay"
+
+#: A line break of a response text's layout after an item, and any other.
+_ITEM_BREAK = re.compile(r",\n *")
+_BREAK = re.compile(r"\n *")
+
+
+class JobAnswer:
+    """A job's JSON answer: its description and, once it has one, its
+    stored response text, spliced in without a parse."""
+
+    __slots__ = ("info", "text")
+
+    def __init__(self, info: Dict[str, Any], text: Optional[str]) -> None:
+        self.info = info
+        self.text = text
+
+    def body(self) -> bytes:
+        """``json.dumps({"job": info, "result": json.loads(text)},
+        sort_keys=True) + "\\n"`` (no ``result`` before there is one)."""
+        job = json.dumps(self.info, sort_keys=True)
+        if self.text is None:
+            return f'{{"job": {job}}}\n'.encode("utf-8")
+        # The text is json.dumps(..., sort_keys=True, indent=2) plus a
+        # newline, and JSON escapes a newline inside a string, so its
+        # only line breaks are the layout's.  Dropping each with its
+        # indentation (one space kept after a comma) leaves the compact
+        # text, keys in the same order.
+        result = _BREAK.sub("", _ITEM_BREAK.sub(", ", self.text))
+        return f'{{"job": {job}, "result": {result}}}\n'.encode("utf-8")
+
+    def relay_body(self) -> bytes:
+        """The description as one compact JSON line, then the stored text
+        byte for byte: what a shard answers the router."""
+        head = json.dumps(self.info, sort_keys=True)
+        return f"{head}\n{self.text or ''}".encode("utf-8")
+
+    @classmethod
+    def from_relay(cls, raw: bytes) -> "JobAnswer":
+        head, _sep, text = raw.decode("utf-8").partition("\n")
+        info = json.loads(head)
+        if not isinstance(info, dict):
+            raise ValueError("a relayed job answer must describe a job")
+        return cls(info, text or None)
 
 
 class ProtocolError(Exception):
@@ -159,8 +208,8 @@ async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
 
 async def read_request(
     reader: asyncio.StreamReader, max_body_bytes: int
-) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """Parse one request into ``(method, path, query, body)``.
+) -> Optional[Tuple[str, str, Dict[str, str], bytes, Dict[str, str]]]:
+    """Parse one request into ``(method, path, query, body, headers)``.
 
     Returns ``None`` when the peer closes before a request line or resets
     the connection; raises :class:`ProtocolError` on malformed or
@@ -168,7 +217,9 @@ async def read_request(
     arrived within :data:`READ_TIMEOUT_S` (408).
     """
 
-    async def _read() -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+    async def _read() -> Optional[
+        Tuple[str, str, Dict[str, str], bytes, Dict[str, str]]
+    ]:
         request_line = await _readline(reader)
         if not request_line.strip():
             return None
@@ -194,7 +245,7 @@ async def read_request(
         query = {
             key: values[-1] for key, values in parse_qs(split.query).items()
         }
-        return method.upper(), split.path, query, body
+        return method.upper(), split.path, query, body, headers
 
     try:
         return await asyncio.wait_for(_read(), READ_TIMEOUT_S)
@@ -214,10 +265,10 @@ async def write_response(
 ) -> None:
     """Serialise and send one response; swallows client disconnects.
 
-    ``payload`` is JSON-encoded unless it is a string marked raw
-    (``X-Raw-Body`` header, consumed here) or typed ``text/*`` — the
-    raw path is what keeps cached result bytes byte-identical on the
-    wire.
+    ``payload`` is JSON-encoded unless it is bytes (sent as they are),
+    or a string marked raw (``X-Raw-Body`` header, consumed here) or
+    typed ``text/*`` — the raw path is what keeps cached result bytes
+    byte-identical on the wire.
     """
     headers = dict(headers)
     if isinstance(payload, str) and (
@@ -525,10 +576,16 @@ class BaseServer:
                 request = await read_request(reader, self.config.max_body_bytes)
                 if request is None:
                     return  # the peer left before sending a request
-                method, path, query, body = request
+                method, path, query, body, request_headers = request
                 route, (status, headers, payload) = await self._route(
                     method, path, query, body
                 )
+                if isinstance(payload, JobAnswer):
+                    if request_headers.get(RELAY_HEADER.lower()):
+                        headers = {**headers, RELAY_HEADER: "1"}
+                        payload = payload.relay_body()
+                    else:
+                        payload = payload.body()
             except ProtocolError as error:
                 status, headers, payload = error.status, {}, {"error": str(error)}
             except JobSpecError as error:
@@ -608,15 +665,12 @@ class BaseServer:
             return 200, {"X-Raw-Body": "1"}, text
         if sub:
             return 404, {}, {"error": f"unknown job subresource {sub!r}"}
-        return 200, {}, self._job_payload(job)
+        return 200, {}, self._job_answer(job)
 
-    def _job_payload(self, job: Job) -> Dict[str, Any]:
-        """A job's JSON answer: its description, plus its result once
-        it has one."""
-        payload: Dict[str, Any] = {"job": self._describe_job(job)}
-        if job.response_text is not None:
-            payload["result"] = json.loads(job.response_text)
-        return payload
+    def _job_answer(self, job: Job) -> JobAnswer:
+        """A job's JSON answer: its description, plus its stored result
+        text once it has one."""
+        return JobAnswer(self._describe_job(job), job.response_text)
 
     def _health(self) -> Dict[str, Any]:
         uptime = (

@@ -11,17 +11,20 @@ all three.
 
 Determinism contract: :func:`execute_spec` runs the exact same scheduler
 code path as the one-shot CLI (``repro-hls schedule`` / ``synth
---json``), so a served result is byte-identical to the CLI's JSON output
-for the same design and parameters.  Traced runs clear the process-wide
-mux-optimiser memo first, mirroring :func:`repro.trace.driver.trace_run`,
-so the embedded ``perf.counters`` event — and therefore the whole trace
-artifact — is reproducible no matter which worker process picks the job
-up.
+--json``), and its ``result`` is the payload the CLI's JSON output
+dumps, so a served result carries the CLI's document for the same
+design and parameters.  The service's worker (:func:`execute_job`)
+renders the job's canonical :func:`response_text` itself, once; that
+text is what crosses the process boundary, what the caches store, what
+journals record and what ``GET /v1/jobs/<id>/result`` answers.  Traced
+runs clear the process-wide mux-optimiser memo first, mirroring
+:func:`repro.trace.driver.trace_run`, so the embedded ``perf.counters``
+event — and therefore the whole trace artifact — is reproducible no
+matter which worker process picks the job up.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -36,7 +39,7 @@ from repro.dfg.graph import DFG
 from repro.dfg.ops import standard_operation_set
 from repro.dfg.parser import parse_behavior
 from repro.errors import DFGError, LibraryError, ScheduleError
-from repro.io.jsonio import dfg_from_json, dfg_from_obj, dfg_to_json
+from repro.io.jsonio import dfg_from_json, dfg_from_obj, dfg_to_json, sorted_json
 from repro.perf import PerfCounters
 from repro.resilience.faults import fault_point
 from repro.sweep import worker_cached
@@ -332,11 +335,13 @@ def key_and_fingerprint(spec: Mapping[str, Any]) -> Tuple[str, str]:
 def execute_spec(
     spec: Mapping[str, Any],
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Run one job spec to completion — the sweep worker function.
+    """Run one job spec to completion.
 
     Module-level and pure so :class:`~repro.sweep.SweepExecutor` can ship
     it to pool processes.  Returns ``(payload, perf_snapshot)``: the
-    response payload (``payload["ok"]`` discriminates success) and the
+    response payload (``payload["ok"]`` discriminates success), its
+    ``result`` straight from the payload builder of
+    :mod:`repro.io.jsonio`, and the
     :meth:`~repro.perf.PerfCounters.as_dict` snapshot for the caller to
     merge into the service-wide counters.  Job failures are *returned*,
     never raised, so one bad job cannot poison its batch.
@@ -353,10 +358,26 @@ def execute_spec(
     return payload, perf.as_dict()
 
 
+def execute_job(
+    spec: Mapping[str, Any],
+) -> Tuple[str, Optional[Dict[str, str]], Dict[str, Any]]:
+    """:func:`execute_spec`, rendered in the worker — the service's sweep
+    worker function.
+
+    Returns ``(text, error, perf_snapshot)``: the job's
+    :func:`response_text`, ``None`` for a job that succeeded or else the
+    payload's ``error``, and the perf snapshot.  The text, not the
+    payload, crosses the process boundary, and no event loop renders it.
+    """
+    payload, snapshot = execute_spec(spec)
+    error = None if payload["ok"] else payload["error"]
+    return response_text(payload), error, snapshot
+
+
 def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
     from repro.core.mfs import MFSScheduler
     from repro.core.mfsa import MFSAScheduler
-    from repro.io.jsonio import schedule_to_json, synthesis_to_json
+    from repro.io.jsonio import _schedule_payload, _synthesis_payload
 
     dfg = dfg_from_json(spec["dfg_json"])
     # Only the operation sets admission keeps (mul_latency 1 and 2) and
@@ -394,7 +415,7 @@ def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
             perf=perf,
             trace=trace,
         ).run()
-        result_obj = json.loads(schedule_to_json(result.schedule))
+        result_obj = _schedule_payload(result.schedule)
     else:
         result = MFSAScheduler(
             dfg,
@@ -408,7 +429,7 @@ def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
             perf=perf,
             trace=trace,
         ).run()
-        result_obj = json.loads(synthesis_to_json(result))
+        result_obj = _synthesis_payload(result)
 
     payload: Dict[str, Any] = {
         "ok": True,
@@ -439,10 +460,15 @@ def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
 
 
 def response_text(payload: Mapping[str, Any]) -> str:
-    """Canonical serialisation of a job result payload.
+    """Canonical serialisation of a job result payload:
+    ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``.
 
     This exact text is what the cache stores and what
     ``GET /v1/jobs/<id>/result`` returns, so the cold and cached paths
-    are byte-identical by construction.
+    are byte-identical by construction.  It is rendered directly by
+    :func:`repro.io.jsonio.sorted_json`, which hands any value it does
+    not spell to the encoder, so its bytes and errors are the
+    encoder's.  The service renders it once per job, in the worker
+    (:func:`execute_job`); no event loop calls it.
     """
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return sorted_json(payload) + "\n"

@@ -28,8 +28,12 @@ Design choices, and why:
   keyed by the same content address and populated from shard responses.
   A result computed by one shard is therefore served as a cache hit to
   *any* later client, even when failover routes the request to a
-  different shard — and byte-identically, because both tiers store
-  :func:`~repro.serve.jobs.response_text` output.
+  different shard — and byte-identically, because both tiers store the
+  same :func:`~repro.serve.jobs.response_text` bytes: the worker renders
+  them once, the shard caches them, and its answer to a forward carries
+  them (relay form, :class:`~repro.serve.httpcore.JobAnswer`) for the
+  router to store as received.  Neither event loop parses or renders a
+  result.
 * **Failover is re-routing, not retry logic in clients.**  A health
   loop polls every shard; a dead or unresponsive shard is skipped and
   the request forwarded to the next shard in the key's ring order
@@ -77,18 +81,16 @@ from repro.resilience.retry import RetryPolicy
 from repro.serve.hashring import HashRing
 from repro.serve.httpcore import (
     DEFAULT_CACHE_ENTRIES,
+    RELAY_HEADER,
     BaseServer,
+    JobAnswer,
     Response,
     flag,
     proxy_request,
     remember,
     timeout_param,
 )
-from repro.serve.jobs import (
-    key_and_fingerprint,
-    normalize_spec,
-    response_text,
-)
+from repro.serve.jobs import key_and_fingerprint, normalize_spec
 from repro.serve.metrics import merge_expositions, relabel_exposition
 from repro.serve.queue import Job
 
@@ -532,6 +534,7 @@ class ShardRouter(BaseServer):
                 method,
                 target,
                 body=body,
+                headers={RELAY_HEADER: "1"},
                 timeout_s=self.config.forward_timeout_s,
             )
         except (OSError, asyncio.TimeoutError, InjectedFault):
@@ -547,17 +550,19 @@ class ShardRouter(BaseServer):
     def _target(path: str, query: Mapping[str, str]) -> str:
         return f"{path}?{urlencode(dict(query))}" if query else path
 
-    def _absorb_result(self, info: Mapping[str, Any], result: Any) -> None:
-        """Populate the shared L2 cache from a shard's finished response
-        (its ``job`` description and ``result``)."""
+    def _absorb_result(
+        self, info: Mapping[str, Any], text: Optional[str]
+    ) -> None:
+        """Populate the shared L2 cache from a shard's finished answer
+        (its ``job`` description and stored result text)."""
         if (
             info.get("status") == "done"
             and isinstance(info.get("key"), str)
-            and isinstance(result, Mapping)
+            and text is not None
         ):
-            # response_text() of the parsed result reproduces the exact
-            # bytes the shard cached — canonical JSON both sides.
-            self.cache.put(info["key"], response_text(result))
+            # The bytes the shard cached, as received: the worker
+            # rendered them, and nothing on this side parses them.
+            self.cache.put(info["key"], text)
 
     # ------------------------------------------------------------------
     # online reshard
@@ -701,7 +706,7 @@ class ShardRouter(BaseServer):
             job.finish(True, cached)
             remember(self.jobs, job.id, job, self.config.job_history)
             if flag(query, "wait"):
-                return 200, {}, self._job_payload(job)
+                return 200, {}, self._job_answer(job)
             return 202, {}, {"job": self._describe_job(job)}
 
         candidates = self._candidates(fingerprint)
@@ -732,10 +737,23 @@ class ShardRouter(BaseServer):
         raw: bytes,
         shard: ShardProcess,
     ) -> Response:
-        """Pass a shard's JSON response through, annotated and absorbed."""
+        """Pass a shard's JSON response through, annotated and absorbed.
+
+        A job answer arrives in relay form (description, then the stored
+        result text); other answers (202, 4xx, 5xx) as JSON."""
         out_headers: Dict[str, str] = {}
         if "retry-after" in headers:
             out_headers["Retry-After"] = headers["retry-after"]
+        if headers.get(RELAY_HEADER.lower()):
+            try:
+                answer = JobAnswer.from_relay(raw)
+            except ValueError:  # UnicodeDecodeError and JSONDecodeError too
+                return status, out_headers, raw
+            self._locate(answer.info, shard)
+            if status == 200:
+                self._absorb_result(answer.info, answer.text)
+            info = {**answer.info, "shard": shard.name}
+            return status, out_headers, JobAnswer(info, answer.text)
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -743,15 +761,16 @@ class ShardRouter(BaseServer):
         info = payload.get("job") if isinstance(payload, Mapping) else None
         if not isinstance(info, Mapping):
             return status, out_headers, payload
+        self._locate(info, shard)
+        return status, out_headers, {**payload, "job": {**info, "shard": shard.name}}
+
+    def _locate(self, info: Mapping[str, Any], shard: ShardProcess) -> None:
+        """Pin a job id a shard answered to it for later ``GET``s."""
         if isinstance(info.get("id"), str):
-            # Pin the id to this shard for later ``GET``s.
             remember(
                 self.job_locations, info["id"], shard.name,
                 self.config.job_history,
             )
-        if status == 200:
-            self._absorb_result(info, payload.get("result"))
-        return status, out_headers, {**payload, "job": {**info, "shard": shard.name}}
 
     def _describe_job(self, job: Job) -> Dict[str, Any]:
         info = job.describe()

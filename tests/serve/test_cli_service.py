@@ -72,6 +72,9 @@ def test_serve_submit_drain_roundtrip(server):
     assert "(hit" in second.stderr
     cached = json.loads(second.stdout)
     assert cached == cold  # identical payload, cold vs cached
+    # The printed result is the stored bytes, byte for byte.
+    assert first.stdout == second.stdout
+    assert first.stdout == json.dumps(cold, sort_keys=True, indent=2) + "\n"
 
     health = json.loads(
         urllib.request.urlopen(f"{url}/healthz", timeout=10).read()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -212,6 +213,76 @@ class TestTimeoutParameter:
         after = work_counters(port)
         assert after["jobs"] > before["jobs"]
         assert after["journal_writes"] > before["journal_writes"]
+
+
+def _get(port: int, path: str) -> bytes:
+    return exchange(port, f"GET {path} HTTP/1.1\r\n\r\n".encode("ascii"))
+
+
+def _submit(port: int, target: str, body: dict) -> bytes:
+    return _post_whole(port, target, json.dumps(body).encode("ascii"))
+
+
+class TestEnvelopeBytes:
+    """A ``wait=1`` envelope (and a job's status answer) is the sorted
+    compact JSON of itself, and its ``result`` is the stored result
+    bytes, however the answer was made: a miss, an L1 hit, an L2 hit
+    (the router; a second L1 hit on a lone shard) or a failed job."""
+
+    def envelope(self, port: int, response: bytes, status: int) -> dict:
+        assert status_of(response) == status, response
+        body = body_of(response)
+        envelope = json.loads(body)
+        assert body.decode("ascii") == json.dumps(envelope, sort_keys=True) + "\n"
+        stored = _get(port, f"/v1/jobs/{envelope['job']['id']}/result")
+        assert status_of(stored) == 200
+        assert envelope["result"] == json.loads(body_of(stored))
+        return envelope
+
+    def test_every_envelope_is_the_encoders(self, either_role):
+        port = either_role
+        design = {
+            "source": "input p q r\nt = p * q\nx = t + r\noutput x\n",
+            "name": "envelope_probe",
+            "cs": 3,
+        }
+        accepted = _submit(port, "/v1/schedule", design)
+        assert status_of(accepted) == 202
+        job_id = json.loads(body_of(accepted))["job"]["id"]
+        # Poll the raw result: the router relays it without filling its
+        # L2, so the next answer is the shard's L1 hit.
+        for _ in range(600):
+            if status_of(_get(port, f"/v1/jobs/{job_id}/result")) == 200:
+                break
+            time.sleep(0.05)
+        l1 = self.envelope(
+            port, _submit(port, "/v1/schedule?wait=1", design), 200
+        )
+        assert l1["job"]["cache"] == "hit"
+        l2 = self.envelope(
+            port, _submit(port, "/v1/schedule?wait=1", design), 200
+        )
+        assert l2["job"]["cache"] == "hit"
+        if "shard" in l1["job"]:
+            assert l1["job"]["shard"] == "shard-0"
+            assert l2["job"]["shard"] == "router"
+        assert l1["result"] == l2["result"]
+        status = self.envelope(port, _get(port, f"/v1/jobs/{job_id}"), 200)
+        assert status["result"] == l1["result"]
+
+        miss = self.envelope(
+            port,
+            _submit(port, "/v1/synth?wait=1", dict(design, style=2, cs=4)),
+            200,
+        )
+        assert miss["job"]["cache"] == "miss"
+        assert miss["result"]["result"]["format"] == "repro-synthesis"
+
+        failed = self.envelope(
+            port, _submit(port, "/v1/schedule?wait=1", dict(design, cs=1)), 500
+        )
+        assert failed["job"]["status"] == "failed"
+        assert failed["result"]["ok"] is False
 
 
 class TestReadDeadline:

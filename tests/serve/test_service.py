@@ -4,7 +4,7 @@ Each test boots a real :class:`~repro.serve.app.ServeApp` on an
 ephemeral port (event loop on a daemon thread) and talks to it over
 actual sockets through :class:`~repro.serve.client.Client`.  Slow-job
 scenarios pin the executor to the serial backend and wrap
-``execute_spec`` with a sleep, so timing is controlled without touching
+``execute_job`` with a sleep, so timing is controlled without touching
 process pools.
 """
 
@@ -24,7 +24,7 @@ import pytest
 import repro.serve.batcher as batcher_module
 from repro.resilience.journal import load_records
 from repro.serve import Backpressure, Client, ServeApp, ServiceError
-from repro.serve.jobs import execute_spec
+from repro.serve.jobs import execute_job
 
 SRC = """input a b c d
 t1 = a + b
@@ -63,9 +63,9 @@ def slow_execution(monkeypatch, delay_s):
 
     def slow(spec):
         time.sleep(delay_s)
-        return execute_spec(spec)
+        return execute_job(spec)
 
-    monkeypatch.setattr(batcher_module, "execute_spec", slow)
+    monkeypatch.setattr(batcher_module, "execute_job", slow)
     yield
 
 

@@ -17,6 +17,7 @@ from repro.serve.jobs import (
     CS_FLOOR,
     JobSpecError,
     cache_key,
+    execute_job,
     execute_spec,
     normalize_spec,
     response_text,
@@ -196,6 +197,20 @@ class TestSpecs:
         payload, _snapshot = execute_spec(_spec(body={"cs": 1}))
         assert payload["ok"] is False
         assert payload["error"]["type"]
+
+    @pytest.mark.parametrize(
+        "body, flags",
+        [({}, {}), ({"cs": 1}, {}), ({}, {"verify": True}), ({}, {"trace": True})],
+    )
+    def test_execute_job_renders_the_payload_in_the_worker(self, body, flags):
+        """The service's worker answers the text of ``execute_spec``'s
+        payload, and its error only when the job failed."""
+        spec = _spec(body=body, **flags)
+        payload, _snapshot = execute_spec(spec)
+        text, error, snapshot = execute_job(spec)
+        assert text == response_text(payload)
+        assert error == (None if payload["ok"] else payload["error"])
+        assert isinstance(snapshot, dict)
 
     def test_distinct_clocks_and_latencies_leave_the_worker_cache_alone(self):
         """A client that varies ``clock_ns`` and ``mul_latency`` adds no
