@@ -1,4 +1,4 @@
-"""Render harness: the result texts, direct renderers against the encoder; emits BENCH_core.json.
+"""Render harness: the result texts, walked directly against the encoder; emits BENCH_core.json.
 
 Every MFS or MFSA answer leaves as three texts, each rendered once in
 the worker: the ``repro-schedule`` or ``repro-synthesis`` document
@@ -9,7 +9,8 @@ splices the stored text into the compact envelope
 ``json.dumps`` call whose bytes it reproduces:
 
 * **result** — ``json.dumps(_schedule_payload(...), indent=2)`` (or
-  ``_synthesis_payload``) against the direct renderer;
+  ``_synthesis_payload``) against ``schedule_to_json`` (or
+  ``synthesis_to_json``), which walks the same payload;
 * **response** — ``json.dumps(payload, sort_keys=True, indent=2)``
   against ``response_text``, over the payload a worker builds;
 * **envelope** — ``json.dumps({"job": ..., "result":
@@ -148,7 +149,7 @@ def _timed(fn):
 
 
 def time_run(payload, encoder, direct):
-    """Seconds of each encoder call and its direct renderer, for one design."""
+    """Seconds of each encoder call and its direct rendering, for one design."""
     text = response_text(payload)
     info = _envelope_info(payload)
     return {

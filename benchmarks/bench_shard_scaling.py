@@ -5,6 +5,9 @@ worker shards and measures, over real sockets through the router,
 jobs/sec for a cache-cold uniform workload of distinct MFSA jobs
 (distinct DFG fingerprints → consistent hashing spreads them across the
 fleet, and no submission can be served from either cache tier).
+Each fleet run pushes 480 jobs by default, 1-2 s of work on a 2-vCPU
+host; at 48 (about 0.2 s) two shards read slower than one.  Even at
+480 the ratios move from run to run, so read several runs, not one.
 
 Every shard runs ``--serial`` — one synthesis at a time in the shard
 process — so the shard count is the *only* parallelism axis and the
@@ -125,7 +128,7 @@ def main(argv=None):
         help="quick CI variant: 2-shard fleet, wall-time budget, no JSON write",
     )
     parser.add_argument("--jobs", type=int, default=None,
-                        help="distinct jobs per fleet run (default 48, smoke 8)")
+                        help="distinct jobs per fleet run (default 480, smoke 8)")
     parser.add_argument("--clients", type=int, default=16,
                         help="concurrent client threads (default 16)")
     parser.add_argument("--budget", type=float, default=120.0,
@@ -138,7 +141,7 @@ def main(argv=None):
         help="output path (default: repo root BENCH_core.json)",
     )
     args = parser.parse_args(argv)
-    jobs = args.jobs or (8 if args.smoke else 48)
+    jobs = args.jobs or (8 if args.smoke else 480)
 
     if args.smoke:
         start = time.perf_counter()

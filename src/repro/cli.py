@@ -34,6 +34,7 @@ from typing import Dict, Optional
 from repro.dfg.analysis import TimingModel, critical_path_length
 from repro.dfg.ops import standard_operation_set
 from repro.dfg.parser import parse_behavior
+from repro.errors import ReproError
 from repro.core.mfs import MFSScheduler
 from repro.core.mfsa import MFSAScheduler
 from repro.library.ncr import datapath_library
@@ -1106,6 +1107,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as error:
+        # Input the library refuses (a malformed design, a cs below the
+        # critical path) gets one line; any other exception is a bug
+        # and keeps its traceback.
+        print(f"repro-hls: {type(error).__name__}: {error}", file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
     if args.command == "table1":
         return _command_table1(args)
     if args.command == "table2":

@@ -12,9 +12,13 @@ exchanged:
 * :func:`sorted_json` — ``json.dumps(value, sort_keys=True, indent=2)``,
   the layout of every service response.
 
-The compact design text and the indented result texts are rendered
-directly, with ``json.dumps`` of the same payload as the reference and
-the fallback (see "Direct renderers" below).
+Each document is built as a payload (``_dfg_payload``,
+``_schedule_payload``, ``_synthesis_payload``), and ``json.dumps`` of
+the payload is the reference and the fallback.  The compact design text
+(what the service keys on) is rendered field by field; every indented
+text is rendered by one walker, over the result document's payload in
+the order its builder set the keys, or with sorted keys for
+:func:`sorted_json` (see "One walker" below).
 """
 
 from __future__ import annotations
@@ -314,14 +318,17 @@ def _synthesis_payload(result) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Direct renderers of the indented texts
+# One walker for the indented texts
 # ----------------------------------------------------------------------
 # ``json.dumps`` runs its C encoder only when ``indent`` is None, and
-# every result text is indented, so these renderers build the text from
-# strings instead.  They spell strings, exact ints and floats, booleans
-# and None, and string-keyed dicts and lists of those.  On anything else
-# they raise (``_encode_str`` raises TypeError on a key that is not a
-# string), and the caller renders the whole document with
+# every result text is indented, so one walker builds the ``indent=2``
+# text from strings instead, with two key orders: sorted for
+# :func:`sorted_json`, and for the result documents the order their
+# payload builder set the keys in, so each document's fields are listed
+# only in its builder.  The walker spells strings, exact ints and floats,
+# booleans and None, and string-keyed dicts, lists and tuples of those.
+# On anything else it raises (``_encode_str`` raises TypeError on a key
+# that is not a string), and the caller renders the whole document with
 # ``json.dumps``, so every text and every error stays the encoder's.
 
 _INFINITY = float("inf")
@@ -350,7 +357,7 @@ _SCALARS = {
 
 
 class _Unrendered(Exception):
-    """A value the direct renderers leave to the encoder."""
+    """A value the walker leaves to the encoder."""
 
 
 def _scalar(value: Any) -> str:
@@ -360,139 +367,8 @@ def _scalar(value: Any) -> str:
     return spell(value)
 
 
-#: Line breaks of the second, third and fourth nesting levels.
-_PAD1, _PAD2, _PAD3 = "\n  ", "\n    ", "\n      "
-
-
-def _block(items: List[str], pad: str, brackets: str) -> str:
-    """Rendered ``items`` one level inside ``pad``, in ``brackets``."""
-    if not items:
-        return brackets
-    inner = pad + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
-
-
-def _scalar_list(values: Any, pad: str) -> str:
-    """A list of scalars; a list of names (strings) takes the short way."""
-    return _names_list(values, pad) or _block(
-        [_scalar(value) for value in values], pad, "[]"
-    )
-
-
-def _scalar_dict(items: Any, pad: str) -> str:
-    """A dict of scalars; integers take the short way."""
-    return _block(
-        [
-            f"{_encode_str(key)}: "
-            f"{value if type(value) is int else _scalar(value)}"
-            for key, value in items
-        ],
-        pad,
-        "{}",
-    )
-
-
-def _schedule_text(schedule: Schedule) -> str:
-    """``json.dumps(_schedule_payload(schedule), indent=2)``."""
-    return _block(
-        [
-            '"format": "repro-schedule"',
-            f'"version": {FORMAT_VERSION}',
-            f'"dfg": {_scalar(schedule.dfg.name)}',
-            f'"cs": {_scalar(schedule.cs)}',
-            f'"makespan": {_scalar(schedule.makespan())}',
-            f'"latency_l": {_scalar(schedule.latency_l)}',
-            '"pipelined_kinds": '
-            + _scalar_list(sorted(schedule.pipelined_kinds), _PAD1),
-            '"starts": ' + _scalar_dict(sorted(schedule.starts.items()), _PAD1),
-            '"fu_usage": ' + _scalar_dict(schedule.fu_usage().items(), _PAD1),
-        ],
-        "\n",
-        "{}",
-    )
-
-
-def _alu_text(instance) -> str:
-    return _block(
-        [
-            f'"cell": {_scalar(instance.cell.name)}',
-            f'"label": {_scalar(instance.cell.label())}',
-            f'"instance": {_scalar(instance.index)}',
-            '"ops": ' + _scalar_list(instance.ops, _PAD3),
-            '"mux_l1": ' + _scalar_list(instance.mux.l1, _PAD3),
-            '"mux_l2": ' + _scalar_list(instance.mux.l2, _PAD3),
-        ],
-        _PAD2,
-        "{}",
-    )
-
-
-def _synthesis_text(result) -> str:
-    """``json.dumps(_synthesis_payload(result), indent=2)``."""
-    schedule = result.schedule
-    datapath = result.datapath
-    registers = datapath.registers
-    cost = datapath.cost_breakdown()
-    binding = [
-        f'{_encode_str(name)}: {{{_PAD3}"cell": {_scalar(key[0])},'
-        f'{_PAD3}"instance": {_scalar(key[1])}{_PAD2}}}'
-        for name, key in sorted(datapath.binding.items())
-    ]
-    return _block(
-        [
-            '"format": "repro-synthesis"',
-            f'"version": {FORMAT_VERSION}',
-            f'"dfg": {_scalar(schedule.dfg.name)}',
-            f'"cs": {_scalar(schedule.cs)}',
-            f'"style": {_scalar(result.style)}',
-            '"starts": ' + _scalar_dict(sorted(schedule.starts.items()), _PAD1),
-            '"binding": ' + _block(binding, _PAD1, "{}"),
-            '"alus": '
-            + _block(
-                [
-                    _alu_text(instance)
-                    for _key, instance in sorted(datapath.instances.items())
-                ],
-                _PAD1,
-                "[]",
-            ),
-            '"registers": '
-            + _block(
-                [
-                    f'"r{index}": '
-                    + _scalar_list(registers.values_in(index), _PAD2)
-                    for index in range(registers.count)
-                ],
-                _PAD1,
-                "{}",
-            ),
-            '"cost": '
-            + _scalar_dict(
-                [
-                    ("alu", cost.alu),
-                    ("registers", cost.registers),
-                    ("mux", cost.mux),
-                    ("total", cost.total),
-                ],
-                _PAD1,
-            ),
-            '"metrics": '
-            + _scalar_dict(
-                [
-                    ("register_count", datapath.register_count()),
-                    ("mux_count", datapath.mux_count()),
-                    ("mux_inputs", datapath.mux_inputs()),
-                ],
-                _PAD1,
-            ),
-        ],
-        "\n",
-        "{}",
-    )
-
-
-def _sorted_parts(value: Any, pad: str, out: List[str]) -> None:
-    """Append the pieces of ``json.dumps(value, sort_keys=True,
+def _parts(value: Any, pad: str, out: List[str], sort_keys: bool) -> None:
+    """Append the pieces of ``json.dumps(value, sort_keys=sort_keys,
     indent=2)`` to ``out``, ``value`` nested at ``pad``."""
     kind = type(value)
     if kind is dict:
@@ -501,7 +377,7 @@ def _sorted_parts(value: Any, pad: str, out: List[str]) -> None:
             return
         inner = pad + "  "
         lead, sep = "{" + inner, "," + inner
-        for key in sorted(value):
+        for key in sorted(value) if sort_keys else value:
             item = value[key]
             kind = type(item)
             if kind is str:
@@ -510,7 +386,7 @@ def _sorted_parts(value: Any, pad: str, out: List[str]) -> None:
                 out.append(f"{lead}{_encode_str(key)}: {item}")
             elif kind is dict or kind is list or kind is tuple:
                 out.append(f"{lead}{_encode_str(key)}: ")
-                _sorted_parts(item, inner, out)
+                _parts(item, inner, out, sort_keys)
             else:
                 out.append(f"{lead}{_encode_str(key)}: {_scalar(item)}")
             lead = sep
@@ -526,7 +402,7 @@ def _sorted_parts(value: Any, pad: str, out: List[str]) -> None:
             kind = type(item)
             if kind is dict or kind is list or kind is tuple:
                 out.append(lead)
-                _sorted_parts(item, inner, out)
+                _parts(item, inner, out, sort_keys)
             else:
                 out.append(lead + _scalar(item))
             lead = sep
@@ -548,46 +424,45 @@ def _names_list(values: Any, pad: str) -> str:
     return "[" + inner + names + pad + "]"
 
 
+def _indented(value: Any, sort_keys: bool) -> str:
+    """``json.dumps(value, sort_keys=sort_keys, indent=2)``, walked
+    directly; a value the walk does not spell, a key that is not a
+    string, or a failed key sort takes the encoder instead."""
+    out: List[str] = []
+    try:
+        _parts(value, "\n", out, sort_keys)
+    except Exception:
+        return json.dumps(value, sort_keys=sort_keys, indent=2)
+    return "".join(out)
+
+
 def sorted_json(value: Any) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, rendered directly.
 
     The layout of every response text (:func:`repro.serve.jobs.
-    response_text`).  A value the direct walk does not spell, a key that
-    is not a string, or a failed key sort takes the encoder instead.
+    response_text`).
     """
-    out: List[str] = []
-    try:
-        _sorted_parts(value, "\n", out)
-    except Exception:
-        return json.dumps(value, sort_keys=True, indent=2)
-    return "".join(out)
+    return _indented(value, True)
+
+
+def _document(payload: Dict[str, Any], indent: Optional[int]) -> str:
+    """``json.dumps(payload, indent=indent)``; the default ``indent=2``
+    is walked directly, with keys in the order the builder set them."""
+    if type(indent) is int and indent == 2:
+        return _indented(payload, False)
+    return json.dumps(payload, indent=indent)
 
 
 def schedule_to_json(schedule: Schedule, indent: Optional[int] = 2) -> str:
     """Serialise a schedule (one-way; includes derived metrics).
 
-    The default ``indent=2`` text is rendered directly; it equals
-    ``json.dumps`` of the payload, which renders every other layout and
-    any schedule holding a field the direct renderer does not spell.
+    The text is ``json.dumps`` of the payload at any ``indent``; the
+    default ``indent=2`` is walked directly.
     """
-    if type(indent) is int and indent == 2:
-        try:
-            return _schedule_text(schedule)
-        except Exception:
-            pass
-    return json.dumps(_schedule_payload(schedule), indent=indent)
+    return _document(_schedule_payload(schedule), indent)
 
 
 def synthesis_to_json(result, indent: Optional[int] = 2) -> str:
-    """Serialise an :class:`~repro.core.mfsa.MFSAResult` summary.
-
-    Rendered like :func:`schedule_to_json`: directly at ``indent=2``,
-    else (and on any field the direct renderer does not spell) through
-    ``json.dumps`` of the payload.
-    """
-    if type(indent) is int and indent == 2:
-        try:
-            return _synthesis_text(result)
-        except Exception:
-            pass
-    return json.dumps(_synthesis_payload(result), indent=indent)
+    """Serialise an :class:`~repro.core.mfsa.MFSAResult` summary,
+    rendered like :func:`schedule_to_json`."""
+    return _document(_synthesis_payload(result), indent)

@@ -22,7 +22,7 @@ recorder may hold several runs (a sweep merges per-worker streams via
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence
 
 from repro.trace.events import (
     CANDIDATE,
@@ -39,7 +39,6 @@ from repro.trace.events import (
 (
     _RUN_START,
     _FRAME,
-    _CAND,
     _CANDS,
     _CANDS_DETAILED,
     _COMMIT,
@@ -47,7 +46,7 @@ from repro.trace.events import (
     _COUNTERS,
     _RUN_END,
     _EXTERN,
-) = range(10)
+) = range(9)
 
 
 class TraceRecorder:
@@ -85,23 +84,6 @@ class TraceRecorder:
         construction and never mutated afterwards).
         """
         self._raw.append((_FRAME, node, table, frame_set, current))
-
-    def candidate(
-        self,
-        node: str,
-        table: str,
-        x: int,
-        y: int,
-        energy: float,
-        f_time: Optional[float] = None,
-        f_alu: Optional[float] = None,
-        f_mux: Optional[float] = None,
-        f_reg: Optional[float] = None,
-    ) -> None:
-        """Record one Liapunov evaluation (MFSA passes the §4.1 breakdown)."""
-        self._raw.append(
-            (_CAND, node, table, x, y, energy, f_time, f_alu, f_mux, f_reg)
-        )
 
     def candidates(self, node: str, table: str, pairs) -> None:
         """Record a whole move frame of Liapunov evaluations in one append.
@@ -206,19 +188,6 @@ class TraceRecorder:
                     "fm": f_mux,
                     "fr": f_reg,
                 }
-            return
-        if tag == _CAND:
-            obj = {
-                "t": CANDIDATE,
-                "node": raw[1],
-                "table": raw[2],
-                "x": raw[3],
-                "y": raw[4],
-                "e": raw[5],
-            }
-            if raw[6] is not None:
-                obj["ft"], obj["fa"], obj["fm"], obj["fr"] = raw[6:10]
-            yield obj
             return
         if tag == _FRAME:
             frame_set = raw[3]

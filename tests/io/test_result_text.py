@@ -15,7 +15,9 @@ answer, which splices the stored text in, the encoder's answer):
 * where a field holds what no scheduler writes (floats at the edges of
   their spelling, empty and tuple containers, keys that are not strings,
   an ``int`` subclass, a type JSON has no spelling for): the encoder's
-  bytes, or the encoder's error with its message.
+  bytes, or the encoder's error with its message;
+* for any value a payload builder could return, walked with its keys in
+  the order they were set, as both result documents are.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -554,3 +557,100 @@ def test_the_default_layouts_take_no_encoder(small_run, monkeypatch):
         synthesis_to_json(synthesis),
         response_text(payload),
     ) == expected
+
+
+# ----------------------------------------------------------------------
+# The build-order walk both result documents take
+# ----------------------------------------------------------------------
+def build_order_outcomes(value):
+    """The outcomes of ``schedule_to_json`` and ``synthesis_to_json`` on
+    a document whose payload builder returns ``value``: the walk that
+    keeps each dict's keys in the order they were set."""
+    with mock.patch.multiple(
+        jsonio,
+        _schedule_payload=lambda _schedule: value,
+        _synthesis_payload=lambda _result: value,
+    ):
+        return outcome(schedule_to_json, None), outcome(synthesis_to_json, None)
+
+
+def encoded_in_build_order(value):
+    return json.dumps(value, indent=2)
+
+
+def assert_build_order_is_the_encoders(value):
+    expected = outcome(encoded_in_build_order, value)
+    assert build_order_outcomes(value) == (expected, expected)
+
+
+json_keys = st.one_of(names, constants, floats, st.booleans(), st.none())
+
+
+@given(value=json_values)
+@settings(max_examples=200, deadline=None)
+def test_any_value_in_build_order_is_the_encoders(value):
+    assert_build_order_is_the_encoders(value)
+
+
+@given(payload=st.dictionaries(json_keys, json_values, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_any_keys_in_build_order_are_the_encoders(payload):
+    assert_build_order_is_the_encoders(payload)
+    assert_build_order_is_the_encoders({"result": payload, "ok": [payload]})
+
+
+@pytest.mark.parametrize("label", sorted(EDGE_VALUES))
+def test_build_order_edge_value_is_the_encoders(label):
+    value = EDGE_VALUES[label]
+    for payload in (
+        {"result": value, "ok": True},
+        {"result": {"nested": [value, {"x": value}]}},
+        [value],
+        value,
+    ):
+        assert_build_order_is_the_encoders(payload)
+
+
+@pytest.mark.parametrize("label", sorted(EDGE_KEYS))
+def test_build_order_edge_keys_are_the_encoders(label):
+    mapping = EDGE_KEYS[label]
+    for payload in (mapping, {"result": mapping}, [mapping]):
+        assert_build_order_is_the_encoders(payload)
+
+
+def test_keys_keep_their_build_order():
+    """Unlike the sorted walk: string keys stay unsorted, and 10 stays
+    before 9."""
+    assert build_order_outcomes({"b": {10: "ten", 9: "nine"}, "a": 1})[0] == (
+        "text",
+        '{\n  "b": {\n    "10": "ten",\n    "9": "nine"\n  },\n  "a": 1\n}',
+    )
+
+
+def test_mixed_keys_in_build_order_are_spelled_not_refused():
+    """Only a key sort compares keys, so the encoder spells mixed keys."""
+    payload = {"z": 1, 2: [], None: {}, True: 2.5, 1.5: "x", "a": None}
+    assert_build_order_is_the_encoders(payload)
+    assert build_order_outcomes(payload)[0] == (
+        "text",
+        '{\n  "z": 1,\n  "2": [],\n  "null": {},\n  "true": 2.5,\n'
+        '  "1.5": "x",\n  "a": null\n}',
+    )
+
+
+def test_empty_containers_in_build_order():
+    for payload, text in (
+        ({}, "{}"),
+        ([], "[]"),
+        ((), "[]"),
+        ({"a": {}, "b": [], "c": ()}, '{\n  "a": {},\n  "b": [],\n  "c": []\n}'),
+    ):
+        assert_build_order_is_the_encoders(payload)
+        assert build_order_outcomes(payload)[0] == ("text", text)
+
+
+def test_a_circular_payload_in_build_order_raises_the_encoders_error():
+    payload = {"a": []}
+    payload["a"].append(payload)
+    assert_build_order_is_the_encoders(payload)
+    assert build_order_outcomes(payload)[0][1] is ValueError

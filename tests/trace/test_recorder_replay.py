@@ -218,7 +218,6 @@ class TestMalformedInput:
     def test_manual_candidate_event_roundtrips(self):
         trace = TraceRecorder()
         trace.run_start("mfs", "manual", 3)
-        trace.candidate("n0", "add", 1, 0, 2.5)
         trace.candidates(
             "n0", "add", [(GridPosition("add", 1, 1), 3.5)]
         )
