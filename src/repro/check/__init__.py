@@ -10,7 +10,8 @@ against that claim end to end:
   containment, grid-occupancy consistency (folded functional-pipelining
   steps included), chaining delay within the clock period;
 * **Liapunov descent** — the replayed trajectory is monotone and every
-  placement was the minimum-energy move-frame position;
+  placement was the minimum-energy move-frame position; MFSA commits sit
+  at their earliest candidate step (§4.1 time dominance);
 * **allocation consistency** — register lifetimes non-overlapping per
   register, mux/bus wiring matches the binding, the RTL netlist
   references only declared resources;
@@ -34,7 +35,7 @@ from repro.check.schedule import (
     check_grid_consistency,
     check_schedule_legality,
 )
-from repro.check.liapunov import check_liapunov_descent
+from repro.check.liapunov import check_liapunov_descent, check_time_dominance
 from repro.check.allocation import (
     check_datapath_consistency,
     check_netlist_consistency,
@@ -63,6 +64,7 @@ __all__ = [
     "check_frame_containment",
     "check_grid_consistency",
     "check_liapunov_descent",
+    "check_time_dominance",
     "check_datapath_consistency",
     "check_netlist_consistency",
     "cross_validate",

@@ -11,9 +11,12 @@ suite in ``tests/property/test_property_kernel.py``.
 
 Both walks consult every cache the same way, so every perf counter —
 candidates evaluated, frames computed, mux, operand and register cache
-traffic — must match exactly.  Both audits record move-frame
-alternatives on both walks, so their trajectories are compared
-position by position.
+traffic — must match exactly.  Both audits run each walk twice: with
+move-frame alternatives recorded, so the trajectories are compared
+position by position over whole frames, and with default options, where
+each walk stops building a frame at the first step that cannot win.
+The default runs must agree with each other in result bytes, moves and
+every counter, and make the recorded run's moves.
 """
 
 from __future__ import annotations
@@ -26,6 +29,21 @@ from repro.check.runner import _merge_sub
 from repro.perf import PerfCounters
 
 
+WALKS = ("scalar", "vector")
+
+
+def _run_walks(run, record: bool) -> dict:
+    """``{walk: (result, perf)}``: ``run(walk, perf, record)`` once per
+    walk, each starting from a cleared process-wide mux memo so the
+    second walk cannot ride the first one's cached optimisations."""
+    runs = {}
+    for walk in WALKS:
+        clear_mux_memo()
+        perf = PerfCounters()
+        runs[walk] = (run(walk, perf, record), perf)
+    return runs
+
+
 def check_mfs_kernels(
     dfg,
     timing,
@@ -36,32 +54,38 @@ def check_mfs_kernels(
 ) -> CheckReport:
     """Run MFS under both kernels and compare everything observable."""
     from repro.core.mfs import MFSScheduler
+    from repro.io.jsonio import schedule_to_json
 
-    report = CheckReport(target=f"MFS kernels {dfg.name} (cs={cs})")
-    results = {}
-    perfs = {}
-    for kern in ("scalar", "vector"):
-        perfs[kern] = PerfCounters()
-        results[kern] = MFSScheduler(
+    def run(walk, perf, record):
+        return MFSScheduler(
             dfg,
             timing,
             cs=cs,
             mode=mode,
             latency_l=latency_l,
             pipelined_kinds=pipelined_kinds,
-            kernel=kern,
-            perf=perfs[kern],
-            record_alternatives=True,
+            kernel=walk,
+            perf=perf,
+            record_alternatives=record,
         ).run()
-    _compare(report, results["scalar"], results["vector"], perfs)
+
+    report = CheckReport(target=f"MFS kernels {dfg.name} (cs={cs})")
+    recorded = _run_walks(run, True)
+    _compare(report, recorded)
+    scalar, vector = recorded["scalar"][0], recorded["vector"][0]
     report.ran("kernel-fu-counts")
-    if results["scalar"].fu_counts != results["vector"].fu_counts:
+    if scalar.fu_counts != vector.fu_counts:
         report.add(
             "kernel-divergence",
             "fu_counts",
-            f"scalar {results['scalar'].fu_counts} != "
-            f"vector {results['vector'].fu_counts}",
+            f"scalar {scalar.fu_counts} != vector {vector.fu_counts}",
         )
+    _compare_default(
+        report,
+        _run_walks(run, False),
+        recorded,
+        lambda result: schedule_to_json(result.schedule),
+    )
     return report
 
 
@@ -73,35 +97,29 @@ def check_mfsa_kernels(
     style: int = 1,
     weights=None,
 ) -> CheckReport:
-    """Run MFSA under both kernels and compare everything observable.
-
-    Each run starts with a cleared process-wide mux memo so the second
-    kernel cannot ride the first one's cached optimisations.
-    """
+    """Run MFSA under both kernels and compare everything observable."""
     from repro.core.mfsa import MFSAScheduler
+    from repro.io.jsonio import synthesis_to_json
 
-    report = CheckReport(target=f"MFSA kernels {dfg.name} (cs={cs})")
-    results = {}
-    perfs = {}
-    for kern in ("scalar", "vector"):
-        clear_mux_memo()
-        perfs[kern] = PerfCounters()
-        kwargs = {}
-        if weights is not None:
-            kwargs["weights"] = weights
-        results[kern] = MFSAScheduler(
+    kwargs = {} if weights is None else {"weights": weights}
+
+    def run(walk, perf, record):
+        return MFSAScheduler(
             dfg,
             timing,
             library,
             cs=cs,
             style=style,
-            kernel=kern,
-            perf=perfs[kern],
-            record_alternatives=True,
+            kernel=walk,
+            perf=perf,
+            record_alternatives=record,
             **kwargs,
         ).run()
-    scalar, vector = results["scalar"], results["vector"]
-    _compare(report, scalar, vector, perfs)
+
+    report = CheckReport(target=f"MFSA kernels {dfg.name} (cs={cs})")
+    recorded = _run_walks(run, True)
+    _compare(report, recorded)
+    scalar, vector = recorded["scalar"][0], recorded["vector"][0]
     report.ran("kernel-datapath")
     if scalar.alu_labels() != vector.alu_labels():
         report.add(
@@ -115,10 +133,38 @@ def check_mfsa_kernels(
             "cost",
             f"scalar {scalar.cost!r} != vector {vector.cost!r}",
         )
+    _compare_default(report, _run_walks(run, False), recorded, synthesis_to_json)
     return report
 
 
-def _compare(report: CheckReport, scalar, vector, perfs) -> None:
+def _moves(result):
+    """The (node, position, energy) sequence of a run's trajectory."""
+    return [(event.node, event.position, event.energy) for event in result.trajectory]
+
+
+def _compare_default(report: CheckReport, runs, recorded, encode) -> None:
+    """Default-option runs: the walks agree in bytes and in everything
+    :func:`_compare` reads, and make the recorded whole-frame moves."""
+    _compare(report, runs, prefix="default ")
+    report.ran("kernel-default-bytes")
+    if encode(runs["scalar"][0]) != encode(runs["vector"][0]):
+        report.add(
+            "kernel-divergence",
+            "default bytes",
+            "default-option walks render different result documents",
+        )
+    report.ran("kernel-default-moves")
+    if _moves(runs["scalar"][0]) != _moves(recorded["scalar"][0]):
+        report.add(
+            "kernel-divergence",
+            "default moves",
+            "the default-option run's moves differ from the recorded "
+            "whole-frame run's",
+        )
+
+
+def _compare(report: CheckReport, runs, prefix: str = "") -> None:
+    (scalar, scalar_perf), (vector, vector_perf) = runs["scalar"], runs["vector"]
     report.ran("kernel-schedule")
     if scalar.schedule.starts != vector.schedule.starts:
         diff = {
@@ -128,21 +174,20 @@ def _compare(report: CheckReport, scalar, vector, perfs) -> None:
         }
         report.add(
             "kernel-divergence",
-            "schedule.starts",
+            f"{prefix}schedule.starts",
             f"{len(diff)} ops placed differently: {sorted(diff)[:5]}",
         )
     report.ran("kernel-trajectory")
     if scalar.trajectory != vector.trajectory:
         report.add(
             "kernel-divergence",
-            "trajectory",
+            f"{prefix}trajectory",
             "Liapunov trajectories differ "
             f"(scalar {len(scalar.trajectory)} points, "
             f"vector {len(vector.trajectory)})",
         )
     report.ran("kernel-counters")
-    sc = perfs["scalar"].counters
-    vc = perfs["vector"].counters
+    sc, vc = scalar_perf.counters, vector_perf.counters
     if sc != vc:
         keys = sorted(
             key
@@ -151,7 +196,7 @@ def _compare(report: CheckReport, scalar, vector, perfs) -> None:
         )
         report.add(
             "kernel-divergence",
-            "perf-counters",
+            f"{prefix}perf-counters",
             f"counters differ on {keys[:6]}",
         )
 

@@ -8,6 +8,11 @@ breach; this checker replays the recorded trajectory and reports every
 breach, plus bookkeeping defects the raising verifier does not look at
 (a chosen position missing from its own alternatives list, or recorded
 with an energy that disagrees with the alternatives entry).
+
+:func:`check_time_dominance` audits MFSA's §4.1 premise that
+``f_TIME = C·y`` dominates — "control step t is selected before t+1
+whenever hardware allows" — which no choice of ``C`` guarantees once the
+mux cost table is not monotone.
 """
 
 from __future__ import annotations
@@ -73,4 +78,28 @@ def check_liapunov_descent(
                 )
             )
         per_node[event.node] = event.energy
+    return violations
+
+
+def check_time_dominance(trajectory: Trajectory) -> List[Violation]:
+    """Audit that each recorded commit sits at its earliest candidate step.
+
+    Only moves with recorded alternatives are audited; a move that took a
+    later step than one its move frame offered is a breach.
+    """
+    violations: List[Violation] = []
+    for event in trajectory:
+        if not event.alternatives:
+            continue
+        earliest = min(position.y for position, _energy in event.alternatives)
+        if event.position.y > earliest:
+            violations.append(
+                Violation(
+                    "liapunov.time-dominance",
+                    event.node,
+                    f"iteration {event.iteration}: committed at step "
+                    f"{event.position.y}, but the move frame offered step "
+                    f"{earliest}",
+                )
+            )
     return violations

@@ -15,7 +15,7 @@ from repro.check.allocation import (
     check_netlist_consistency,
 )
 from repro.check.differential import cross_validate
-from repro.check.liapunov import check_liapunov_descent
+from repro.check.liapunov import check_liapunov_descent, check_time_dominance
 from repro.check.report import CheckReport
 from repro.check.schedule import (
     check_frame_containment,
@@ -74,6 +74,7 @@ def check_mfsa_result(result, differential: bool = False) -> CheckReport:
     )
     report.ran("liapunov-descent")
     report.extend(check_liapunov_descent(result.trajectory))
+    report.extend(check_time_dominance(result.trajectory))
     report.ran("datapath-consistency")
     report.extend(
         check_datapath_consistency(

@@ -28,6 +28,7 @@ Behavioral files use the :mod:`repro.dfg.parser` language.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, Optional
 
@@ -43,8 +44,11 @@ from repro.perf import PerfCounters
 
 
 def _load_dfg(path: str):
+    """The design in the behavioral file ``path``, named by the file's
+    stem, so output does not depend on how the path was spelled."""
+    stem = os.path.splitext(os.path.basename(path))[0]
     with open(path) as handle:
-        return parse_behavior(handle.read(), name=path)
+        return parse_behavior(handle.read(), name=stem)
 
 
 def _timing(args) -> TimingModel:
@@ -376,13 +380,9 @@ def _command_check(args) -> int:
 
 
 def _command_trace(args) -> int:
-    import os
-
     from repro.trace import trace_run
 
-    stem = os.path.splitext(os.path.basename(args.file))[0]
-    with open(args.file) as handle:
-        dfg = parse_behavior(handle.read(), name=stem)
+    dfg = _load_dfg(args.file)
     timing = _timing(args)
     run = trace_run(
         dfg,
@@ -569,8 +569,6 @@ def _command_submit(args) -> int:
 
 
 def _command_scenarios_run(args) -> int:
-    import os
-
     from repro.scenarios import (
         failing_results,
         load_config,

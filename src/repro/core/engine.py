@@ -129,6 +129,12 @@ class MoveFrameEngine:
         self._bounds: Dict[str, tuple] = {}
         return grid
 
+    def _wide(self, rows: int, columns: int) -> bool:
+        """``auto``'s per-operation gate (:mod:`repro.core.kernel`): MFS
+        sends a frame rectangle of ``rows`` steps × ``columns`` open
+        columns to the vector walk from ``VECTOR_MIN_CELLS`` cells."""
+        return rows * columns >= _kernel.VECTOR_MIN_CELLS
+
     def _frame(
         self,
         name: str,
@@ -138,18 +144,18 @@ class MoveFrameEngine:
         width: Optional[int] = None,
     ):
         """The move frame of ``name`` in ``table`` with ``current``
-        columns open and the instance columns ``excluded`` banned, or
-        ``None`` when it has no position.
+        columns open and the instance columns ``excluded`` banned.
 
         The walk is the vector one when the run allows it and either
-        ``kernel="vector"`` forces it or the frame rectangle —
-        primary-frame rows clipped to the grid × ``width`` open columns
-        (default ``current``) — holds at least ``VECTOR_MIN_CELLS``
-        cells; a caller passes one ``width`` for all frames of an
-        operation to keep them on one walk.  Scalar walk: a
-        :class:`~repro.core.frames.FrameSet`, recorded to the trace.
-        Vector walk: ``(mask, lo_y)`` from
-        :func:`repro.core.kernel.move_frame_mask`.
+        ``kernel="vector"`` forces it or :meth:`_wide` passes the frame
+        rectangle — primary-frame rows clipped to the grid × ``width``
+        open columns (default ``current``); a caller passes one ``width``
+        for all frames of an operation to keep them on one walk.  Scalar
+        walk: a :class:`~repro.core.frames.FrameSet`, recorded to the
+        trace, whose steps are built as the pricer walks them.  Vector
+        walk: ``(mask, lo_y)`` from
+        :func:`repro.core.kernel.move_frame_mask`, or ``None`` when no
+        position is admissible.
         """
         if self.perf is not None:
             self.perf.incr(self._frames_counter)
@@ -168,8 +174,9 @@ class MoveFrameEngine:
         if self.view is not None:
             lo_y = max(self.asap[name], 1)
             hi_y = min(self.alap[name], self.grid.cs - bounds[0] + 1)
-            cells = (hi_y - lo_y + 1) * (current if width is None else width)
-            if self.kernel == "vector" or cells >= _kernel.VECTOR_MIN_CELLS:
+            if self.kernel == "vector" or self._wide(
+                hi_y - lo_y + 1, current if width is None else width
+            ):
                 return _kernel.move_frame_mask(
                     self.view,
                     self.grid,
@@ -198,7 +205,7 @@ class MoveFrameEngine:
         )
         if self.trace is not None:
             self.trace.frame(name, table, frame, current)
-        return frame if frame.mf else None
+        return frame
 
     def _commit(
         self,

@@ -14,12 +14,17 @@ For an operation ``O_i`` executable in table ``j``:
   combinational delay fits the clock period;
 * **Move frame** ``MF = PF − (RF ∪ FF)`` minus occupied cells — the
   positions the operation may move to.
+
+The move frame is built one control step at a time, on demand
+(:meth:`FrameSet.steps`), so a scheduler that can prove no later step
+holds its argmin stops building there; ``FrameSet.mf`` lists the whole
+frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.dfg.analysis import TimingModel
 from repro.dfg.graph import DFG
@@ -31,7 +36,11 @@ class FrameSet:
     """The four frames of one operation at one scheduling iteration.
 
     ``rows`` are control steps, ``cols`` FU-instance indices; all ranges
-    are inclusive.  ``mf`` is the explicit list of placeable positions.
+    are inclusive.  The move frame's positions are built per control step
+    when first walked (:meth:`steps`) and kept, so a later walk replays
+    them; ``mf`` is the explicit list of all placeable positions.  The
+    grid is read when a step is built: walk a frame before the next
+    placement.
     """
 
     node: str
@@ -42,12 +51,57 @@ class FrameSet:
     ff_rows_before: int
     ff_rows_after: int
     chain_rows: Tuple[int, ...]
-    mf: List[GridPosition] = field(default_factory=list)
+    #: The instance columns a position may take (open, not excluded).
+    columns: Tuple[int, ...] = ()
+    #: ``free(x, y)``: whether the grid admits the operation at ``(x, y)``.
+    free: Optional[Callable[[int, int], bool]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._built: List[Tuple[int, List[GridPosition]]] = []
+        self._next_y = self.pf_rows[0]
+
+    def steps(
+        self, stop: Optional[Callable[[int], bool]] = None
+    ) -> Iterator[Tuple[int, List[GridPosition]]]:
+        """The move frame's non-empty control steps, ``(y, positions)`` in
+        step order with positions by instance column.
+
+        ``stop(y)`` is asked before each step ``y``; once it answers true
+        the walk ends, and the steps from ``y`` on stay unbuilt for a
+        later walk.
+        """
+        for y, positions in self._built:
+            if stop is not None and stop(y):
+                return
+            yield y, positions
+        latest_pred_end = self.ff_rows_before
+        chain_rows, ff_rows_after = self.chain_rows, self.ff_rows_after
+        columns, free, table = self.columns, self.free, self.table
+        while self._next_y <= self.pf_rows[1]:
+            y = self._next_y
+            if stop is not None and stop(y):
+                return
+            self._next_y = y + 1
+            # Inline in_ff: forbidden below (unless chaining re-admits the
+            # row) or at/above the placed-successor bound.
+            if (y <= latest_pred_end and y not in chain_rows) or y >= ff_rows_after:
+                continue
+            positions = [GridPosition(table, x, y) for x in columns if free(x, y)]
+            if positions:
+                self._built.append((y, positions))
+                yield y, positions
+
+    @property
+    def mf(self) -> List[GridPosition]:
+        """Every move-frame position, in (step, instance) order."""
+        return [position for _y, row in self.steps() for position in row]
 
     @property
     def empty(self) -> bool:
         """Whether the move frame has no placeable position."""
-        return not self.mf
+        return next(self.steps(), None) is None
 
     def pf_positions(self) -> List[GridPosition]:
         """All primary-frame positions (used by the Figure-2 renderer)."""
@@ -183,6 +237,9 @@ def compute_frames(
 ) -> FrameSet:
     """Build PF/RF/FF and the resulting move frame for one operation.
 
+    The move frame's positions are built when the frame is walked
+    (:meth:`FrameSet.steps`, or ``mf`` for all of them).
+
     Parameters
     ----------
     current:
@@ -206,34 +263,19 @@ def compute_frames(
         )
     latency, latest_pred_end, ff_rows_after, chain_rows = bounds
     max_cols = grid.columns(table)
-
-    pf_rows = (asap[node], alap[node])
-    pf_cols = (1, max_cols)
-    rf_cols = (current + 1, max_cols) if current < max_cols else None
-
-    frame = FrameSet(
+    banned = set(excluded_instances)
+    is_free = grid.is_free
+    return FrameSet(
         node=node,
         table=table,
-        pf_rows=pf_rows,
-        pf_cols=pf_cols,
-        rf_cols=rf_cols,
+        pf_rows=(asap[node], alap[node]),
+        pf_cols=(1, max_cols),
+        rf_cols=(current + 1, max_cols) if current < max_cols else None,
         ff_rows_before=latest_pred_end,
         ff_rows_after=ff_rows_after,
         chain_rows=chain_rows,
+        columns=tuple(
+            x for x in range(1, min(current, max_cols) + 1) if x not in banned
+        ),
+        free=lambda x, y: is_free(node, table, x, y, latency),
     )
-
-    banned = set(excluded_instances)
-    is_free = grid.is_free
-    mf_append = frame.mf.append
-    top_col = min(current, max_cols)
-    for y in range(pf_rows[0], pf_rows[1] + 1):
-        # Inline FrameSet.in_ff: forbidden below (unless chaining re-admits
-        # the row) or at/above the placed-successor bound.
-        if (y <= latest_pred_end and y not in chain_rows) or y >= ff_rows_after:
-            continue
-        for x in range(1, top_col + 1):
-            if x in banned:
-                continue
-            if is_free(node, table, x, y, latency):
-                mf_append(GridPosition(table, x, y))
-    return frame

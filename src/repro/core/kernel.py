@@ -44,12 +44,26 @@ Dispatch policy:
   once its DFG is big enough to pay for the occupancy mirror
   (:func:`resolve_kernel`: ``n_ops >= VECTOR_MIN_OPS``); paper-sized
   examples stay scalar end to end.  Within such a run each *operation*
-  takes the numpy walk only when its frame rectangle — primary-frame
-  rows clipped to the grid × open columns — holds at least
-  ``VECTOR_MIN_CELLS`` cells; smaller frames are built and priced by
-  the scalar walk.  All frames of one operation take one walk, so a
-  mixed run's perf counters match the scalar walk's as a forced vector
-  run's do.
+  picks its walk (``MoveFrameEngine._wide``).  MFS takes the numpy walk
+  when the frame rectangle — primary-frame rows clipped to the grid ×
+  open columns — holds at least ``VECTOR_MIN_CELLS`` cells.  MFSA takes
+  it when its widest frame has at least ``VECTOR_MIN_COLUMNS`` open
+  columns: a default MFSA run stops each frame's walk a few steps in
+  (below), so its cost follows the open columns, not the rows.  Other
+  frames are built and priced by the scalar walk.  All frames of one
+  operation take one walk, so a mixed run's perf counters match the
+  scalar walk's as a forced vector run's do.
+
+Both walks build and price a move frame one control step at a time and
+stop at the first step past which no position can beat the best key so
+far: time-mode MFS with the paper's ``x + n·y`` stops after the first
+step with a free cell (exact under ``require_dominance``), and MFSA
+stops once the exact lower bound of :class:`repro.core.mfsa._StepBound`
+rules out every open column.  Both walks stop at the same step, so
+``auto``, ``scalar`` and ``vector`` runs with equal options count
+alike.  A run that records what a frame holds prices whole frames:
+recorded alternatives (``verify=True`` among them), trace recorders,
+MFS ``record_frames`` and resource mode, and MFSA ``no_cache``.
 
 Independently of the requested kernel, the schedulers fall back to the
 scalar walk for the features the vector walk does not model: attached
@@ -89,6 +103,20 @@ VECTOR_MIN_OPS = 48
 #: 1848/1984, 96 → 1906/2083, 128 → 2048/2127; every frame vector
 #: 2395/2571 ms, every frame scalar 2131/2299 ms.
 VECTOR_MIN_CELLS = 64
+
+#: MFSA's per-operation gate in ``auto``: an operation whose widest
+#: frame has at least this many open columns takes the vector walk.  A
+#: bounded MFSA walk prices a few steps of every open column, so the walk
+#: that wins is decided by columns.  Fitted with default options on a
+#: 2-vCPU VM, variants alternated per round: ``compile_large`` (MFSA
+#: frames at most 16 wide) stays on the scalar walk under any column
+#: gate; on the 10k-op ``kernel_scaling`` tier 32 / 48 / 64 / 96 columns
+#: read 4832 / 4414 / 4469 / 6509 ms (medians of 3) and every frame
+#: scalar 5270 ms; on 1 000 ops in 100-wide layers 345 / 360 / 368 /
+#: 360 ms.  32–64 tie within noise, 96 loses.  MFS keeps its cells gate:
+#: a 32-column gate sends the 1k-op tier's crowded 2-column steps to the
+#: scalar walk and read 86.6 against 45.0 ms.
+VECTOR_MIN_COLUMNS = 32
 
 
 def resolve_kernel(name: str = "auto", n_ops: Optional[int] = None) -> str:
@@ -232,6 +260,16 @@ def move_frame_mask(
                 mask[i, j] = True
 
     return (mask, lo_y) if mask.any() else None
+
+
+def first_free(
+    mask: "np.ndarray", lo_y: int, table: str
+) -> Tuple[GridPosition, int]:
+    """The mask's first admissible position in ``(y, x)`` order, and how
+    many admissible positions its step holds."""
+    i = int(mask.any(axis=1).argmax())
+    row = mask[i]
+    return GridPosition(table, int(row.argmax()) + 1, lo_y + i), int(row.sum())
 
 
 def argmin_position(

@@ -165,13 +165,21 @@ class LiapunovWeights:
 class MFSALiapunov:
     """The dynamic MFSA energy function (§4.1).
 
-    The constant ``C`` satisfies the paper's inequality
+    The paper asks for a constant ``C`` with
 
         ``C > [f_ALU_max + f_MUX_max + f_REG_max] − [f_ALU_min + f_MUX_min
         + f_REG_min]``
 
-    (all minimums are zero), guaranteeing that ``f_TIME = C·y`` dominates:
-    control step ``t`` is selected before ``t+1`` whenever hardware allows.
+    so that ``f_TIME = C·y`` dominates: control step ``t`` is selected
+    before ``t+1`` whenever hardware allows.  ``C`` here is the sum of
+    the library's maximum increments plus one, which takes every minimum
+    as zero.  f_ALU and f_REG are never negative, but f_MUX is: the
+    shipped mux table is not monotone (12 inputs cost 6 200 µm², 13 cost
+    5 040), so adding an operand can shrink a mux, and measured f_MUX
+    prices reach −2 320 µm².  The hardware terms can then span more
+    than ``C``, and dominance is not guaranteed.  It is audited instead
+    (``liapunov.time-dominance`` in :mod:`repro.check.liapunov`), and the
+    schedulers' bounded move-frame walks do not rely on it.
     """
 
     def __init__(

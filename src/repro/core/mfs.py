@@ -256,6 +256,16 @@ class MFSScheduler(MoveFrameEngine):
             ResourceConstrainedLiapunov,
         )
         grid = self._begin(dict(max_j), self.pipelined_kinds, asap, alap, vector)
+        # §3.1: with V = x + n·y and n >= max_j (require_dominance), every
+        # position of step t beats every position of step t + 1, so the
+        # first step with a free cell holds the argmin and a run that
+        # records no frame stops building there.
+        first_step = (
+            self.mode == "time"
+            and type(liapunov) is TimeConstrainedLiapunov
+            and not (self.record_alternatives or self.record_frames)
+            and trace is None
+        )
 
         perf = self.perf
         for name in order:
@@ -263,8 +273,14 @@ class MFSScheduler(MoveFrameEngine):
             latency = timing.latency(kind)
             while True:
                 frame = self._frame(name, kind, current[kind])
-                if frame is not None:
+                if type(frame) is tuple:  # the vector walk's (mask, lo_y)
                     break
+                if frame is not None:
+                    positions = (
+                        next(frame.steps(), (0, []))[1] if first_step else frame.mf
+                    )
+                    if positions:
+                        break
                 # §3.2 Step 4: local rescheduling — open one more FU; with
                 # automatic bounds, widen an exhausted table by one.
                 if perf is not None:
@@ -286,7 +302,13 @@ class MFSScheduler(MoveFrameEngine):
                     )
                 if trace is not None:
                     trace.reschedule(name, kind, step, current[kind])
-            if type(frame) is tuple:  # the vector walk's (mask, lo_y)
+            if type(frame) is tuple and first_step:
+                # The first step's first free cell is V = x + n·y's argmin.
+                chosen, evaluated = _kernel.first_free(*frame, kind)
+                if perf is not None:
+                    perf.incr("mfs.positions_evaluated", evaluated)
+                energy, alternatives = liapunov.value(chosen), ()
+            elif type(frame) is tuple:  # the vector walk's (mask, lo_y)
                 mask, lo_y = frame
                 if perf is not None:
                     perf.incr("mfs.positions_evaluated", int(mask.sum()))
@@ -296,14 +318,14 @@ class MFSScheduler(MoveFrameEngine):
             else:
                 if self.record_frames:
                     frames_log[name] = frame
-                # Single pass: every move-frame position is scored once,
-                # feeding both the trajectory record and the argmin.
+                # Single pass: every position is scored once, feeding both
+                # the trajectory record and the argmin.
                 values = {
-                    position: liapunov.value(position) for position in frame.mf
+                    position: liapunov.value(position) for position in positions
                 }
                 if perf is not None:
                     perf.incr("mfs.positions_evaluated", len(values))
-                chosen = liapunov.best(frame.mf, values=values)
+                chosen = liapunov.best(positions, values=values)
                 energy = values[chosen]
                 alternatives = (
                     tuple(values.items()) if self.record_alternatives else ()

@@ -216,6 +216,13 @@ class _AllocationState:
         before = self._mux_cost.get((cell.name, x), 0.0)
         return self.mux_cost_with(cell, x, name) - before
 
+    def f_mux_floor(self, cell: ALUCell, x: int) -> float:
+        """A lower bound on :meth:`f_mux` at instance ``x`` for any
+        operation, known without optimising: the new mux cost is >= 0
+        (``MuxCostTable`` refuses negative costs), so f_MUX is at least
+        minus the current one."""
+        return -self._mux_cost.get((cell.name, x), 0.0)
+
     # -- REG ------------------------------------------------------------
     def input_lifetimes(
         self,
@@ -328,6 +335,65 @@ class _AllocationState:
         return tuple(banned)
 
 
+class _StepBound:
+    """MFSA's stop rule: when a cell's move frame holds no step that can win.
+
+    A position ``(x, y)`` of the cell costs at least
+    ``liapunov.value(y, f_ALU(x), f_MUX(x), 0.0)``, because f_REG >= 0.
+    f_ALU and f_MUX depend on the column only: they are exact once the
+    pricer has priced column ``x`` (``priced``), and before that f_MUX is
+    at least :meth:`_AllocationState.f_mux_floor`.  Every term enters ``value`` by IEEE addition or by
+    non-negative scaling, both monotone, so the bound holds for the
+    rounded energies and rises with ``y``; it assumes nothing of ``C``.
+
+    A column is dead at step ``y`` once ``(bound, y, rank)`` exceeds the
+    best ``(energy, y, rank, x)`` key so far (``best``, kept current by
+    the pricer).  No position of the column at ``y`` or later can then
+    win, and the column stays dead: the best key only falls, the bound
+    only rises.  :meth:`stops` tells a walk to stop before ``y`` once
+    every candidate column is dead.  It keeps its place at the first
+    column not yet found dead, so a walk pays O(1) amortised per step,
+    and both walks, which price the same columns at the same steps, stop
+    at the same step.
+    """
+
+    def __init__(
+        self, liapunov, state, cell, rank, top, banned, open_only, priced, best
+    ):
+        self.value = liapunov.value
+        self.state = state
+        self.cell = cell
+        self.rank = rank
+        #: Candidate columns ``1 … top``, minus ``banned`` and, when
+        #: opening would overspend, the unopened ones.
+        self.top = top
+        self.banned = banned
+        self.open_only = open_only
+        #: ``x → (f_ALU, f_MUX)`` of the columns priced so far.
+        self.priced = priced
+        self.best = best
+        self.live = 1
+
+    def stops(self, y: int) -> bool:
+        """Whether no position at step ``y`` or later beats ``best``."""
+        best = self.best
+        if best is None:
+            return False
+        state, cell, priced = self.state, self.cell, self.priced
+        while self.live <= self.top:
+            x = self.live
+            if x not in self.banned and not (
+                self.open_only and not state.instance_open(cell, x)
+            ):
+                hw = priced.get(x)
+                if hw is None:
+                    hw = (state.f_alu(cell, x), state.f_mux_floor(cell, x))
+                if (self.value(y, hw[0], hw[1], 0.0), y, self.rank) <= best:
+                    return False
+            self.live += 1
+        return True
+
+
 class MFSAScheduler(MoveFrameEngine):
     """Configurable MFSA runner (time-constrained, per the paper's Table 2).
 
@@ -432,6 +498,12 @@ class MFSAScheduler(MoveFrameEngine):
         self.area_budget = area_budget
         library.check_covers(dfg.kinds_used())
 
+    def _wide(self, rows: int, columns: int) -> bool:
+        """``auto``'s per-operation gate: a bounded walk prices a few steps
+        of every open column, so MFSA picks the vector walk by open
+        columns (``VECTOR_MIN_COLUMNS``), not by frame cells."""
+        return columns >= _kernel.VECTOR_MIN_COLUMNS
+
     # ------------------------------------------------------------------
     def _run(self) -> MFSAResult:
         dfg, timing = self.dfg, self.timing
@@ -505,6 +577,10 @@ class MFSAScheduler(MoveFrameEngine):
 
         perf = self.perf
         record_alternatives = self.record_alternatives
+        # A run that records no candidate stops each frame's walk at the
+        # first step that cannot win (_StepBound); recorded alternatives,
+        # traces and the no_cache reference price whole frames.
+        bounded = not (record_alternatives or no_cache) and trace is None
         for name in order:
             kind = dfg.node(name).kind
             latency = timing.latency(kind)
@@ -528,14 +604,17 @@ class MFSAScheduler(MoveFrameEngine):
                     for cell in candidates_by_kind[kind]
                 )
 
-            def price_vector(cell, sub, lo_y, overspend):
+            def price_vector(cell, sub, lo_y, overspend, best_key, bound):
                 """The vector pricer: ``(key, position)`` of the cell's
                 best candidate in its frame mask ``sub``, or ``None``.
 
                 The §4.1 terms are gathered once per active row (f_REG)
                 and column (f_ALU, f_MUX) — the same calls, with the same
                 cache counters, as the scalar walk's caches make — and
-                priced in one broadcast.
+                priced in one broadcast: over the whole frame with the
+                batched f_REG, or, under a ``bound``, one step at a time
+                with the scalar walk's per-step f_REG until the bound
+                stops it (the scalar walk's steps and stop, so its calls).
                 """
                 nonlocal f_reg_rows, priced_rows
                 import numpy as np
@@ -546,44 +625,78 @@ class MFSAScheduler(MoveFrameEngine):
                     sub = sub & np.array(
                         [state.instance_open(cell, j + 1) for j in range(sub.shape[1])]
                     )[None, :]
-                if not sub.any():
+                active = np.nonzero(sub.any(axis=1))[0]
+                if not len(active):
                     return None
-                n_candidates = int(sub.sum())
-                row_idx = np.nonzero(sub.any(axis=1))[0]
-                col_idx = np.nonzero(sub.any(axis=0))[0]
-                if f_reg_rows is None:
-                    f_reg_rows = state.f_reg_rows(
-                        name, lo_y, lo_y + sub.shape[0] - 1, placed_ends,
-                        self.pipelined_kinds,
-                    )
-                    priced_rows = np.zeros(sub.shape[0], dtype=bool)
-                misses = int(np.count_nonzero(~priced_rows[row_idx]))
-                priced_rows[row_idx] = True
-                if perf is not None:
-                    perf.incr("mfsa.candidates_evaluated", n_candidates)
-                    perf.incr("mfsa.reg_cache_misses", misses)
-                    perf.incr("mfsa.reg_cache_hits", n_candidates - misses)
                 width = sub.shape[1]
                 f_alu_vec = np.zeros(width)
-                for j in col_idx:
-                    f_alu_vec[j] = state.f_alu(cell, int(j) + 1)
-                ys = np.arange(lo_y, lo_y + sub.shape[0], dtype=np.int64)
                 f_mux_vec = np.zeros(width)
-                for j in col_idx:
-                    f_mux_vec[j] = state.f_mux(cell, int(j) + 1, name)
-                energy = liapunov.value_grid(ys, f_alu_vec, f_mux_vec, f_reg_rows)
-                if record_alternatives:
-                    alternatives.extend(
-                        zip(
-                            _kernel.mask_positions(sub, cell.name, lo_y),
-                            energy[sub].tolist(),
+                priced_cols = np.zeros(width, dtype=bool)
+                ys = np.arange(lo_y, lo_y + sub.shape[0], dtype=np.int64)
+                rank = cell_rank[cell.name]
+                if bound is None:
+                    # The whole frame in one span, f_REG batched over it.
+                    if f_reg_rows is None:
+                        f_reg_rows = state.f_reg_rows(
+                            name, lo_y, lo_y + sub.shape[0] - 1, placed_ends,
+                            self.pipelined_kinds,
                         )
+                        priced_rows = np.zeros(sub.shape[0], dtype=bool)
+                    spans = [(int(active[0]), int(active[-1]) + 1)]
+                else:
+                    spans = [(r, r + 1) for r in active.tolist()]
+                best = None
+                for lo, hi in spans:
+                    block = sub[lo:hi]
+                    n_candidates = int(block.sum())
+                    if bound is None:
+                        misses = int(np.count_nonzero(~priced_rows[active]))
+                        priced_rows[active] = True
+                        f_reg = f_reg_rows[lo:hi]
+                    else:
+                        bound.best = best_key
+                        y = lo_y + lo
+                        if bound.stops(y):
+                            break
+                        misses = y not in reg_cache
+                        if misses:
+                            lifetimes = state.input_lifetimes(
+                                name, y, placed_ends, self.pipelined_kinds
+                            )
+                            reg_cache[y] = (state.f_reg(lifetimes), lifetimes)
+                        f_reg = np.array([reg_cache[y][0]])
+                    if perf is not None:
+                        # As the scalar walk counts: a counter it never
+                        # touches stays absent.
+                        perf.incr("mfsa.candidates_evaluated", n_candidates)
+                        if misses:
+                            perf.incr("mfsa.reg_cache_misses", int(misses))
+                        if n_candidates > misses:
+                            perf.incr("mfsa.reg_cache_hits", n_candidates - misses)
+                    new_cols = np.nonzero(block.any(axis=0) & ~priced_cols)[0]
+                    priced_cols[new_cols] = True
+                    for j in new_cols.tolist():
+                        hw = (state.f_alu(cell, j + 1), state.f_mux(cell, j + 1, name))
+                        f_alu_vec[j], f_mux_vec[j] = hw
+                        if bound is not None:
+                            bound.priced[j + 1] = hw
+                    energy = liapunov.value_grid(ys[lo:hi], f_alu_vec, f_mux_vec, f_reg)
+                    if record_alternatives:
+                        alternatives.extend(
+                            zip(
+                                _kernel.mask_positions(block, cell.name, lo_y + lo),
+                                energy[block].tolist(),
+                            )
+                        )
+                    position, energy_min = _kernel.argmin_position(
+                        block, energy, cell.name, lo_y + lo
                     )
-                position, best = _kernel.argmin_position(
-                    sub, energy, cell.name, lo_y
-                )
-                key = (float(best), position.y, cell_rank[cell.name], position.x)
-                return key, position
+                    key = (float(energy_min), position.y, rank, position.x)
+                    if best is None or key < best[0]:
+                        best = (key, position)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                return best
 
             def gather(fresh_instance: bool):
                 """Collect candidate placements.
@@ -599,7 +712,10 @@ class MFSAScheduler(MoveFrameEngine):
                 with no coupling between positions, so the reuse pass's
                 frame is the fresh pass's filtered to ``x <= opened``: one
                 frame per cell serves both passes.  ``no_cache`` rebuilds
-                it per pass, as the reference.
+                it per pass, as the reference.  A bounded run
+                (:class:`_StepBound`) stops a frame's walk only once a
+                best key exists, so a frame it left part-built never
+                reaches the fresh pass.
                 """
                 best_key = None
                 best_choice = None
@@ -610,18 +726,20 @@ class MFSAScheduler(MoveFrameEngine):
                     opened = state.opened_columns.get(cell.name, 0)
                     if not fresh_instance and opened == 0:
                         continue
+                    top_col = min(opened + 1, grid.columns(cell.name))
+                    banned = (
+                        state.excluded_instances(cell, name)
+                        if self.style == 2
+                        else ()
+                    )
                     if cell.name in frames:
                         frame = frames[cell.name]
                     else:
                         frame = self._frame(
                             name,
                             cell.name,
-                            opened
-                            if no_cache and not fresh_instance
-                            else min(opened + 1, grid.columns(cell.name)),
-                            state.excluded_instances(cell, name)
-                            if self.style == 2
-                            else (),
+                            opened if no_cache and not fresh_instance else top_col,
+                            banned,
                             width,
                         )
                         if not no_cache:
@@ -635,6 +753,24 @@ class MFSAScheduler(MoveFrameEngine):
                         + reserve_after(cell, kind)
                         > budget
                     )
+                    # f_ALU and f_MUX depend on the instance column only,
+                    # f_REG on the step only: each is derived once per
+                    # column / step (per position without the cache).
+                    hw_cache: Dict[int, Tuple[float, float]] = {}
+                    rank = cell_rank[cell.name]
+                    bound = None
+                    if bounded:
+                        bound = _StepBound(
+                            liapunov,
+                            state,
+                            cell,
+                            rank,
+                            top_col if fresh_instance else opened,
+                            banned,
+                            overspend,
+                            hw_cache,
+                            best_key,
+                        )
                     if type(frame) is tuple:  # the vector walk's (mask, lo_y)
                         mask, lo_y = frame
                         priced = price_vector(
@@ -642,6 +778,8 @@ class MFSAScheduler(MoveFrameEngine):
                             mask if fresh_instance else mask[:, :opened],
                             lo_y,
                             overspend,
+                            best_key,
+                            bound,
                         )
                         if priced is not None and (
                             best_key is None or priced[0] < best_key
@@ -649,56 +787,49 @@ class MFSAScheduler(MoveFrameEngine):
                             best_key, position = priced
                             best_choice = (cell, position, best_key[0], None)
                         continue
-                    # The scalar pricer.  f_ALU and f_MUX depend on the
-                    # instance column only, f_REG on the step only: each is
-                    # derived once per column / step (per position without
-                    # the cache).
-                    hw_cache: Dict[int, Tuple[float, float]] = {}
-                    rank = cell_rank[cell.name]
-                    for position in frame.mf:
-                        if not fresh_instance and position.x > opened:
-                            continue
-                        if overspend and not state.instance_open(cell, position.x):
-                            continue
-                        if no_cache or position.y not in reg_cache:
+                    # The scalar pricer, one step at a time.
+                    stop = None if bound is None else bound.stops
+                    for y, positions in frame.steps(stop):
+                        for position in positions:
+                            if not fresh_instance and position.x > opened:
+                                continue
+                            if overspend and not state.instance_open(cell, position.x):
+                                continue
+                            if no_cache or y not in reg_cache:
+                                if perf is not None:
+                                    perf.incr("mfsa.reg_cache_misses")
+                                lifetimes = state.input_lifetimes(
+                                    name, y, placed_ends, self.pipelined_kinds
+                                )
+                                reg_cache[y] = (state.f_reg(lifetimes), lifetimes)
+                            elif perf is not None:
+                                perf.incr("mfsa.reg_cache_hits")
+                            f_reg, lifetimes = reg_cache[y]
+                            hw = None if no_cache else hw_cache.get(position.x)
+                            if hw is None:
+                                hw = (
+                                    state.f_alu(cell, position.x),
+                                    state.f_mux(cell, position.x, name),
+                                )
+                                if not no_cache:
+                                    hw_cache[position.x] = hw
+                            f_alu, f_mux = hw
+                            energy = liapunov.value(y, f_alu, f_mux, f_reg)
                             if perf is not None:
-                                perf.incr("mfsa.reg_cache_misses")
-                            lifetimes = state.input_lifetimes(
-                                name,
-                                position.y,
-                                placed_ends,
-                                self.pipelined_kinds,
-                            )
-                            reg_cache[position.y] = (
-                                state.f_reg(lifetimes),
-                                lifetimes,
-                            )
-                        elif perf is not None:
-                            perf.incr("mfsa.reg_cache_hits")
-                        f_reg, lifetimes = reg_cache[position.y]
-                        hw = None if no_cache else hw_cache.get(position.x)
-                        if hw is None:
-                            hw = (
-                                state.f_alu(cell, position.x),
-                                state.f_mux(cell, position.x, name),
-                            )
-                            if not no_cache:
-                                hw_cache[position.x] = hw
-                        f_alu, f_mux = hw
-                        energy = liapunov.value(position.y, f_alu, f_mux, f_reg)
-                        if perf is not None:
-                            perf.incr("mfsa.candidates_evaluated")
-                        if traced_append is not None:
-                            traced_append((
-                                cell.name, position.x, position.y,
-                                energy, f_alu, f_mux, f_reg,
-                            ))
-                        if record_alternatives:
-                            alternatives.append((position, energy))
-                        key = (energy, position.y, rank, position.x)
-                        if best_key is None or key < best_key:
-                            best_key = key
-                            best_choice = (cell, position, energy, lifetimes)
+                                perf.incr("mfsa.candidates_evaluated")
+                            if traced_append is not None:
+                                traced_append((
+                                    cell.name, position.x, y,
+                                    energy, f_alu, f_mux, f_reg,
+                                ))
+                            if record_alternatives:
+                                alternatives.append((position, energy))
+                            key = (energy, y, rank, position.x)
+                            if best_key is None or key < best_key:
+                                best_key = key
+                                best_choice = (cell, position, energy, lifetimes)
+                        if bound is not None:
+                            bound.best = best_key
                 return best_choice
 
             if self.open_policy == "eager":

@@ -73,6 +73,9 @@ class MuxCostTable:
         for r, cost in self._table.items():
             if r < 2 or cost <= 0:
                 raise LibraryError(f"invalid mux table entry {r}: {cost}")
+        # MFSA's bounded move-frame walk needs every mux cost >= 0.
+        if unit_cost < 0:
+            raise LibraryError(f"invalid mux unit cost {unit_cost}")
 
     def cost(self, inputs: int) -> float:
         """Cost of a mux with ``inputs`` data inputs."""

@@ -79,9 +79,10 @@ class TraceRecorder:
         """Record one PF/RF/FF/MF construction (§3.2 Step 4).
 
         ``frame_set`` is the :class:`~repro.core.frames.FrameSet` just
-        built — the recorder keeps the object and unpacks its geometry
-        lazily at materialisation (frame sets are built once per
-        construction and never mutated afterwards).
+        constructed — the recorder keeps the object and unpacks its
+        geometry lazily at materialisation (a traced run walks every
+        frame whole before its next placement, and a walked frame does
+        not change afterwards).
         """
         self._raw.append((_FRAME, node, table, frame_set, current))
 

@@ -1,6 +1,8 @@
 """Liapunov-descent replay checker on handcrafted trajectories."""
 
-from repro.check.liapunov import check_liapunov_descent
+import dataclasses
+
+from repro.check.liapunov import check_liapunov_descent, check_time_dominance
 from repro.core.grid import GridPosition
 from repro.core.stability import Trajectory
 
@@ -69,3 +71,41 @@ def test_all_breaches_reported_at_once():
     found = codes(check_liapunov_descent(t))
     assert "liapunov.not-argmin" in found
     assert "liapunov.ascent" in found
+
+
+# ----------------------------------------------------------------------
+# MFSA time dominance (§4.1)
+# ----------------------------------------------------------------------
+def test_commit_at_earliest_step_passes():
+    t = Trajectory()
+    t.record("a", P1, 3.0, alternatives=((P1, 3.0), (P2, 5.0)))
+    t.record("b", P2, 4.0)  # no alternatives: nothing to audit
+    assert check_time_dominance(t) == []
+
+
+def test_forged_later_step_commit_fails():
+    # A forged move that took step 2 although its frame offered step 1 —
+    # still the argmin of its (forged) energies, so only this audit sees it.
+    t = Trajectory()
+    t.record("a", P2, 1.0, alternatives=((P1, 3.0), (P2, 1.0)))
+    assert check_liapunov_descent(t) == []
+    assert codes(check_time_dominance(t)) == {"liapunov.time-dominance"}
+
+
+def test_mfsa_audit_runs_time_dominance(timing, alu_family):
+    from repro.bench.suites import hal_diffeq
+    from repro.check import check_mfsa_result
+    from repro.core.mfsa import MFSAScheduler
+
+    result = MFSAScheduler(
+        hal_diffeq(), timing, alu_family, cs=6, record_alternatives=True
+    ).run()
+    report = check_mfsa_result(result)
+    assert report.ok, report.render()
+    # Forge the first move onto the latest step its frame offered.
+    event = result.trajectory.events[0]
+    later = max(event.alternatives, key=lambda item: item[0].y)[0]
+    assert later.y > event.position.y
+    result.trajectory.events[0] = dataclasses.replace(event, position=later)
+    report = check_mfsa_result(result)
+    assert "liapunov.time-dominance" in {v.code for v in report.violations}

@@ -62,6 +62,8 @@ class TestMuxCostTable:
             MuxCostTable({1: 5.0})
         with pytest.raises(LibraryError):
             MuxCostTable({2: -1.0})
+        with pytest.raises(LibraryError):
+            MuxCostTable({2: 10.0}, unit_cost=-7.0)
 
 
 class TestCellLibrary:

@@ -12,8 +12,9 @@ hypothesis-driven workload space on top.
 ``VECTOR_MIN_OPS`` and more, each operation picking its walk by frame
 size; with alternatives recorded, the mixed runs must equal the scalar
 walk in every counter too.  With default options (alternatives off)
-they must still place every operation, and count every event, as the
-recorded scalar walk does.
+every walk stops building a move frame at the first step that cannot
+win: the runs must still render the recorded whole-frame run's bytes
+and make its moves, and the three walks must count every event alike.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -33,12 +34,21 @@ from repro.dfg.generators import (
 )
 from repro.dfg.ops import standard_operation_set
 from repro.io.jsonio import schedule_to_json, synthesis_to_json
+from repro.library.cells import CellLibrary, MuxCostTable
 from repro.library.ncr import datapath_library
 from repro.perf import PerfCounters
 
 TIMING = TimingModel(ops=standard_operation_set())
 TIMING_MUL2 = TimingModel(ops=standard_operation_set(mul_latency=2))
 LIBRARY = datapath_library()
+#: The shipped cells with a mux cost linear in its inputs; the shipped
+#: table falls past 12 inputs, which lets f_MUX go negative.
+MONOTONE_LIBRARY = CellLibrary(
+    "monotone-mux",
+    LIBRARY.cells(),
+    LIBRARY.register_area,
+    MuxCostTable(unit_cost=620.0),
+)
 
 dfg_params = st.tuples(
     st.integers(min_value=0, max_value=10_000),   # seed
@@ -174,7 +184,7 @@ large_designs = st.one_of(
 )
 
 
-def run_design(g, cs, style, **options):
+def run_design(g, cs, style, library=LIBRARY, **options):
     """(JSON bytes, trajectory, perf) of one cache-cold run; ``style`` 0
     is MFS."""
     clear_mux_memo()
@@ -184,7 +194,7 @@ def run_design(g, cs, style, **options):
         text = schedule_to_json(result.schedule)
     else:
         result = MFSAScheduler(
-            g, TIMING, LIBRARY, cs=cs, style=style, perf=perf, **options
+            g, TIMING, library, cs=cs, style=style, perf=perf, **options
         ).run()
         text = synthesis_to_json(result)
     return text, result.trajectory, perf
@@ -225,27 +235,34 @@ def test_auto_mixed_walks_equal_scalar(g, slack, style):
     g=large_designs,
     slack=st.integers(min_value=0, max_value=40),
     style=st.sampled_from([0, 1, 2]),
+    library=st.sampled_from([LIBRARY, MONOTONE_LIBRARY]),
 )
 @settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_default_options_equal_recorded_scalar(g, slack, style):
-    """Default options — ``auto``, alternatives off — give the recorded
-    scalar walk's bytes, moves and every counter."""
+def test_default_options_equal_recorded_scalar(g, slack, style, library):
+    """Default options — alternatives off, frames stopped at the first
+    step that cannot win — on the ``auto``, ``scalar`` and ``vector``
+    walks give the recorded whole-frame scalar walk's bytes and moves
+    (placements and energies), and count every event alike."""
     cs = critical_path_length(g, TIMING) + slack
-    text, trajectory, perf = run_design(g, cs, style)
-    ref_text, ref_trajectory, ref_perf = run_design(
-        g, cs, style, kernel="scalar", record_alternatives=True
+    ref_text, ref_trajectory, _ = run_design(
+        g, cs, style, library, kernel="scalar", record_alternatives=True
     )
-    assert text == ref_text
-    assert moves(trajectory) == moves(ref_trajectory)
-    assert perf.counters == ref_perf.counters
+    counters = {}
+    for kern in ("auto", "scalar", "vector"):
+        text, trajectory, perf = run_design(g, cs, style, library, kernel=kern)
+        assert text == ref_text, kern
+        assert moves(trajectory) == moves(ref_trajectory), kern
+        counters[kern] = perf.counters
+    assert counters["auto"] == counters["scalar"] == counters["vector"]
 
 
 def test_auto_builds_frames_on_both_walks(monkeypatch):
-    """A 100-op MFSA run at 10 steps of slack mixes the walks."""
+    """A 128-op MFSA run at its critical path mixes the walks: the
+    operations with 32 or more open columns take the vector walk."""
     built = {"scalar": 0, "vector": 0}
 
     def counting(walk, build):
@@ -261,7 +278,7 @@ def test_auto_builds_frames_on_both_walks(monkeypatch):
     monkeypatch.setattr(
         kernel, "move_frame_mask", counting("vector", kernel.move_frame_mask)
     )
-    g = layered_workload(seed=7, layers=5, width=20)
-    cs = critical_path_length(g, TIMING) + 10
+    g = layered_workload(seed=7, layers=2, width=64)
+    cs = critical_path_length(g, TIMING)
     MFSAScheduler(g, TIMING, LIBRARY, cs=cs, kernel="auto").run()
     assert built["scalar"] > 0 and built["vector"] > 0, built
