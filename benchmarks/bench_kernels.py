@@ -67,7 +67,7 @@ TIERS = [
 ]
 
 #: Smoke budget for one cache-cold ``auto`` MFSA run on the 100-op tier.
-#: No operation there opens the 32 columns MFSA's vector-walk gate asks
+#: No operation there opens the 48 columns MFSA's vector-walk gate asks
 #: for, so all 116 frames take the scalar walk, each stopped at the first
 #: step that cannot win.  Measured ~14 ms on a 2-vCPU VM; CI fails the
 #: perf-smoke job only when the wall time regresses past 2x this budget,

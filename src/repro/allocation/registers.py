@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from sys import maxsize
 from typing import Dict, Iterable, List, Tuple
 
 from repro.allocation.lifetimes import Lifetime
@@ -110,8 +109,7 @@ class IncrementalRegisterEstimator:
         self._known: Dict[str, Lifetime] = {}
         # Per-track interval index: (births, deaths), both sorted by birth
         # (disjointness makes that order also death order).  Backs the
-        # O(log) availability probes of cost_of, commit and the vector
-        # kernel's batched f_REG.
+        # O(log) availability probes of cost_of and commit.
         self._index: List[Tuple[List[int], List[int]]] = []
 
     @property
@@ -119,35 +117,13 @@ class IncrementalRegisterEstimator:
         """Registers allocated so far."""
         return len(self._index)
 
-    def is_known(self, value: str) -> bool:
-        """Whether a signal already has committed storage."""
-        return value in self._known
-
-    def track_thresholds(self, birth: int) -> List[int]:
-        """Per-track death ceilings for a candidate lifetime born at ``birth``.
-
-        A committed member conflicts with the candidate iff its death
-        exceeds ``birth`` and its birth precedes the candidate's death;
-        members of one track are pairwise disjoint, so the first member
-        dying after ``birth`` carries the smallest qualifying birth.  The
-        candidate therefore fits track ``t`` iff its death is at most the
-        returned ``τ_t`` (``sys.maxsize`` when nothing in the track can
-        conflict).  This turns :meth:`cost_of` availability into one
-        integer comparison per (track, candidate-step) — the vector
-        kernel broadcasts it over whole move frames.
-        """
-        out: List[int] = []
-        for births, deaths in self._index:
-            idx = bisect_right(deaths, birth)
-            out.append(births[idx] if idx < len(births) else maxsize)
-        return out
-
     def cost_of(self, lifetimes: Iterable[Lifetime]) -> int:
         """New registers the given lifetimes would require (no commit).
 
         A committed track admits a lifetime iff the first member dying
-        after its birth is born at or after its death (see
-        :meth:`track_thresholds`).  Tentative placements of the same
+        after its birth is born at or after its death: members of one
+        track are pairwise disjoint, so that member carries the smallest
+        birth that could conflict.  Tentative placements of the same
         batch are tracked per-track and scanned for overlaps instead of
         deep-copying every track up front; the first-fit order (existing
         tracks, then tentative new ones) matches the copying formulation

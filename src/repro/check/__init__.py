@@ -10,8 +10,9 @@ against that claim end to end:
   containment, grid-occupancy consistency (folded functional-pipelining
   steps included), chaining delay within the clock period;
 * **Liapunov descent** — the replayed trajectory is monotone and every
-  placement was the minimum-energy move-frame position; MFSA commits sit
-  at their earliest candidate step (§4.1 time dominance);
+  placement was the minimum-energy move-frame position; an MFSA commit
+  after its earliest candidate step is noted (§4.1 time dominance, a
+  premise the shipped mux table does not guarantee, so no failure);
 * **allocation consistency** — register lifetimes non-overlapping per
   register, mux/bus wiring matches the binding, the RTL netlist
   references only declared resources;

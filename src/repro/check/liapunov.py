@@ -12,13 +12,16 @@ with an energy that disagrees with the alternatives entry).
 :func:`check_time_dominance` audits MFSA's §4.1 premise that
 ``f_TIME = C·y`` dominates — "control step t is selected before t+1
 whenever hardware allows" — which no choice of ``C`` guarantees once the
-mux cost table is not monotone.
+mux cost table is not monotone.  A breach is therefore no defect of the
+run: :func:`~repro.check.runner.check_mfsa_result` files it as a note,
+which fails no audit.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.core.liapunov import LiapunovWeights
 from repro.core.stability import Trajectory
 from repro.check.report import Violation
 
@@ -81,13 +84,20 @@ def check_liapunov_descent(
     return violations
 
 
-def check_time_dominance(trajectory: Trajectory) -> List[Violation]:
+def check_time_dominance(
+    trajectory: Trajectory, weights: LiapunovWeights = LiapunovWeights()
+) -> List[Violation]:
     """Audit that each recorded commit sits at its earliest candidate step.
 
     Only moves with recorded alternatives are audited; a move that took a
-    later step than one its move frame offered is a breach.
+    later step than one its move frame offered is a breach.  Nothing is
+    audited when the run's ``weights`` are not
+    :attr:`~repro.core.liapunov.LiapunovWeights.time_dominant`: a cheaper
+    later step is then the correct argmin.
     """
     violations: List[Violation] = []
+    if not weights.time_dominant:
+        return violations
     for event in trajectory:
         if not event.alternatives:
             continue

@@ -46,10 +46,13 @@ class CheckReport:
     target: str
     violations: List[Violation] = field(default_factory=list)
     checks_run: List[str] = field(default_factory=list)
+    #: Breaches of a premise the run does not rely on
+    #: (``liapunov.time-dominance``): rendered, but ``ok`` ignores them.
+    notes: List[Violation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """Whether the audit found no violation."""
+        """Whether the audit found no violation (notes aside)."""
         return not self.violations
 
     def add(self, code: str, subject: str, message: str) -> None:
@@ -68,6 +71,7 @@ class CheckReport:
     def merge(self, other: "CheckReport") -> None:
         """Fold another report (e.g. of a sub-artifact) into this one."""
         self.violations.extend(other.violations)
+        self.notes.extend(other.notes)
         for name in other.checks_run:
             self.ran(name)
 
@@ -78,6 +82,8 @@ class CheckReport:
         lines = [f"{self.target}: {status}  [checks: {', '.join(self.checks_run) or 'none'}]"]
         for violation in self.violations:
             lines.append(f"  {violation}")
+        for note in self.notes:
+            lines.append(f"  note: {note}")
         return "\n".join(lines)
 
     def raise_if_failed(self) -> None:

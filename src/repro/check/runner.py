@@ -16,7 +16,7 @@ from repro.check.allocation import (
 )
 from repro.check.differential import cross_validate
 from repro.check.liapunov import check_liapunov_descent, check_time_dominance
-from repro.check.report import CheckReport
+from repro.check.report import CheckReport, Violation
 from repro.check.schedule import (
     check_frame_containment,
     check_grid_consistency,
@@ -74,7 +74,9 @@ def check_mfsa_result(result, differential: bool = False) -> CheckReport:
     )
     report.ran("liapunov-descent")
     report.extend(check_liapunov_descent(result.trajectory))
-    report.extend(check_time_dominance(result.trajectory))
+    # The §4.1 premise is not guaranteed (repro.check.liapunov): a
+    # breach is reported, but fails nothing.
+    report.notes.extend(check_time_dominance(result.trajectory, result.weights))
     report.ran("datapath-consistency")
     report.extend(
         check_datapath_consistency(
@@ -185,12 +187,15 @@ def check_random_dfgs(
 
 
 def _merge_sub(report: CheckReport, sub: CheckReport) -> None:
-    """Merge a sub-report, prefixing violation subjects with its target."""
-    for violation in sub.violations:
-        report.add(
-            violation.code,
-            f"{sub.target} :: {violation.subject}",
-            violation.message,
+    """Merge a sub-report, prefixing violation and note subjects with its
+    target."""
+    for found, into in (
+        (sub.violations, report.violations),
+        (sub.notes, report.notes),
+    ):
+        into.extend(
+            Violation(v.code, f"{sub.target} :: {v.subject}", v.message)
+            for v in found
         )
     for name in sub.checks_run:
         report.ran(name)

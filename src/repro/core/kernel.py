@@ -109,14 +109,17 @@ VECTOR_MIN_CELLS = 64
 #: bounded MFSA walk prices a few steps of every open column, so the walk
 #: that wins is decided by columns.  Fitted with default options on a
 #: 2-vCPU VM, variants alternated per round: ``compile_large`` (MFSA
-#: frames at most 16 wide) stays on the scalar walk under any column
-#: gate; on the 10k-op ``kernel_scaling`` tier 32 / 48 / 64 / 96 columns
-#: read 4832 / 4414 / 4469 / 6509 ms (medians of 3) and every frame
-#: scalar 5270 ms; on 1 000 ops in 100-wide layers 345 / 360 / 368 /
-#: 360 ms.  32–64 tie within noise, 96 loses.  MFS keeps its cells gate:
-#: a 32-column gate sends the 1k-op tier's crowded 2-column steps to the
-#: scalar walk and read 86.6 against 45.0 ms.
-VECTOR_MIN_COLUMNS = 32
+#: frames at most 16 wide) stays on the scalar walk under any gate from
+#: 17 columns.  The 10k-op ``kernel_scaling`` tier decides: over 14
+#: rounds, 32 / 48 / 64 columns read 3889 / 3600 / 3918 ms (medians) and
+#: 48 beat each neighbour in 10 of 14 rounds; a first 3-round pass read
+#: 4832 / 4414 / 4469 ms, with 96 columns at 6509 ms and every frame
+#: scalar 5270 ms.  Single runs there spread 3.3–5.6 s.  On 1 000 ops
+#: in 100-wide layers 32 / 48 / 64 tie (210 / 203 / 194 ms, medians of
+#: 6).  MFS keeps its cells gate: a 32-column gate sends the 1k-op
+#: tier's crowded 2-column steps to the scalar walk and read 86.6
+#: against 45.0 ms.
+VECTOR_MIN_COLUMNS = 48
 
 
 def resolve_kernel(name: str = "auto", n_ops: Optional[int] = None) -> str:
@@ -330,57 +333,3 @@ def static_argmin(
             zip(mask_positions(mask, table, lo_y), energy[mask].tolist())
         )
     return chosen, int(best), alternatives
-
-
-def batched_reg_costs(
-    estimator,
-    births: Sequence[int],
-    delta: int,
-    lo_y: int,
-    hi_y: int,
-) -> "np.ndarray":
-    """f_REG register counts of one operation over a whole step range.
-
-    ``births`` are the operation's input birth steps (unknown signals
-    only, in operand order); starting the operation at step ``y`` gives
-    every input the death ``y + delta``.  Returns ``counts`` where
-    ``counts[i]`` equals ``IncrementalRegisterEstimator.cost_of`` of the
-    inputs at step ``lo_y + i`` — the whole range in a few broadcasts
-    instead of one greedy first-fit walk per step.
-
-    The scalar estimator's walk has two ingredients, and both vectorise
-    exactly over ``y``:
-
-    * a committed track admits an input born at ``b`` iff the input's
-      death stays within the track's threshold ``τ(b)``
-      (:meth:`IncrementalRegisterEstimator.track_thresholds`) — one
-      broadcast comparison per input;
-    * two inputs of the same operation die on the same step, hence
-      always conflict with each other: the tentative-placement interplay
-      degenerates to "inputs claim distinct committed tracks in operand
-      order; an unplaced input always opens its own new track".
-    """
-    import numpy as np
-
-    n = hi_y - lo_y + 1
-    deaths = np.arange(lo_y + delta, hi_y + delta + 1, dtype=np.int64)
-    added = np.zeros(n, dtype=np.int64)
-    claimed: List["np.ndarray"] = []
-    for birth in births:
-        needs = deaths > birth
-        thresholds = estimator.track_thresholds(birth)
-        if thresholds:
-            tau = np.array(thresholds, dtype=np.int64)
-            avail = tau[:, None] >= deaths[None, :]
-            for prior in claimed:
-                taken = np.nonzero(prior >= 0)[0]
-                avail[prior[taken], taken] = False
-            open_ok = avail.any(axis=0)
-            first = avail.argmax(axis=0)
-        else:
-            open_ok = np.zeros(n, dtype=bool)
-            first = np.zeros(n, dtype=np.int64)
-        placed = needs & open_ok
-        claimed.append(np.where(placed, first, -1))
-        added += needs & ~open_ok
-    return added

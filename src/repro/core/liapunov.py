@@ -138,6 +138,10 @@ class ResourceConstrainedLiapunov(StaticLiapunov):
         return self.cs * x + y
 
 
+#: The least weight :class:`MFSALiapunov` divides by or scales ``C`` with.
+WEIGHT_FLOOR = 1e-9
+
+
 @dataclass(frozen=True)
 class LiapunovWeights:
     """User emphasis weights of the four MFSA cost factors (§4.1).
@@ -161,6 +165,15 @@ class LiapunovWeights:
             if weight < 0:
                 raise ValueError(f"weight {label} must be >= 0, got {weight}")
 
+    @property
+    def time_dominant(self) -> bool:
+        """Whether :class:`MFSALiapunov` gives ``w.time · C`` the full
+        nominal hardware spread plus one.  Below :data:`WEIGHT_FLOOR`,
+        ``C`` stops growing and the time term shrinks with the weight:
+        the user has weighted time (nearly) out, so an earlier step has
+        no claim over a cheaper later one."""
+        return self.time >= WEIGHT_FLOOR
+
 
 class MFSALiapunov:
     """The dynamic MFSA energy function (§4.1).
@@ -178,7 +191,8 @@ class MFSALiapunov:
     5 040), so adding an operand can shrink a mux, and measured f_MUX
     prices reach −2 320 µm².  The hardware terms can then span more
     than ``C``, and dominance is not guaranteed.  It is audited instead
-    (``liapunov.time-dominance`` in :mod:`repro.check.liapunov`), and the
+    (``liapunov.time-dominance`` in :mod:`repro.check.liapunov`, a note
+    that fails no audit, and only for time-dominant weights), and the
     schedulers' bounded move-frame walks do not rely on it.
     """
 
@@ -192,9 +206,9 @@ class MFSALiapunov:
         spread = library.f_alu_max() + library.f_mux_max() + library.f_reg_max()
         # Scale by the largest hardware weight so weighting cannot break
         # the time-dominance inequality.
-        hardware_weight = max(weights.alu, weights.mux, weights.reg, 1e-9)
+        hardware_weight = max(weights.alu, weights.mux, weights.reg, WEIGHT_FLOOR)
         self.c_constant = (spread * hardware_weight + 1.0) / max(
-            weights.time, 1e-9
+            weights.time, WEIGHT_FLOOR
         )
 
     def f_time(self, y: int) -> float:

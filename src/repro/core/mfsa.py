@@ -60,6 +60,9 @@ class MFSAResult:
     trajectory: Trajectory
     grid: PlacementGrid
     style: int
+    #: The §4.1 weights the run priced with (the time-dominance audit
+    #: reads them).
+    weights: LiapunovWeights = LiapunovWeights()
 
     @property
     def cost(self) -> CostBreakdown:
@@ -257,34 +260,6 @@ class _AllocationState:
         """§4.1/§5.8: new registers required, via activity selection."""
         return self.registers.cost_of(lifetimes) * self.library.register_area
 
-    def f_reg_rows(
-        self,
-        name: str,
-        lo_y: int,
-        hi_y: int,
-        placed_ends: Mapping[str, int],
-        pipelined_kinds: frozenset,
-    ):
-        """:meth:`f_reg` at every start step ``lo_y … hi_y`` as one numpy
-        row vector (the vector walk's batched f_REG): the input signals
-        :meth:`input_lifetimes` would list, minus those already stored,
-        each dying ``delta`` steps after the start."""
-        node = self.dfg.node(name)
-        latency = self.timing.latency(node.kind)
-        delta = latency - 1 if latency > 1 and node.kind not in pipelined_kinds else 0
-        births = []
-        seen = set()
-        for port in node.operands:
-            if not port.is_node or port.name in seen:
-                continue
-            seen.add(port.name)
-            if not self.registers.is_known(port.signal_name()):
-                births.append(placed_ends[port.name])
-        counts = _kernel.batched_reg_costs(
-            self.registers, births, delta, lo_y, hi_y
-        )
-        return counts * self.library.register_area
-
     # -- commit ----------------------------------------------------------
     def commit(
         self, name: str, cell: ALUCell, x: int, lifetimes: List[Lifetime]
@@ -342,9 +317,10 @@ class _StepBound:
     ``liapunov.value(y, f_ALU(x), f_MUX(x), 0.0)``, because f_REG >= 0.
     f_ALU and f_MUX depend on the column only: they are exact once the
     pricer has priced column ``x`` (``priced``), and before that f_MUX is
-    at least :meth:`_AllocationState.f_mux_floor`.  Every term enters ``value`` by IEEE addition or by
-    non-negative scaling, both monotone, so the bound holds for the
-    rounded energies and rises with ``y``; it assumes nothing of ``C``.
+    at least :meth:`_AllocationState.f_mux_floor`.  Every term enters
+    ``value`` by IEEE addition or by non-negative scaling, both monotone,
+    so the bound holds for the rounded energies and rises with ``y``; it
+    assumes nothing of ``C``.
 
     A column is dead at step ``y`` once ``(bound, y, rank)`` exceeds the
     best ``(energy, y, rank, x)`` key so far (``best``, kept current by
@@ -586,7 +562,6 @@ class MFSAScheduler(MoveFrameEngine):
             latency = timing.latency(kind)
             frames: Dict[str, object] = {}  # per cell; None: no position
             reg_cache: Dict[int, Tuple[float, List[Lifetime]]] = {}
-            f_reg_rows = priced_rows = None
             alternatives: List[Tuple[GridPosition, float]] = []
             # Traced candidates accumulate in a plain local list (cheap)
             # and land in the recorder as one batch at commit time.
@@ -608,15 +583,14 @@ class MFSAScheduler(MoveFrameEngine):
                 """The vector pricer: ``(key, position)`` of the cell's
                 best candidate in its frame mask ``sub``, or ``None``.
 
-                The §4.1 terms are gathered once per active row (f_REG)
-                and column (f_ALU, f_MUX) — the same calls, with the same
-                cache counters, as the scalar walk's caches make — and
-                priced in one broadcast: over the whole frame with the
-                batched f_REG, or, under a ``bound``, one step at a time
-                with the scalar walk's per-step f_REG until the bound
-                stops it (the scalar walk's steps and stop, so its calls).
+                It walks the mask's active rows as the scalar walk walks
+                steps: f_REG once per step from the op's ``reg_cache``,
+                f_ALU and f_MUX once per column, when a step first
+                reaches it — the same calls, with the same cache
+                counters, as the scalar walk makes — and each step priced
+                in one broadcast, until ``bound`` (when given) stops the
+                walk at the scalar walk's step.
                 """
-                nonlocal f_reg_rows, priced_rows
                 import numpy as np
 
                 if overspend:
@@ -625,73 +599,56 @@ class MFSAScheduler(MoveFrameEngine):
                     sub = sub & np.array(
                         [state.instance_open(cell, j + 1) for j in range(sub.shape[1])]
                     )[None, :]
-                active = np.nonzero(sub.any(axis=1))[0]
-                if not len(active):
-                    return None
                 width = sub.shape[1]
                 f_alu_vec = np.zeros(width)
                 f_mux_vec = np.zeros(width)
                 priced_cols = np.zeros(width, dtype=bool)
-                ys = np.arange(lo_y, lo_y + sub.shape[0], dtype=np.int64)
                 rank = cell_rank[cell.name]
-                if bound is None:
-                    # The whole frame in one span, f_REG batched over it.
-                    if f_reg_rows is None:
-                        f_reg_rows = state.f_reg_rows(
-                            name, lo_y, lo_y + sub.shape[0] - 1, placed_ends,
-                            self.pipelined_kinds,
-                        )
-                        priced_rows = np.zeros(sub.shape[0], dtype=bool)
-                    spans = [(int(active[0]), int(active[-1]) + 1)]
-                else:
-                    spans = [(r, r + 1) for r in active.tolist()]
                 best = None
-                for lo, hi in spans:
-                    block = sub[lo:hi]
-                    n_candidates = int(block.sum())
-                    if bound is None:
-                        misses = int(np.count_nonzero(~priced_rows[active]))
-                        priced_rows[active] = True
-                        f_reg = f_reg_rows[lo:hi]
-                    else:
+                for row in np.nonzero(sub.any(axis=1))[0].tolist():
+                    y = lo_y + row
+                    if bound is not None:
                         bound.best = best_key
-                        y = lo_y + lo
                         if bound.stops(y):
                             break
-                        misses = y not in reg_cache
-                        if misses:
-                            lifetimes = state.input_lifetimes(
-                                name, y, placed_ends, self.pipelined_kinds
-                            )
-                            reg_cache[y] = (state.f_reg(lifetimes), lifetimes)
-                        f_reg = np.array([reg_cache[y][0]])
+                    step = sub[row : row + 1]
+                    n_candidates = int(step.sum())
+                    miss = y not in reg_cache
+                    if miss:
+                        lifetimes = state.input_lifetimes(
+                            name, y, placed_ends, self.pipelined_kinds
+                        )
+                        reg_cache[y] = (state.f_reg(lifetimes), lifetimes)
                     if perf is not None:
                         # As the scalar walk counts: a counter it never
                         # touches stays absent.
                         perf.incr("mfsa.candidates_evaluated", n_candidates)
-                        if misses:
-                            perf.incr("mfsa.reg_cache_misses", int(misses))
-                        if n_candidates > misses:
-                            perf.incr("mfsa.reg_cache_hits", n_candidates - misses)
-                    new_cols = np.nonzero(block.any(axis=0) & ~priced_cols)[0]
+                        if miss:
+                            perf.incr("mfsa.reg_cache_misses")
+                        if n_candidates > miss:
+                            perf.incr("mfsa.reg_cache_hits", n_candidates - miss)
+                    new_cols = np.nonzero(step[0] & ~priced_cols)[0]
                     priced_cols[new_cols] = True
                     for j in new_cols.tolist():
                         hw = (state.f_alu(cell, j + 1), state.f_mux(cell, j + 1, name))
                         f_alu_vec[j], f_mux_vec[j] = hw
                         if bound is not None:
                             bound.priced[j + 1] = hw
-                    energy = liapunov.value_grid(ys[lo:hi], f_alu_vec, f_mux_vec, f_reg)
+                    energy = liapunov.value_grid(
+                        np.array([y]), f_alu_vec, f_mux_vec,
+                        np.array([reg_cache[y][0]]),
+                    )
                     if record_alternatives:
                         alternatives.extend(
                             zip(
-                                _kernel.mask_positions(block, cell.name, lo_y + lo),
-                                energy[block].tolist(),
+                                _kernel.mask_positions(step, cell.name, y),
+                                energy[step].tolist(),
                             )
                         )
                     position, energy_min = _kernel.argmin_position(
-                        block, energy, cell.name, lo_y + lo
+                        step, energy, cell.name, y
                     )
-                    key = (float(energy_min), position.y, rank, position.x)
+                    key = (float(energy_min), y, rank, position.x)
                     if best is None or key < best[0]:
                         best = (key, position)
                     if best_key is None or key < best_key:
@@ -785,7 +742,10 @@ class MFSAScheduler(MoveFrameEngine):
                             best_key is None or priced[0] < best_key
                         ):
                             best_key, position = priced
-                            best_choice = (cell, position, best_key[0], None)
+                            best_choice = (
+                                cell, position, best_key[0],
+                                reg_cache[position.y][1],
+                            )
                         continue
                     # The scalar pricer, one step at a time.
                     stop = None if bound is None else bound.stops
@@ -848,10 +808,6 @@ class MFSAScheduler(MoveFrameEngine):
                     f"{self.cs} steps (style {self.style})"
                 )
             cell, position, energy, lifetimes = best_choice
-            if lifetimes is None:  # the vector pricer skips per-step lifetimes
-                lifetimes = state.input_lifetimes(
-                    name, position.y, placed_ends, self.pipelined_kinds
-                )
             if trace is not None:
                 trace.candidates_detailed(name, traced_cands, liapunov.c_constant)
                 trace.commit(
@@ -886,6 +842,7 @@ class MFSAScheduler(MoveFrameEngine):
             trajectory=self.trajectory,
             grid=grid,
             style=self.style,
+            weights=self.weights,
         )
         if trace is not None:
             cost = result.cost

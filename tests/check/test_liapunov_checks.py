@@ -4,6 +4,7 @@ import dataclasses
 
 from repro.check.liapunov import check_liapunov_descent, check_time_dominance
 from repro.core.grid import GridPosition
+from repro.core.liapunov import LiapunovWeights
 from repro.core.stability import Trajectory
 
 P1 = GridPosition("add", 1, 1)
@@ -90,9 +91,11 @@ def test_forged_later_step_commit_fails():
     t.record("a", P2, 1.0, alternatives=((P1, 3.0), (P2, 1.0)))
     assert check_liapunov_descent(t) == []
     assert codes(check_time_dominance(t)) == {"liapunov.time-dominance"}
+    # With time weighted out, a cheaper later step is the correct argmin.
+    assert check_time_dominance(t, LiapunovWeights(time=0.0)) == []
 
 
-def test_mfsa_audit_runs_time_dominance(timing, alu_family):
+def test_mfsa_audit_notes_time_dominance(timing, alu_family):
     from repro.bench.suites import hal_diffeq
     from repro.check import check_mfsa_result
     from repro.core.mfsa import MFSAScheduler
@@ -101,11 +104,37 @@ def test_mfsa_audit_runs_time_dominance(timing, alu_family):
         hal_diffeq(), timing, alu_family, cs=6, record_alternatives=True
     ).run()
     report = check_mfsa_result(result)
-    assert report.ok, report.render()
-    # Forge the first move onto the latest step its frame offered.
+    assert report.ok and not report.notes, report.render()
+    # Forge the first move onto the latest step its frame offered, and
+    # make that step the frame's cheapest: every descent check still
+    # passes, and the breach is a note that fails nothing.
     event = result.trajectory.events[0]
     later = max(event.alternatives, key=lambda item: item[0].y)[0]
     assert later.y > event.position.y
-    result.trajectory.events[0] = dataclasses.replace(event, position=later)
+    alternatives = tuple(
+        (position, -1.0 if position == later else energy)
+        for position, energy in event.alternatives
+    )
+    result.trajectory.events[0] = dataclasses.replace(
+        event, position=later, energy=-1.0, alternatives=alternatives
+    )
     report = check_mfsa_result(result)
-    assert "liapunov.time-dominance" in {v.code for v in report.violations}
+    assert codes(report.notes) == {"liapunov.time-dominance"}
+    assert report.ok, report.render()
+    assert "note: [liapunov.time-dominance]" in report.render()
+
+
+def test_time_weighted_out_verifies(timing, alu_family):
+    """``time=0`` prices every step alike, so MFSA takes cheaper later
+    steps (style 2 here makes two such moves); ``verify=True`` passes."""
+    from repro.bench.suites import hal_diffeq
+    from repro.core.mfsa import MFSAScheduler
+
+    weights = LiapunovWeights(time=0.0)
+    result = MFSAScheduler(
+        hal_diffeq(), timing, alu_family, cs=6, style=2, weights=weights,
+        verify=True,
+    ).run()
+    assert result.weights == weights
+    assert len(check_time_dominance(result.trajectory)) == 2
+    assert check_time_dominance(result.trajectory, result.weights) == []

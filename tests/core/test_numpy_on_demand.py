@@ -48,7 +48,7 @@ spec = normalize_spec("mfsa", {"dfg": json.loads(dfg_to_json(below_gate)), "cs":
 report["ok"].append(execute_spec(spec)[0]["ok"])
 report["after_paper_size"] = "numpy" in sys.modules
 
-large = layered_workload(seed=7, layers=2, width=64)
+large = layered_workload(seed=7, layers=2, width=96)
 cs = critical_path_length(large, timing)
 outputs = {}
 for kernel in ("scalar", "auto"):

@@ -261,8 +261,8 @@ def test_default_options_equal_recorded_scalar(g, slack, style, library):
 
 
 def test_auto_builds_frames_on_both_walks(monkeypatch):
-    """A 128-op MFSA run at its critical path mixes the walks: the
-    operations with 32 or more open columns take the vector walk."""
+    """A 192-op MFSA run at its critical path mixes the walks: the
+    operations with 48 or more open columns take the vector walk."""
     built = {"scalar": 0, "vector": 0}
 
     def counting(walk, build):
@@ -278,7 +278,7 @@ def test_auto_builds_frames_on_both_walks(monkeypatch):
     monkeypatch.setattr(
         kernel, "move_frame_mask", counting("vector", kernel.move_frame_mask)
     )
-    g = layered_workload(seed=7, layers=2, width=64)
+    g = layered_workload(seed=7, layers=2, width=96)
     cs = critical_path_length(g, TIMING)
     MFSAScheduler(g, TIMING, LIBRARY, cs=cs, kernel="auto").run()
     assert built["scalar"] > 0 and built["vector"] > 0, built
