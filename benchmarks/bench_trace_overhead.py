@@ -32,7 +32,6 @@ from pathlib import Path
 
 from bench_record import append_entry
 
-from repro.allocation.mux import clear_mux_memo
 from repro.bench.suites import EXAMPLES
 from repro.core.mfs import MFSScheduler
 from repro.core.mfsa import MFSAScheduler
@@ -104,9 +103,7 @@ def measure(repeat):
             trace=trace,
         ).run()
 
-    # Warm the process-wide mux memo once so plain and traced runs hit
-    # identical cache states (tracing must not change what is computed).
-    clear_mux_memo()
+    # Tracing must not change what is computed.
     plain = mfsa()
     probe = TraceRecorder()
     traced = mfsa(trace=probe)

@@ -14,11 +14,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import AllocationError
 from repro.allocation.lifetimes import Lifetime, value_lifetimes
-from repro.allocation.mux import (
-    MuxAssignment,
-    MuxOperand,
-    cached_optimize_mux_inputs,
-)
+from repro.allocation.mux import MuxAssignment, MuxOperand, optimize_mux_inputs
 from repro.allocation.registers import RegisterAllocation, left_edge_allocate
 from repro.library.cells import ALUCell, CellLibrary
 from repro.schedule.types import Schedule
@@ -129,7 +125,7 @@ class Datapath:
                     commutative=spec.commutative,
                 )
             )
-        return cached_optimize_mux_inputs(operands)
+        return optimize_mux_inputs(operands)
 
     # ------------------------------------------------------------------
     # Table-2 metrics

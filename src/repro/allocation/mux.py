@@ -14,9 +14,10 @@ carrying the same signal occupy a single mux input / wire.
 
 The optimiser touches signals only through equality, so it runs on the
 operand list renamed to first-occurrence integer ids (the *canonical
-form*); every isomorphic operand list — across ALU instances,
-schedulers and runs — is one optimisation problem, which a process-wide
-memo answers once.
+form*).  It also reports whether its sweeps stopped on their cap, which
+is what MFSA's allocation state needs to price an operation that brings
+only new signals to an ALU without running it (see
+:func:`_optimize_canonical`).
 """
 
 from __future__ import annotations
@@ -95,19 +96,29 @@ def _canonical_form(operands: Sequence[MuxOperand]) -> Tuple[tuple, List[str]]:
 
 
 def _optimize_canonical(
-    key: tuple,
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[bool, ...]]:
+    key: Sequence[tuple],
+) -> Tuple[Set[int], Set[int], Tuple[bool, ...], bool]:
     """The §5.6 optimiser on a canonical key.
 
     Non-commutative and unary operands fix their sides.  A constructive
     pass orients each commutative operand in order, flipping it only
     when that adds fewer new signals (ties stay unswapped); fixpoint
     sweeps then flip any commutative operand whose flip shrinks
-    ``|L1| + |L2|``, until a sweep changes nothing (at most one sweep
-    more than there are commutative operands).  Returns the memo
-    entry ``(sorted L1 ids, sorted L2 ids, per-operand swap pattern)``.
-    Keys come from :func:`_canonical_form` (or an incremental
-    equivalent), whose op ids are distinct, so the pattern is positional.
+    ``|L1| + |L2|``, until a sweep changes nothing or the cap of one
+    sweep more than there are commutative operands is reached.  Returns
+    ``(L1 ids, L2 ids, per-operand swap pattern, capped)``, where
+    ``capped`` says the sweeps stopped on the cap.  Keys come from
+    :func:`_canonical_form` (or an incremental equivalent), whose op ids
+    are distinct, so the pattern is positional.
+
+    Appending an operand whose signals occur in no earlier operand adds
+    one input per port it feeds and changes nothing else, unless it is
+    commutative and the key was capped.  Its ids enter no earlier
+    trial, so the constructive pass repeats the key's choices and keeps
+    the new operand unswapped (both sides add two inputs); its flip
+    trial scores 0, so every sweep flips what the key's flipped and
+    stops where it stopped.  Only the cap moves: a commutative operand
+    raises it by one.
     """
     fixed1: List[int] = []
     fixed2: List[int] = []
@@ -163,6 +174,7 @@ def _optimize_canonical(
         else:
             counts1[left] += 1
             counts2[right] += 1
+    capped = True
     for _sweep in range(len(pairs) + 1):
         changed = False
         for index, (left, right) in enumerate(pairs):
@@ -198,6 +210,7 @@ def _optimize_canonical(
                 counts2[into1] -= 1
                 counts2[into2] += 1
         if not changed:
+            capped = False
             break
 
     l1 = set(fixed1)
@@ -212,83 +225,19 @@ def _optimize_canonical(
     pattern = [False] * len(key)
     for position, flip in zip(commutative_at, flips):
         pattern[position] = flip
-    return tuple(sorted(l1)), tuple(sorted(l2)), tuple(pattern)
-
-
-def _decode(
-    operands: Sequence[MuxOperand], names: List[str], entry: tuple
-) -> MuxAssignment:
-    """The real-name :class:`MuxAssignment` of a canonical memo entry."""
-    canon_l1, canon_l2, pattern = entry
-    return MuxAssignment(
-        l1=tuple(sorted(names[i] for i in canon_l1)),
-        l2=tuple(sorted(names[i] for i in canon_l2)),
-        swapped={item.op: flag for item, flag in zip(operands, pattern)},
-    )
+    return l1, l2, tuple(pattern), capped
 
 
 def optimize_mux_inputs(operands: Sequence[MuxOperand]) -> MuxAssignment:
-    """Build minimal L1/L2 lists for one ALU's operations (no memo).
+    """Build minimal L1/L2 lists for one ALU's operations.
 
     Deterministic: operations are processed in the order given, and ties
     prefer the unswapped orientation.  Op ids must be distinct.
     """
     key, names = _canonical_form(operands)
-    return _decode(operands, names, _optimize_canonical(key))
-
-
-# ---------------------------------------------------------------------------
-# Process-wide memo over canonical keys.  A key is the optimiser's whole
-# input, so an entry is exact for every operand list with that key.
-# ---------------------------------------------------------------------------
-
-_CANON_CACHE: Dict[tuple, Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[bool, ...]]] = {}
-_CANON_CACHE_MAX = 1 << 16
-
-
-def clear_mux_memo() -> None:
-    """Drop the process-wide optimiser memo (tests / memory pressure)."""
-    _CANON_CACHE.clear()
-
-
-def _memo_entry(key: tuple, perf=None) -> tuple:
-    """:func:`_optimize_canonical` through the memo, counting
-    ``mux.canon_hits`` / ``mux.canon_misses`` into ``perf``."""
-    entry = _CANON_CACHE.get(key)
-    if entry is not None:
-        if perf is not None:
-            perf.incr("mux.canon_hits")
-        return entry
-    if perf is not None:
-        perf.incr("mux.canon_misses")
-    entry = _optimize_canonical(key)
-    if len(_CANON_CACHE) < _CANON_CACHE_MAX:
-        _CANON_CACHE[key] = entry
-    return entry
-
-
-def cached_mux_sizes_for_key(key, perf=None):
-    """``(|L1|, |L2|)`` for a caller-built canonical key, memoized.
-
-    For callers that maintain the canonical form *incrementally* (the
-    MFSA allocation state extends one committed prefix per ALU instance
-    by the candidate operand in O(1)) instead of re-deriving it with
-    :func:`_canonical_form` on every probe.  The key MUST equal
-    ``_canonical_form(operands)[0]`` — first-occurrence indices in
-    operand order — so entries interoperate with
-    :func:`cached_optimize_mux_inputs`.
-    """
-    l1, l2, _pattern = _memo_entry(key, perf)
-    return len(l1), len(l2)
-
-
-def cached_optimize_mux_inputs(
-    operands: Sequence[MuxOperand], perf=None
-) -> MuxAssignment:
-    """Memoized :func:`optimize_mux_inputs` (identical results).
-
-    ``perf`` (an optional :class:`repro.perf.PerfCounters`) receives
-    ``mux.canon_hits`` / ``mux.canon_misses``.
-    """
-    key, names = _canonical_form(operands)
-    return _decode(operands, names, _memo_entry(key, perf))
+    l1, l2, pattern, _capped = _optimize_canonical(key)
+    return MuxAssignment(
+        l1=tuple(sorted(names[i] for i in l1)),
+        l2=tuple(sorted(names[i] for i in l2)),
+        swapped={item.op: flag for item, flag in zip(operands, pattern)},
+    )

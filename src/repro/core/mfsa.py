@@ -36,8 +36,7 @@ from repro.allocation.datapath import CostBreakdown, Datapath
 from repro.allocation.lifetimes import Lifetime
 from repro.allocation.mux import (
     MuxOperand,
-    _canonical_form,
-    cached_mux_sizes_for_key,
+    _optimize_canonical,
     optimize_mux_inputs,
 )
 from repro.allocation.registers import IncrementalRegisterEstimator
@@ -74,29 +73,70 @@ class MFSAResult:
         return self.datapath.alu_labels()
 
 
+class _InstanceMux:
+    """The committed §5.6 picture of one ALU instance's member list: its
+    signals' first-occurrence ids, its canonical key, ``(|L1|, |L2|)``
+    and whether the optimiser's sweeps stopped on their cap."""
+
+    __slots__ = ("ids", "key", "n1", "n2", "capped")
+
+    def __init__(self) -> None:
+        self.ids: Dict[str, int] = {}
+        self.key: List[tuple] = []
+        self.n1 = 0
+        self.n2 = 0
+        self.capped = False
+
+    def triple(self, operand: MuxOperand) -> tuple:
+        """``operand``'s ``(left, right, commutative)`` triple as the next
+        entry of :attr:`key` (new signals take the next free ids)."""
+        ids = self.ids
+        left = ids.get(operand.left)
+        fresh = len(ids)
+        if left is None:
+            left = fresh
+            fresh += 1
+        right = operand.right
+        if right is not None:
+            right = left if right == operand.left else ids.get(right, fresh)
+        return (left, right, operand.commutative)
+
+    def append(self, operand: MuxOperand, n1: int, n2: int, capped: bool) -> None:
+        """Commit ``operand`` with the sizes and cap flag it was priced at."""
+        triple = self.triple(operand)
+        self.ids.setdefault(operand.left, triple[0])
+        if operand.right is not None:
+            self.ids.setdefault(operand.right, triple[1])
+        self.key.append(triple)
+        self.n1, self.n2, self.capped = n1, n2, capped
+
+
 class _AllocationState:
     """Mutable hardware picture MFSA's dynamic Liapunov function reads.
 
-    With ``cache=True`` (the default) two exact memo tables remove the
-    redundant work of candidate evaluation:
+    With ``cache=True`` (the default) f_MUX is priced incrementally:
 
     * ``_operand_cache`` — :class:`MuxOperand` construction per node.  A
       node's operand signals never change during a run, yet the naive path
       rebuilds the operand of every *member* of an instance for every
       candidate position probed against that instance.
-    * ``_mux_with_cache`` — mux costs keyed by the instance's committed
-      member tuple plus the candidate.  The optimised mux cost is a pure
-      function of exactly those operand lists (the mux cost table is
-      library-wide), so the key is valid forever: a commit grows the
-      member tuple, which simply routes later probes of that instance to
-      a new key — no invalidation walk.  Misses fall through to the
-      process-wide renaming-canonical optimiser memo in
-      :mod:`repro.allocation.mux`, where isomorphic operand lists across
-      instances, schedulers and runs share one optimiser call.
+    * ``_mux`` — one :class:`_InstanceMux` per probed instance, extended
+      by each commit.  A probe whose operand signals are all new to the
+      instance costs ``cost(|L1| + 1) + cost(|L2| + 1)`` (one port less
+      for a unary operand) without optimising: the §5.6 optimiser's
+      answer for such an operand is known
+      (:func:`~repro.allocation.mux._optimize_canonical`).  A probe
+      that shares a signal, or a commutative one on a capped instance,
+      runs the optimiser once on the instance's key plus its own triple
+      (``mux.optimiser_runs``).
+    * ``_mux_with_cache`` — the priced ``(cost, |L1|, |L2|, capped)``
+      keyed by (instance, member count, candidate).  Member lists only
+      grow, so the key is valid forever; commit reads the chosen
+      candidate's entry to extend the instance.
 
-    Both caches are exact (same inputs → same deterministic optimiser
-    call), so cached and uncached runs produce byte-identical schedules —
-    the property ``tests/core/test_mfsa_equivalence.py`` locks down.
+    The cached path is exact (the same sizes the optimiser returns), so
+    cached and uncached runs produce byte-identical schedules — the
+    property ``tests/core/test_mfsa_equivalence.py`` locks down.
     """
 
     def __init__(
@@ -118,12 +158,10 @@ class _AllocationState:
         self.cache = cache
         self.perf = perf
         self._operand_cache: Dict[str, MuxOperand] = {}
-        self._mux_with_cache: Dict[Tuple[str, int, int, str], float] = {}
-        # Canonical form (key, ids, names) of each instance's committed
-        # member list, so a candidate probe extends it by one operand in
-        # O(1) instead of re-canonicalising the whole list.  Entries are
-        # dropped on commit and lazily rebuilt.
-        self._canon_prefix: Dict[Tuple[str, int], tuple] = {}
+        self._mux: Dict[Tuple[str, int], _InstanceMux] = {}
+        self._mux_with_cache: Dict[
+            Tuple[str, int, int, str], Tuple[float, int, int, bool]
+        ] = {}
 
     # -- ALU ------------------------------------------------------------
     def instance_open(self, cell: ALUCell, x: int) -> bool:
@@ -157,62 +195,58 @@ class _AllocationState:
         return operand
 
     def mux_cost_with(self, cell: ALUCell, x: int, name: str) -> float:
-        members = self.ops_on.get((cell.name, x), [])
-        costs = self.library.mux_costs
         if not self.cache:
+            members = self.ops_on.get((cell.name, x), [])
             operands = [self._mux_operand(member) for member in members]
             operands.append(self._mux_operand(name))
             assignment = optimize_mux_inputs(operands)
+            costs = self.library.mux_costs
             return costs.cost(len(assignment.l1)) + costs.cost(
                 len(assignment.l2)
             )
-        # Member lists only ever grow, so (instance, member count,
-        # candidate) identifies the operand list — an O(1) key where
-        # hashing the member tuple itself would walk the whole list.
-        memo_key = (cell.name, x, len(members), name)
-        cached = self._mux_with_cache.get(memo_key)
-        if cached is not None:
-            if self.perf is not None:
-                self.perf.incr("mfsa.mux_cache_hits")
-            return cached
-        if self.perf is not None:
-            self.perf.incr("mfsa.mux_cache_misses")
-        # Second level: the process-wide renaming-canonical memo in
-        # repro.allocation.mux — isomorphic operand lists (across
-        # instances, runs and schedulers) share one optimiser call.  The
-        # canonical key is built by extending the instance's committed
-        # canonical prefix with the candidate operand in O(1), instead of
-        # re-canonicalising the whole member list on every probe.
-        prefix = self._canon_prefix.get((cell.name, x))
-        if prefix is None:
-            canon_key, canon_names = _canonical_form(
-                [self._mux_operand(member) for member in members]
-            )
-            canon_ids = {s: i for i, s in enumerate(canon_names)}
-            prefix = (canon_key, canon_ids, canon_names)
-            self._canon_prefix[(cell.name, x)] = prefix
-        canon_key, canon_ids, canon_names = prefix
+        return self._mux_priced(cell, x, name)[0]
+
+    def _mux_priced(
+        self, cell: ALUCell, x: int, name: str
+    ) -> Tuple[float, int, int, bool]:
+        """``(cost, |L1|, |L2|, capped)`` of instance ``x``'s member list
+        plus ``name``, through ``_mux_with_cache``."""
+        instance = self._mux.get((cell.name, x))
+        if instance is None:
+            instance = self._mux[(cell.name, x)] = _InstanceMux()
+        memo_key = (cell.name, x, len(instance.key), name)
+        priced = self._mux_with_cache.get(memo_key)
+        perf = self.perf
+        if priced is not None:
+            if perf is not None:
+                perf.incr("mfsa.mux_cache_hits")
+            return priced
+        if perf is not None:
+            perf.incr("mfsa.mux_cache_misses")
         operand = self._mux_operand(name)
-        base = len(canon_names)
-        left = canon_ids.get(operand.left)
-        extra_names = []
-        if left is None:
-            left = base
-            extra_names.append(operand.left)
-        if operand.right is None:
-            right = None
-        elif operand.right == operand.left:
-            right = left
+        ids = instance.ids
+        n1, n2, capped = instance.n1, instance.n2, instance.capped
+        left, right = operand.left, operand.right
+        if (
+            left not in ids
+            and (right is None or right not in ids)
+            and not (capped and operand.commutative and right is not None)
+        ):
+            # Only new signals: one more input per port the op feeds.
+            n1 += 1
+            if right is not None:
+                n2 += 1
         else:
-            right = canon_ids.get(operand.right)
-            if right is None:
-                right = base + len(extra_names)
-                extra_names.append(operand.right)
-        full_key = canon_key + ((left, right, operand.commutative),)
-        n1, n2 = cached_mux_sizes_for_key(full_key, perf=self.perf)
-        cost = costs.cost(n1) + costs.cost(n2)
-        self._mux_with_cache[memo_key] = cost
-        return cost
+            if perf is not None:
+                perf.incr("mux.optimiser_runs")
+            l1, l2, _pattern, capped = _optimize_canonical(
+                instance.key + [instance.triple(operand)]
+            )
+            n1, n2 = len(l1), len(l2)
+        costs = self.library.mux_costs
+        priced = (costs.cost(n1) + costs.cost(n2), n1, n2, capped)
+        self._mux_with_cache[memo_key] = priced
+        return priced
 
     def f_mux(self, cell: ALUCell, x: int, name: str) -> float:
         """§4.1: multiplexer cost delta under best signal sharing."""
@@ -267,34 +301,14 @@ class _AllocationState:
         key = (cell.name, x)
         if key not in self.ops_on:
             self.alu_area_spent += cell.area
-        self._mux_cost[key] = self.mux_cost_with(cell, x, name)
-        # Appending to the member list retires the old memo key of this
-        # instance automatically — no explicit invalidation needed.  The
-        # canonical prefix is extended in place by the committed operand
-        # (first-occurrence indexing, exactly like _canonical_form).
+        if self.cache:
+            # The chosen candidate was priced, so this reads its entry.
+            cost, n1, n2, capped = self._mux_priced(cell, x, name)
+            self._mux[key].append(self._mux_operand(name), n1, n2, capped)
+        else:
+            cost = self.mux_cost_with(cell, x, name)
+        self._mux_cost[key] = cost
         self.ops_on.setdefault(key, []).append(name)
-        entry = self._canon_prefix.get(key)
-        if entry is not None:
-            canon_key, canon_ids, canon_names = entry
-            operand = self._mux_operand(name)
-            left = canon_ids.get(operand.left)
-            if left is None:
-                left = len(canon_names)
-                canon_ids[operand.left] = left
-                canon_names.append(operand.left)
-            if operand.right is None:
-                right = None
-            else:
-                right = canon_ids.get(operand.right)
-                if right is None:
-                    right = len(canon_names)
-                    canon_ids[operand.right] = right
-                    canon_names.append(operand.right)
-            self._canon_prefix[key] = (
-                canon_key + ((left, right, operand.commutative),),
-                canon_ids,
-                canon_names,
-            )
         self.opened_columns[cell.name] = max(
             self.opened_columns.get(cell.name, 0), x
         )

@@ -17,6 +17,7 @@ The paper's rule set:
 
 from __future__ import annotations
 
+import heapq
 from functools import cmp_to_key
 from typing import List, Mapping
 
@@ -82,21 +83,16 @@ def priority_order(
     # priority order is not guaranteed topological.  A Kahn pass that always
     # releases the best-ranked ready node restores the guarantee while
     # deviating from the paper's order only when a dependence forces it.
+    # Ranks are unique, so a heap of (rank, name) pops that node.
     in_degree = {name: len(dfg.predecessors(name)) for name in dfg.node_names()}
-    ready = sorted(
-        (name for name, deg in in_degree.items() if deg == 0),
-        key=rank.__getitem__,
-    )
+    ready = [(rank[name], name) for name, deg in in_degree.items() if deg == 0]
+    heapq.heapify(ready)
     order: List[str] = []
     while ready:
-        name = ready.pop(0)
+        _rank, name = heapq.heappop(ready)
         order.append(name)
         for succ in dfg.successors(name):
             in_degree[succ] -= 1
             if in_degree[succ] == 0:
-                # Insert keeping `ready` sorted by rank (small lists).
-                position = 0
-                while position < len(ready) and rank[ready[position]] < rank[succ]:
-                    position += 1
-                ready.insert(position, succ)
+                heapq.heappush(ready, (rank[succ], succ))
     return order

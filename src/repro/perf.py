@@ -19,8 +19,9 @@ Canonical counter names (grep targets for the BENCH trajectory harness):
 ``mfsa.mux_cache_hits/misses``  memoized vs fresh per-run mux costs
 ``mfsa.operand_cache_hits/..``  memoized vs fresh ``MuxOperand`` builds
 ``mfsa.reg_cache_hits/misses``  memoized vs fresh f_REG/lifetime evals
-``mux.canon_hits/misses``       process-wide §5.6 optimiser memo: hits
-                                vs optimiser runs
+``mux.optimiser_runs``          §5.6 optimiser runs of MFSA's f_MUX
+                                pricing (a probe that brings only new
+                                signals to an instance needs none)
 ``sweep.tasks``                 items fanned out by a sweep executor
 ``sweep.pool_failures``         process pools that started (or tried to
                                 start) and failed over to serial

@@ -16,11 +16,10 @@ dumps, so a served result carries the CLI's document for the same
 design and parameters.  The service's worker (:func:`execute_job`)
 renders the job's canonical :func:`response_text` itself, once; that
 text is what crosses the process boundary, what the caches store, what
-journals record and what ``GET /v1/jobs/<id>/result`` answers.  Traced
-runs clear the process-wide mux-optimiser memo first, mirroring
-:func:`repro.trace.driver.trace_run`, so the embedded ``perf.counters``
-event — and therefore the whole trace artifact — is reproducible no
-matter which worker process picks the job up.
+journals record and what ``GET /v1/jobs/<id>/result`` answers.  A
+scheduler run keeps its caches to itself, so a traced job's embedded
+``perf.counters`` event — and therefore the whole trace artifact — is
+reproducible no matter which worker process picks the job up.
 """
 
 from __future__ import annotations
@@ -395,12 +394,8 @@ def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
 
     trace = None
     if spec["trace"]:
-        from repro.allocation.mux import clear_mux_memo
         from repro.trace import TraceRecorder
 
-        # Mirror repro.trace.driver: a cleared process-wide memo makes
-        # the counters embedded in the trace worker-independent.
-        clear_mux_memo()
         trace = TraceRecorder()
 
     if spec["algorithm"] == "mfs":

@@ -8,10 +8,9 @@ through JSONL (so what the report renders is exactly what a reader of
 the file would load), replays the Liapunov descent through
 :mod:`repro.check`, and renders the markdown report.
 
-Determinism: the process-wide canonical mux-optimiser memo is cleared up
-front, so the cache counters embedded in the trace (and hence the
-rendered report) are identical no matter what ran earlier in the
-process.
+Determinism: a run keeps all its caches to itself, so the counters
+embedded in the trace (and hence the rendered report) are identical no
+matter what ran earlier in the process.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.allocation.mux import clear_mux_memo
 from repro.core.mfs import MFSScheduler
 from repro.core.mfsa import MFSAScheduler
 from repro.dfg.analysis import TimingModel, critical_path_length
@@ -66,7 +64,6 @@ def trace_run(
     """
     if scheduler not in ("mfs", "mfsa"):
         raise ValueError(f"scheduler must be 'mfs' or 'mfsa', got {scheduler!r}")
-    clear_mux_memo()
     cs = cs or critical_path_length(dfg, timing)
     trace = TraceRecorder()
     perf = PerfCounters()

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from repro.allocation.mux import (
     MuxAssignment,
     MuxOperand,
-    cached_optimize_mux_inputs,
-    clear_mux_memo,
+    _canonical_form,
+    _optimize_canonical,
     optimize_mux_inputs,
 )
-from repro.perf import PerfCounters
 
 
 def operand(op, left, right, commutative=True):
@@ -237,9 +236,8 @@ def triple(assignment):
 @given(case=mux_operands)
 @settings(max_examples=300, deadline=None)
 def test_optimiser_equals_the_textbook_oracle(case):
-    """Direct calls, a cold memo miss and a warm hit on a renamed copy
-    (same canonical key; its signal names sort in reverse) all equal the
-    oracle."""
+    """The operand list and a renamed copy (same canonical key; its
+    signal names sort in reverse) both equal the oracle."""
     operands = as_operands(case)
     renamed = as_operands(
         [
@@ -248,20 +246,38 @@ def test_optimiser_equals_the_textbook_oracle(case):
         ],
         prefix="r",
     )
-    expected = textbook_lists(operands)
-    assert triple(optimize_mux_inputs(operands)) == expected
-    clear_mux_memo()
-    perf = PerfCounters()
-    assert triple(cached_optimize_mux_inputs(operands, perf)) == expected
-    assert triple(cached_optimize_mux_inputs(renamed, perf)) == (
-        textbook_lists(renamed)
-    )
-    assert perf.counters == {"mux.canon_misses": 1, "mux.canon_hits": 1}
+    assert triple(optimize_mux_inputs(operands)) == textbook_lists(operands)
+    assert triple(optimize_mux_inputs(renamed)) == textbook_lists(renamed)
 
 
 def test_a_repeated_op_id_is_refused():
     operands = [operand("o1", "a", "b"), operand("o1", "b", "c")]
     with pytest.raises(ValueError, match="'o1' appears twice"):
         optimize_mux_inputs(operands)
-    with pytest.raises(ValueError, match="'o1' appears twice"):
-        cached_optimize_mux_inputs(operands)
+
+
+@given(
+    case=mux_operands,
+    right=st.sampled_from(["new", "same", "unary"]),
+    commutative=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_an_operand_of_new_signals_adds_one_input_per_port(
+    case, right, commutative
+):
+    """Appending an operand whose signals no earlier operand carries
+    adds one input per port it feeds, keeps every earlier swap and the
+    cap flag, and stays unswapped — unless it is a commutative pair on
+    a capped key.  MFSA prices such probes without the optimiser."""
+    key, names = _canonical_form(as_operands(case))
+    fresh = len(names)
+    right_id = {"new": fresh + 1, "same": fresh, "unary": None}[right]
+    l1, l2, pattern, capped = _optimize_canonical(key)
+    e1, e2, extended_pattern, extended_capped = _optimize_canonical(
+        key + ((fresh, right_id, commutative),)
+    )
+    if capped and commutative and right_id is not None:
+        return
+    assert (len(e1), len(e2)) == (len(l1) + 1, len(l2) + (right_id is not None))
+    assert extended_pattern == pattern + (False,)
+    assert extended_capped == capped

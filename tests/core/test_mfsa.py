@@ -1,16 +1,21 @@
 """Tests for the MFSA mixed scheduling-allocation algorithm (§4)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.allocation.mux import MuxOperand, optimize_mux_inputs
 from repro.core.liapunov import LiapunovWeights
-from repro.core.mfsa import MFSAScheduler, mfsa_synthesize
-from repro.dfg.analysis import critical_path_length
+from repro.core.mfsa import MFSAScheduler, _AllocationState, mfsa_synthesize
+from repro.dfg.analysis import TimingModel, critical_path_length
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.generators import random_dfg
 from repro.dfg.graph import DFG
-from repro.dfg.ops import OpKind
+from repro.dfg.ops import OpKind, standard_operation_set
 from repro.errors import ScheduleError
+from repro.library.cells import ALUCell, CellLibrary
 from repro.library.ncr import datapath_library, simple_fu_library
+from repro.perf import PerfCounters
 from repro.sim.executor import verify_equivalence
 from repro.bench.suites import facet_like, hal_diffeq
 
@@ -228,3 +233,104 @@ class TestMulticycleAndChaining:
             result = mfsa_synthesize(g, timing, alu_family, cs=cs)
             inputs = {name: 3 + i for i, name in enumerate(g.inputs)}
             verify_equivalence(result.datapath, inputs)
+
+
+class TestMuxPricing:
+    def test_a_second_run_in_one_process_counts_the_same(self, timing):
+        # No scheduler state outlives a run, so every perf counter
+        # depends only on the run's inputs.
+        g = random_dfg(seed=2027, n_ops=40, n_inputs=6)
+        cs = critical_path_length(g, timing) + 2
+        counters = []
+        for _run in range(2):
+            perf = PerfCounters()
+            MFSAScheduler(g, timing, datapath_library(), cs=cs, perf=perf).run()
+            counters.append(dict(perf.counters))
+        assert counters[0] == counters[1]
+        assert (
+            0 < counters[0]["mux.optimiser_runs"]
+            < counters[0]["mfsa.mux_cache_misses"]
+        )
+
+    def test_only_shared_signals_or_a_raised_cap_run_the_optimiser(
+        self, timing, alu_family
+    ):
+        b = DFGBuilder("mux")
+        x, y, z, w = b.inputs("x", "y", "z", "w")
+        b.op(OpKind.ADD, x, y, name="xy")
+        b.op(OpKind.ADD, y, z, name="yz")
+        b.op(OpKind.ADD, z, w, name="zw")
+        b.op(OpKind.SUB, z, w, name="z-w")
+        perf = PerfCounters()
+        state = _AllocationState(b.build(), timing, alu_family, perf=perf)
+        cell = alu_family.cells_for(OpKind.ADD)[0]
+        state.commit("xy", cell, 1, [])
+        assert "mux.optimiser_runs" not in perf.counters
+        costs = alu_family.mux_costs
+        # Only new signals: one more input per port, no optimiser run.
+        assert state.mux_cost_with(cell, 1, "zw") == 2 * costs.cost(2)
+        assert "mux.optimiser_runs" not in perf.counters
+        # y is shared: the optimiser flips yz to (z, y), sizes (2, 1).
+        assert state.mux_cost_with(cell, 1, "yz") == costs.cost(2) + costs.cost(1)
+        assert perf.counters["mux.optimiser_runs"] == 1
+        # On a capped instance a commutative operand raises the sweep
+        # cap, so even its new signals need the optimiser; a fixed-side
+        # operand leaves the cap where it was.
+        state = _AllocationState(b.build(), timing, alu_family, perf=perf)
+        state.commit("xy", cell, 1, [])
+        state._mux[(cell.name, 1)].capped = True
+        state.mux_cost_with(cell, 1, "z-w")
+        assert perf.counters["mux.optimiser_runs"] == 1
+        state.mux_cost_with(cell, 1, "zw")
+        assert perf.counters["mux.optimiser_runs"] == 2
+
+
+#: Operations joining one ALU instance in turn: a commutative ADD, a
+#: fixed-side SUB or a unary NEG, on two of six inputs, so fresh, shared
+#: and same-signal operands all come up.
+instance_ops = st.lists(
+    st.tuples(
+        st.sampled_from([OpKind.ADD, OpKind.SUB, OpKind.NEG]),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=5),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@given(ops=instance_ops)
+@settings(max_examples=200, deadline=None)
+def test_incremental_mux_sizes_equal_the_optimiser(ops):
+    """Each probe of one instance, then its commit, prices the sizes the
+    §5.6 optimiser gives the whole member list from scratch."""
+    b = DFGBuilder("instance")
+    signals = b.inputs(*(f"s{i}" for i in range(6)))
+    for index, (kind, left, right) in enumerate(ops):
+        operands = [signals[left]] if kind == OpKind.NEG else [
+            signals[left], signals[right]
+        ]
+        b.op(kind, *operands, name=f"o{index}")
+    dfg = b.build()
+    timing = TimingModel(ops=standard_operation_set())
+    cell = ALUCell("alu", {OpKind.ADD, OpKind.SUB, OpKind.NEG}, area=1000.0)
+    library = CellLibrary(
+        "one-alu", [cell], 100.0, datapath_library().mux_costs
+    )
+    state = _AllocationState(dfg, timing, library)
+    members = []
+    for name in dfg.node_names():
+        node = dfg.node(name)
+        signals_of = node.operand_names()
+        members.append(
+            MuxOperand(
+                op=name,
+                left=signals_of[0],
+                right=signals_of[1] if len(signals_of) > 1 else None,
+                commutative=timing.ops.spec(node.kind).commutative,
+            )
+        )
+        expected = optimize_mux_inputs(members)
+        _cost, n1, n2, _capped = state._mux_priced(cell, 1, name)
+        assert (n1, n2) == (len(expected.l1), len(expected.l2))
+        state.commit(name, cell, 1, [])

@@ -1,9 +1,10 @@
 """Cached MFSA must be byte-identical to the naive reference path.
 
-The PR that introduced the caching layer (`_AllocationState` memo tables,
-the process-wide mux-optimiser memo, the shared per-node frame, the f_REG
-cache) guarantees exactness: every cache is keyed on the complete input of
-a deterministic function.  These tests lock that down against the
+The caching layer (the `_AllocationState` memo tables and incremental
+per-instance mux state, the shared per-node frame, the f_REG cache)
+guarantees exactness: every cache is keyed on the complete input of a
+deterministic function, and the mux state prices only what the §5.6
+optimiser's answer is known for.  These tests lock that down against the
 ``no_cache=True`` reference, which recomputes every Liapunov term from
 scratch for every candidate position:
 
@@ -15,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.allocation.mux import clear_mux_memo
 from repro.bench.suites import EXAMPLES
 from repro.bench.table2 import run_example
 from repro.core.mfsa import MFSAScheduler
@@ -51,13 +51,11 @@ def assert_equivalent(cached, naive):
 @pytest.mark.parametrize("style", [1, 2])
 def test_examples_cached_equals_naive(key, style):
     spec = EXAMPLES[key]
-    clear_mux_memo()  # cold memo
-    cached_cold = run_example(spec, style)
+    cached = run_example(spec, style)
     naive = run_example(spec, style, no_cache=True)
-    assert_equivalent(cached_cold, naive)
-    # warm process-wide memo must not change anything either
-    cached_warm = run_example(spec, style)
-    assert_equivalent(cached_warm, naive)
+    assert_equivalent(cached, naive)
+    # A second run in the same process must not change anything either.
+    assert_equivalent(run_example(spec, style), naive)
 
 
 dfg_params = st.tuples(

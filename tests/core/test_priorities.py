@@ -1,7 +1,18 @@
 """Tests for the priority ordering rules (§3.2, §5.3)."""
 
-from repro.core.priorities import priority_order
-from repro.dfg.analysis import TimingModel, alap_schedule, asap_schedule
+from functools import cmp_to_key
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.priorities import _latest_predecessor_end, priority_order
+from repro.dfg.analysis import (
+    TimingModel,
+    alap_schedule,
+    asap_schedule,
+    critical_path_length,
+)
+from repro.dfg.generators import random_conditional_dfg, random_dfg
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.ops import OpKind, standard_operation_set
 from repro.bench.suites import ewf, hal_diffeq
@@ -132,3 +143,95 @@ class TestChainedOrder:
         # with chaining both fit step 1; ALAP(a) == ALAP(c) == 1 at cs=1
         order = order_of(g, timing_chained, cs=1)
         assert order == ["a", "c"]
+
+
+def linear_insertion_order(dfg, timing, asap, alap):
+    """The priority order with its Kahn pass as first written: the same
+    §5.3 ranking, then a ready list kept sorted by linear insertion and
+    popped from the front (quadratic in the ready width)."""
+    mobility = {name: alap[name] - asap[name] for name in asap}
+    insertion = {name: i for i, name in enumerate(dfg.node_names())}
+    pred_end = {
+        name: _latest_predecessor_end(dfg, timing, asap, name) for name in asap
+    }
+    latency = {name: timing.latency(dfg.node(name).kind) for name in asap}
+
+    def compare(p, q):
+        if alap[p] != alap[q]:
+            return -1 if alap[p] < alap[q] else 1
+        lat_p, lat_q = latency[p], latency[q]
+        mob_p, mob_q = mobility[p], mobility[q]
+        if lat_p > 1 and lat_q > 1 and mob_p != mob_q:
+            if abs(mob_p - mob_q) < max(lat_p, lat_q):
+                return -1 if mob_p > mob_q else 1
+        if mob_p != mob_q:
+            return -1 if mob_p < mob_q else 1
+        if pred_end[p] != pred_end[q]:
+            return -1 if pred_end[p] < pred_end[q] else 1
+        return -1 if insertion[p] < insertion[q] else 1
+
+    ranked = sorted(dfg.node_names(), key=cmp_to_key(compare))
+    rank = {name: i for i, name in enumerate(ranked)}
+    in_degree = {name: len(dfg.predecessors(name)) for name in dfg.node_names()}
+    ready = sorted(
+        (name for name, deg in in_degree.items() if deg == 0),
+        key=rank.__getitem__,
+    )
+    order = []
+    while ready:
+        name = ready.pop(0)
+        order.append(name)
+        for succ in dfg.successors(name):
+            in_degree[succ] -= 1
+            if in_degree[succ] == 0:
+                position = 0
+                while position < len(ready) and rank[ready[position]] < rank[succ]:
+                    position += 1
+                ready.insert(position, succ)
+    return order
+
+
+#: Plain, chained (a 45-ns clock fits a multiply and chains up to four
+#: adds, so dependent pairs share an ALAP step and the Kahn pass
+#: reorders) and 2-cycle multipliers (the §5.3 inversion).
+TIMINGS = {
+    "plain": TimingModel(ops=standard_operation_set()),
+    "chained": TimingModel(ops=standard_operation_set(), clock_period_ns=45.0),
+    "mul2": TimingModel(ops=standard_operation_set(mul_latency=2)),
+}
+
+designs = st.one_of(
+    st.builds(
+        lambda seed, n_ops, locality: random_dfg(
+            seed=seed, n_ops=n_ops, locality=locality
+        ),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=12),
+    ),
+    st.builds(
+        lambda seed, n_ops: random_conditional_dfg(seed=seed, n_ops=n_ops),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=4, max_value=40),
+    ),
+)
+
+
+@given(
+    dfg=designs,
+    timing=st.sampled_from(sorted(TIMINGS)),
+    slack=st.integers(min_value=0, max_value=6),
+)
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_heap_kahn_pass_equals_linear_insertion(dfg, timing, slack):
+    timing = TIMINGS[timing]
+    cs = critical_path_length(dfg, timing) + slack
+    asap = asap_schedule(dfg, timing)
+    alap = alap_schedule(dfg, timing, cs)
+    assert priority_order(dfg, timing, asap, alap) == linear_insertion_order(
+        dfg, timing, asap, alap
+    )

@@ -20,7 +20,6 @@ and make its moves, and the three walks must count every event alike.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.allocation.mux import clear_mux_memo
 from repro.check.kernels import check_mfs_kernels, check_mfsa_kernels
 from repro.core import engine, kernel
 from repro.core.liapunov import LiapunovWeights
@@ -146,7 +145,6 @@ def test_counters_identical_when_alternatives_recorded(seed, slack):
     cs = critical_path_length(g, TIMING) + slack
     counters = {}
     for kern in ("scalar", "vector"):
-        clear_mux_memo()
         perf = PerfCounters()
         MFSAScheduler(
             g,
@@ -185,9 +183,7 @@ large_designs = st.one_of(
 
 
 def run_design(g, cs, style, library=LIBRARY, **options):
-    """(JSON bytes, trajectory, perf) of one cache-cold run; ``style`` 0
-    is MFS."""
-    clear_mux_memo()
+    """(JSON bytes, trajectory, perf) of one run; ``style`` 0 is MFS."""
     perf = PerfCounters()
     if style == 0:
         result = MFSScheduler(g, TIMING, cs=cs, perf=perf, **options).run()

@@ -9,7 +9,6 @@ per-node monotone non-increasing replayed energy sequences.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.allocation.mux import clear_mux_memo
 from repro.core.mfs import MFSScheduler
 from repro.core.mfsa import MFSAScheduler
 from repro.dfg.analysis import TimingModel, critical_path_length
@@ -50,7 +49,6 @@ def traced_run(params, scheduler, slack=1):
     if scheduler == "mfs":
         MFSScheduler(g, TIMING, cs=cs, mode="time", trace=trace).run()
     else:
-        clear_mux_memo()
         MFSAScheduler(g, TIMING, LIBRARY, cs=cs, trace=trace).run()
     return trace
 
