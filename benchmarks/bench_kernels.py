@@ -1,34 +1,31 @@
-"""Kernel-scaling harness: scalar, vector and auto MFS/MFSA, emits BENCH_core.json.
+"""Kernel-scaling harness: MFS's scalar, vector and auto walks and MFSA, emits BENCH_core.json.
 
-Times the scheduler under each move-frame walk (see
-:mod:`repro.core.kernel`): the pure-python scalar reference and the numpy
-bitmask vector walk, each forced for every frame, and ``auto``, which
-picks one of them per operation by frame size.  The workloads are seeded
-layered designs of 100, 1 000 and 10 000 operations.  The time budget
-uses generous slack (``cs = critical_path + slack``): tall move-frame
-grids are exactly the regime where the candidate scan dominates and the
-vector walk pays.
+Times MFS under each move-frame walk (see :mod:`repro.core.kernel`): the
+pure-python scalar reference and the numpy bitmask vector walk, each
+forced for every frame, and ``auto``, which picks one of them per
+operation by frame size; and MFSA, which has one walk.  The workloads
+are seeded layered designs of 100, 1 000 and 10 000 operations.  The
+time budget uses generous slack (``cs = critical_path + slack``): tall
+move-frame grids are exactly the regime where the candidate scan
+dominates and MFS's vector walk pays.
 
-Before any timing, every tier asserts that all timed walks produce
-byte-identical JSON (schedule, and datapath for MFSA) and equal
-trajectories — the numbers are only comparable because the designs are
-equal.  Timings are best-of-N around ``scheduler.run()`` with default
-options (move-frame alternatives off); a run keeps every cache to
-itself, so every walk starts cache-cold.
+Before any timing, every tier asserts that MFS's walks produce
+byte-identical schedule JSON and equal trajectories — the numbers are
+only comparable because the designs are equal.  Timings are best-of-N
+around ``scheduler.run()`` with default options (move-frame
+alternatives off); a run keeps every cache to itself, so every run
+starts cache-cold.
 
-The 10k-op scalar rows are skipped by default (the scalar MFSA run is
-minutes of wall clock); ``--full`` measures them too.  Results land in
-the ``history`` list of ``BENCH_core.json`` as a ``kernel_scaling``
-entry carrying ``cpus``; ``--smoke`` runs one ``auto`` MFSA run on the
-100-op tier and one ``auto`` MFS and MFSA run each on the 1k-op tier,
-each against a checked-in wall-clock budget (fail at 2x), and does not
-write the JSON.
+Results land in the ``history`` list of ``BENCH_core.json`` as a
+``kernel_scaling`` entry carrying ``cpus``; ``--smoke`` runs one MFSA
+run on the 100-op tier and one ``auto`` MFS and one MFSA run on the
+1k-op tier, each against a checked-in wall-clock budget (fail at 2x),
+and does not write the JSON.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke
-    PYTHONPATH=src python benchmarks/bench_kernels.py --full
 """
 
 from __future__ import annotations
@@ -45,33 +42,30 @@ from repro.core.mfsa import MFSAScheduler
 from repro.dfg.analysis import TimingModel, critical_path_length
 from repro.dfg.generators import layered_workload
 from repro.dfg.ops import standard_operation_set
-from repro.io.jsonio import schedule_to_json, synthesis_to_json
+from repro.io.jsonio import schedule_to_json
 from repro.library.ncr import datapath_library
 from repro.sweep import default_workers
 
 SEED = 7
 
-#: The timed walks: two forced, then the per-operation pick.
+#: MFS's timed walks: two forced, then the per-operation pick.
 WALKS = ("scalar", "vector", "auto")
 
 #: (ops -> layers, width, slack).  slack is added to the critical path.
-#: The 10k tier uses modest slack (grid height drives cost for *both*
-#: walks) and, by default, skips the forced scalar walk — its rows there
-#: are minutes of wall clock and need ``--full``.
+#: The 10k tier uses modest slack (grid height drives cost for every
+#: walk).
 TIERS = [
     {"ops": 100, "layers": 5, "width": 20, "slack": 40, "repeat": 5},
     {"ops": 1000, "layers": 25, "width": 40, "slack": 400, "repeat": 3},
-    {"ops": 10000, "layers": 50, "width": 200, "slack": 10, "repeat": 1,
-     "scalar_needs_full": True},
+    {"ops": 10000, "layers": 50, "width": 200, "slack": 10, "repeat": 1},
 ]
 
-#: Smoke budget for one cache-cold ``auto`` MFSA run on the 100-op tier.
-#: No operation there opens the 48 columns MFSA's vector-walk gate asks
-#: for, so all 116 frames take the scalar walk, each stopped at the first
-#: step that cannot win.  Measured ~14 ms on a 2-vCPU VM; CI fails the
-#: perf-smoke job only when the wall time regresses past 2x this budget,
-#: so noise and slower runners don't trip it but complexity regressions
-#: in the walks do.
+#: Smoke budget for one cache-cold MFSA run on the 100-op tier: 116
+#: frames, each stopped at the first step that cannot win.  Measured
+#: 12.7–15.0 ms (median 12.9, 6 runs in one process) on a 2-vCPU VM;
+#: CI fails the perf-smoke job only when the wall time regresses past 2x
+#: this budget, so noise and slower runners don't trip it but complexity
+#: regressions in the walks do.
 SMOKE_BUDGET_MS = 150.0
 
 #: Smoke budget for one default-options ``auto`` MFS run on the 1k-op
@@ -80,13 +74,13 @@ SMOKE_BUDGET_MS = 150.0
 #: it to about 2 s, past 2x this budget.
 SMOKE_MFS_1K_BUDGET_MS = 250.0
 
-#: Smoke budget for one cache-cold, default-options ``auto`` MFSA run on
-#: the 1k-op tier: 400-step frames the scalar walk stops at the first
-#: step that cannot win.  Measured 335–463 ms on a 2-vCPU VM (6
-#: alternating repeats), 44 % of it under cProfile the §5.6 optimiser's
-#: 460 runs on probes that share a signal with an instance; building and
-#: pricing those frames whole with the scalar walk takes about 3 s, past
-#: 2x this budget.
+#: Smoke budget for one cache-cold, default-options MFSA run on the
+#: 1k-op tier: 400-step frames the walk stops at the first step that
+#: cannot win.  Measured 252–390 ms (median 279, 6 runs in one process)
+#: on a 2-vCPU VM, much of it the §5.6 optimiser's 460 runs on probes
+#: that share a signal with an instance; building and pricing those
+#: frames whole (``record_alternatives=True``) took 3.0–3.5 s, past 2x
+#: this budget.
 SMOKE_MFSA_1K_BUDGET_MS = 750.0
 
 
@@ -109,37 +103,30 @@ def build_tier(tier):
     return dfg, timing, library, cs
 
 
-def runners(dfg, timing, library, cs, kern):
-    mfs = lambda: MFSScheduler(  # noqa: E731
-        dfg, timing, cs=cs, mode="time", kernel=kern
-    ).run()
-    mfsa = lambda: MFSAScheduler(  # noqa: E731
-        dfg, timing, library, cs=cs, kernel=kern
-    ).run()
-    return mfs, mfsa
+def runners(dfg, timing, library, cs):
+    """``{row: run}``: MFS under each walk, and MFSA."""
+    rows = {
+        f"mfs_{kern}_ms": lambda kern=kern: MFSScheduler(
+            dfg, timing, cs=cs, mode="time", kernel=kern
+        ).run()
+        for kern in WALKS
+    }
+    rows["mfsa_ms"] = lambda: MFSAScheduler(dfg, timing, library, cs=cs).run()
+    return rows
 
 
-def assert_identical(walks, ops):
-    """Every walk emits the same JSON bytes and trajectory."""
-    for index, (what, encode) in enumerate(
-        (("MFS", lambda r: schedule_to_json(r.schedule)),
-         ("MFSA", synthesis_to_json))
-    ):
-        outputs = {}
-        for kern, run in walks.items():
-            result = run[index]()
-            outputs[kern] = (encode(result), result.trajectory)
-        first = next(iter(outputs.values()))
-        for kern, output in outputs.items():
-            assert output == first, f"{what} @{ops} ops: {kern} walk diverges"
+def assert_identical(rows, ops):
+    """MFS's walks emit the same JSON bytes and trajectory."""
+    outputs = {}
+    for kern in WALKS:
+        result = rows[f"mfs_{kern}_ms"]()
+        outputs[kern] = (schedule_to_json(result.schedule), result.trajectory)
+    for kern, output in outputs.items():
+        assert output == outputs["scalar"], f"MFS @{ops} ops: {kern} walk diverges"
 
 
-def measure_tier(tier, full):
+def measure_tier(tier):
     dfg, timing, library, cs = build_tier(tier)
-    timed = [
-        kern for kern in WALKS
-        if kern != "scalar" or full or not tier.get("scalar_needs_full")
-    ]
     row = {
         "ops": len(dfg),
         "layers": tier["layers"],
@@ -147,32 +134,20 @@ def measure_tier(tier, full):
         "cs": cs,
         "repeat": tier["repeat"],
     }
-    walks = {kern: runners(dfg, timing, library, cs, kern) for kern in timed}
+    rows = runners(dfg, timing, library, cs)
     # Equivalence guard before any timing.
-    assert_identical(walks, len(dfg))
+    assert_identical(rows, len(dfg))
     row["identical"] = True
-
-    for kern in WALKS:
-        for index, algorithm in enumerate(("mfs", "mfsa")):
-            row[f"{algorithm}_{kern}_ms"] = (
-                round(best_of(walks[kern][index], tier["repeat"]) * 1e3, 1)
-                if kern in walks
-                else None
-            )
-    for algorithm in ("mfs", "mfsa"):
-        scalar_ms = row[f"{algorithm}_scalar_ms"]
-        row[f"{algorithm}_speedup"] = (
-            round(scalar_ms / row[f"{algorithm}_vector_ms"], 2)
-            if scalar_ms
-            else None
-        )
+    for key, run in rows.items():
+        row[key] = round(best_of(run, tier["repeat"]) * 1e3, 1)
+    row["mfs_speedup"] = round(row["mfs_scalar_ms"] / row["mfs_vector_ms"], 2)
     return row
 
 
 def smoke():
-    # The vector walk imports numpy on first use (~120-150 ms here).  No
-    # budget is for that one-time import: the 100-op MFSA run no longer
-    # takes the vector walk, so without this the 1k-op MFS run would pay it.
+    # MFS's vector walk imports numpy on first use (~120-150 ms here).
+    # No budget is for that one-time import: MFSA never takes the vector
+    # walk, so without this the 1k-op MFS run would pay it.
     import numpy  # noqa: F401
 
     failed = 0
@@ -182,14 +157,15 @@ def smoke():
         (TIERS[1], "MFSA", SMOKE_MFSA_1K_BUDGET_MS),
     ):
         dfg, timing, library, cs = build_tier(tier)
-        mfs, mfsa = runners(dfg, timing, library, cs, "auto")
+        run = runners(dfg, timing, library, cs)[
+            "mfsa_ms" if algorithm == "MFSA" else "mfs_auto_ms"
+        ]
         start = time.perf_counter()
-        (mfsa if algorithm == "MFSA" else mfs)()
+        run()
         elapsed_ms = (time.perf_counter() - start) * 1e3
         ceiling = 2 * budget_ms
-        what = (
-            f"{len(dfg)}-op {algorithm} "
-            f"(auto: scalar or vector walk per operation)"
+        what = f"{len(dfg)}-op {algorithm}" + (
+            "" if algorithm == "MFSA" else " (auto: scalar or vector walk per operation)"
         )
         if elapsed_ms > ceiling:
             print(
@@ -215,12 +191,6 @@ def main(argv=None):
         "their wall-clock budgets (2x headroom), do not write BENCH_core.json",
     )
     parser.add_argument(
-        "--full",
-        action="store_true",
-        help="also measure the scalar kernel on the 10k-op tier "
-        "(minutes of wall clock)",
-    )
-    parser.add_argument(
         "--label", default="vector-kernel",
         help="history-entry label recorded in BENCH_core.json",
     )
@@ -236,17 +206,12 @@ def main(argv=None):
 
     tiers = []
     for tier in TIERS:
-        row = measure_tier(tier, args.full)
+        row = measure_tier(tier)
         tiers.append(row)
         print(
-            f"{row['ops']:>6} ops (cs={row['cs']}): "
-            + "; ".join(
-                f"{algorithm.upper()} "
-                + ", ".join(
-                    f"{kern} {row[f'{algorithm}_{kern}_ms']} ms" for kern in WALKS
-                )
-                for algorithm in ("mfs", "mfsa")
-            )
+            f"{row['ops']:>6} ops (cs={row['cs']}): MFS "
+            + ", ".join(f"{kern} {row[f'mfs_{kern}_ms']} ms" for kern in WALKS)
+            + f"; MFSA {row['mfsa_ms']} ms"
         )
 
     entry = {

@@ -7,11 +7,13 @@ for a *parent* source tree (``--parent``: the ``src`` directory of
 another checkout, such as the parent commit unpacked with
 ``git archive``) and for this tree, alternating which goes first in
 each repeat.  It reports, per row, the median over the repeats with its
-min–max range and in how many repeats this tree was faster.  Each
+min–max range and quartiles, and in how many repeats this tree was
+faster.  Each
 repeat imports the ``repro`` package of its tree afresh (the modules are
 swapped in ``sys.modules``); every run is cache-cold with default
-options, as in ``bench_kernels.py``.  The 10k-op scalar walk is not
-timed (minutes a run).
+options, as in ``bench_kernels.py``.  MFSA is timed once per tier; a
+tree whose ``MFSAScheduler`` still takes ``kernel`` runs it with
+``kernel="auto"``, that tree's default.
 
 ``--label`` appends the result to ``BENCH_core.json`` as a
 ``kernel_scaling`` entry with ``parent`` and ``change`` rows per tier.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import statistics
 import sys
 import time
@@ -62,38 +65,41 @@ def load_tree(src, trees):
 
 
 def time_tree(m):
-    """``{(ops, row): ms}``: best-of-N per tier, walk and scheduler."""
+    """``{(ops, row): ms}``: best-of-N per tier and row (MFS per walk,
+    MFSA)."""
     timing = m["dfg.analysis"].TimingModel(ops=m["dfg.ops"].standard_operation_set())
     library = m["library.ncr"].datapath_library()
+    mfsa = m["core.mfsa"].MFSAScheduler
+    mfsa_options = (
+        {"kernel": "auto"} if "kernel" in inspect.signature(mfsa).parameters else {}
+    )
     out = {}
     for tier in TIERS:
         dfg = m["dfg.generators"].layered_workload(
             seed=SEED, layers=tier["layers"], width=tier["width"]
         )
         cs = m["dfg.analysis"].critical_path_length(dfg, timing) + tier["slack"]
-        for kern in WALKS:
-            if kern == "scalar" and tier.get("scalar_needs_full"):
-                continue
-            runs = {
-                "mfs": lambda: m["core.mfs"].MFSScheduler(
-                    dfg, timing, cs=cs, mode="time", kernel=kern
-                ).run(),
-                "mfsa": lambda: m["core.mfsa"].MFSAScheduler(
-                    dfg, timing, library, cs=cs, kernel=kern
-                ).run(),
-            }
-            for algorithm, run in runs.items():
-                best = float("inf")
-                for _ in range(tier["repeat"]):
-                    # A tree from before the memo was deleted still has
-                    # one; clear it so that tree runs cache-cold too.
-                    clear = getattr(m["allocation.mux"], "clear_mux_memo", None)
-                    if clear is not None:
-                        clear()
-                    start = time.perf_counter()
-                    run()
-                    best = min(best, time.perf_counter() - start)
-                out[(len(dfg), f"{algorithm}_{kern}_ms")] = best * 1e3
+        runs = {
+            f"mfs_{kern}_ms": lambda kern=kern: m["core.mfs"].MFSScheduler(
+                dfg, timing, cs=cs, mode="time", kernel=kern
+            ).run()
+            for kern in WALKS
+        }
+        runs["mfsa_ms"] = lambda: mfsa(
+            dfg, timing, library, cs=cs, **mfsa_options
+        ).run()
+        for row, run in runs.items():
+            best = float("inf")
+            for _ in range(tier["repeat"]):
+                # A tree from before the memo was deleted still has
+                # one; clear it so that tree runs cache-cold too.
+                clear = getattr(m["allocation.mux"], "clear_mux_memo", None)
+                if clear is not None:
+                    clear()
+                start = time.perf_counter()
+                run()
+                best = min(best, time.perf_counter() - start)
+            out[(len(dfg), row)] = best * 1e3
     return out
 
 
@@ -130,10 +136,7 @@ def main(argv=None):
 
     tiers = []
     for tier in TIERS:
-        rows = sorted(
-            {key for key in samples["change"][0] if key[0] == tier["ops"]},
-            key=lambda key: (key[1].split("_")[1], key[1]),
-        )
+        rows = [key for key in samples["change"][0] if key[0] == tier["ops"]]
         entry = {
             "ops": tier["ops"],
             "layers": tier["layers"],
@@ -145,11 +148,18 @@ def main(argv=None):
         for side in ("parent", "change"):
             entry[side] = {}
             entry[f"{side}_range"] = {}
+            entry[f"{side}_quartiles"] = {}
             for key in rows:
                 values = [sample[key] for sample in samples[side]]
                 entry[side][key[1]] = round(statistics.median(values), 1)
                 entry[f"{side}_range"][key[1]] = [
                     round(min(values), 1), round(max(values), 1)
+                ]
+                quartiles = (
+                    statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+                )
+                entry[f"{side}_quartiles"][key[1]] = [
+                    round(quartiles[0], 1), round(quartiles[2], 1)
                 ]
         entry["change_faster"] = {
             key[1]: "%d/%d" % (
@@ -166,7 +176,8 @@ def main(argv=None):
             row = key[1]
             print(
                 f"{tier['ops']:>6} ops {row:<16} parent {entry['parent'][row]:>8} "
-                f"{entry['parent_range'][row]}  change {entry['change'][row]:>8} "
+                f"{entry['parent_range'][row]} IQR {entry['parent_quartiles'][row]}  "
+                f"change {entry['change'][row]:>8} "
                 f"{entry['change_range'][row]}  faster {entry['change_faster'][row]}"
             )
 
@@ -178,8 +189,8 @@ def main(argv=None):
                 "method": "benchmarks/bench_kernels_ab.py: the parent and "
                 "change trees alternated in one process, each repeat "
                 "best-of-N cache-cold runs with default options; rows are "
-                "medians over the repeats, ranges min-max; 10k-op scalar "
-                "rows not run",
+                "medians over the repeats, ranges min-max, quartiles "
+                "(statistics.quantiles, n=4) first and third",
                 "tiers": tiers,
                 "label": args.label,
             },

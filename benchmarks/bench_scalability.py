@@ -10,9 +10,9 @@ Three tiers:
 * the regular ladder (20 .. 1000 ops) runs on every invocation;
 * the 10k-op tier is marked ``@pytest.mark.slow`` and needs
   ``--runslow`` (an MFS run alone is ~10 s of wall clock);
-* the kernel-comparison benchmarks time the scalar reference path
-  against the numpy vector path on the same seeded workloads the
-  ``bench_kernels.py`` harness records to BENCH_core.json.
+* the kernel-comparison benchmarks time MFS's scalar reference walk
+  against its numpy vector walk, and MFSA's one walk, on the same seeded
+  workloads the ``bench_kernels.py`` harness records to BENCH_core.json.
 """
 
 import time
@@ -33,7 +33,7 @@ SIZES = [(4, 5), (8, 5), (8, 10), (16, 10), (25, 40)]
 SLOW_SIZES = [(50, 200)]
 
 #: Kernel-comparison points (ops -> layers, width, slack).  Generous
-#: slack is where the move-frame grids get tall and the vector kernel
+#: slack is where the move-frame grids get tall and MFS's vector walk
 #: pays — the same regime bench_kernels.py measures.
 KERNEL_POINTS = {
     100: (5, 20, 40),
@@ -121,32 +121,26 @@ def test_mfs_kernels_1k(benchmark, kern):
     result.schedule.validate()
 
 
-@pytest.mark.parametrize("kern", KERNELS)
-def test_mfsa_kernels_100(benchmark, kern):
+def test_mfsa_kernel_100(benchmark):
     layers, width, slack = KERNEL_POINTS[100]
     g = layered_workload(seed=7, layers=layers, width=width)
     cs = critical_path_length(g, TIMING) + slack
     library = datapath_library()
 
-    def run():
-        return MFSAScheduler(g, TIMING, library, cs=cs, kernel=kern).run()
-
-    result = benchmark(run)
+    result = benchmark(lambda: MFSAScheduler(g, TIMING, library, cs=cs).run())
     result.schedule.validate()
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("kern", KERNELS)
-def test_mfsa_kernels_1k(benchmark, kern):
+def test_mfsa_kernel_1k(benchmark):
     layers, width, slack = KERNEL_POINTS[1000]
     g = layered_workload(seed=7, layers=layers, width=width)
     cs = critical_path_length(g, TIMING) + slack
     library = datapath_library()
 
-    def run():
-        return MFSAScheduler(g, TIMING, library, cs=cs, kernel=kern).run()
-
-    result = benchmark.pedantic(run, rounds=1)
+    result = benchmark.pedantic(
+        lambda: MFSAScheduler(g, TIMING, library, cs=cs).run(), rounds=1
+    )
     result.schedule.validate()
 
 

@@ -18,10 +18,11 @@ against that claim end to end:
   references only declared resources;
 * **differential cross-validation** — results compared against the
   list / force-directed / exact baseline schedulers;
-* **kernel cross-validation** — the numpy vector kernel audited as
-  byte-identical to the scalar reference path (schedules, trajectories,
-  datapaths, every perf counter) on the paper examples and random
-  workloads (``repro check --kernels``).
+* **walk cross-validation** — MFS's numpy vector walk audited as
+  byte-identical to the scalar reference (schedules, trajectories, every
+  perf counter), and MFSA's bounded default run as rendering its
+  recorded whole-frame run's bytes and moves, on the paper examples and
+  random workloads (``repro check --kernels``).
 
 Entry points: :func:`check_mfs_result` / :func:`check_mfsa_result` for
 one run, :func:`check_schedule` for a bare schedule,

@@ -1,22 +1,21 @@
-"""Kernel cross-validation: scalar and vector paths must be byte-identical.
+"""Move-frame walk cross-validation (``repro check --kernels``).
 
-The vector kernel (:mod:`repro.core.kernel`) is a pure performance
-layer: same greedy placements, same tie-breaking, same IEEE association
-in every accumulated energy, so the *whole result* — schedule starts,
-Liapunov trajectory, datapath, cost — must be equal to the scalar
-reference, not merely equivalent.  This module audits that claim the
-same way the rest of :mod:`repro.check` audits the paper's invariants,
-and backs the ``repro check --kernels`` CLI flag plus the property
-suite in ``tests/property/test_property_kernel.py``.
-
-Both walks consult every cache the same way, so every perf counter —
-candidates evaluated, frames computed, mux, operand and register cache
-traffic — must match exactly.  Both audits run each walk twice: with
+MFS has two walks: the scalar reference and the numpy vector walk
+(:mod:`repro.core.kernel`), a pure performance layer — same greedy
+placements, same tie-breaking — so the *whole result* (schedule starts,
+Liapunov trajectory, FU mix) must equal the scalar walk's, not merely
+be equivalent.  Both walks consult every cache the same way, so every
+perf counter must match too.  The audit runs each walk twice: with
 move-frame alternatives recorded, so the trajectories are compared
 position by position over whole frames, and with default options, where
 each walk stops building a frame at the first step that cannot win.
-The default runs must agree with each other in result bytes, moves and
-every counter, and make the recorded run's moves.
+
+MFSA has one walk.  Its default-option run stops each frame at the
+first step :class:`~repro.core.mfsa._StepBound` rules out; it must render
+the recorded whole-frame run's result bytes and make its moves.
+
+The property suite in ``tests/property/test_property_kernel.py`` adds a
+hypothesis-driven workload space on top of these audits.
 """
 
 from __future__ import annotations
@@ -77,12 +76,16 @@ def check_mfs_kernels(
             "fu_counts",
             f"scalar {scalar.fu_counts} != vector {vector.fu_counts}",
         )
-    _compare_default(
-        report,
-        _run_walks(run, False),
-        recorded,
-        lambda result: schedule_to_json(result.schedule),
-    )
+    default = _run_walks(run, False)
+    _compare(report, default, prefix="default ")
+    for walk in WALKS:
+        _compare_bounded(
+            report,
+            "kernel-default",
+            default[walk][0],
+            recorded[walk][0],
+            lambda result: schedule_to_json(result.schedule),
+        )
     return report
 
 
@@ -94,43 +97,28 @@ def check_mfsa_kernels(
     style: int = 1,
     weights=None,
 ) -> CheckReport:
-    """Run MFSA under both kernels and compare everything observable."""
+    """Run MFSA with default options and with alternatives recorded; the
+    bounded run must render the whole-frame run's bytes and moves."""
     from repro.core.mfsa import MFSAScheduler
     from repro.io.jsonio import synthesis_to_json
 
     kwargs = {} if weights is None else {"weights": weights}
 
-    def run(walk, perf, record):
+    def run(record):
         return MFSAScheduler(
             dfg,
             timing,
             library,
             cs=cs,
             style=style,
-            kernel=walk,
-            perf=perf,
             record_alternatives=record,
             **kwargs,
         ).run()
 
-    report = CheckReport(target=f"MFSA kernels {dfg.name} (cs={cs})")
-    recorded = _run_walks(run, True)
-    _compare(report, recorded)
-    scalar, vector = recorded["scalar"][0], recorded["vector"][0]
-    report.ran("kernel-datapath")
-    if scalar.alu_labels() != vector.alu_labels():
-        report.add(
-            "kernel-divergence",
-            "alu_labels",
-            f"scalar {scalar.alu_labels()} != vector {vector.alu_labels()}",
-        )
-    if scalar.cost != vector.cost:
-        report.add(
-            "kernel-divergence",
-            "cost",
-            f"scalar {scalar.cost!r} != vector {vector.cost!r}",
-        )
-    _compare_default(report, _run_walks(run, False), recorded, synthesis_to_json)
+    report = CheckReport(target=f"MFSA bounded frames {dfg.name} (cs={cs})")
+    _compare_bounded(
+        report, "mfsa-bounded", run(False), run(True), synthesis_to_json
+    )
     return report
 
 
@@ -139,19 +127,21 @@ def _moves(result):
     return [(event.node, event.position, event.energy) for event in result.trajectory]
 
 
-def _compare_default(report: CheckReport, runs, recorded, encode) -> None:
-    """Default-option runs: the walks agree in bytes and in everything
-    :func:`_compare` reads, and make the recorded whole-frame moves."""
-    _compare(report, runs, prefix="default ")
-    report.ran("kernel-default-bytes")
-    if encode(runs["scalar"][0]) != encode(runs["vector"][0]):
+def _compare_bounded(
+    report: CheckReport, family: str, bounded, recorded, encode
+) -> None:
+    """A default-option run renders the recorded whole-frame run's bytes
+    and makes its moves (checks ``<family>-bytes`` and ``-moves``)."""
+    report.ran(f"{family}-bytes")
+    if encode(bounded) != encode(recorded):
         report.add(
             "kernel-divergence",
             "default bytes",
-            "default-option walks render different result documents",
+            "the default-option run renders other bytes than the "
+            "recorded whole-frame run",
         )
-    report.ran("kernel-default-moves")
-    if _moves(runs["scalar"][0]) != _moves(recorded["scalar"][0]):
+    report.ran(f"{family}-moves")
+    if _moves(bounded) != _moves(recorded):
         report.add(
             "kernel-divergence",
             "default moves",
@@ -202,7 +192,7 @@ def _compare(report: CheckReport, runs, prefix: str = "") -> None:
 # Example and random-workload harnesses (``repro check --kernels``)
 # ----------------------------------------------------------------------
 def check_kernels_example(key: str) -> CheckReport:
-    """Cross-validate both kernels on one paper example."""
+    """Cross-validate the walks on one paper example."""
     from repro.bench.suites import EXAMPLES
     from repro.dfg.analysis import TimingModel
     from repro.dfg.ops import standard_operation_set
@@ -242,7 +232,7 @@ def check_kernels_example(key: str) -> CheckReport:
 def check_kernels_all_examples(
     keys: Optional[Sequence[str]] = None,
 ) -> CheckReport:
-    """Cross-validate both kernels on the paper's six examples."""
+    """Cross-validate the walks on the paper's six examples."""
     from repro.bench.suites import EXAMPLES
 
     report = CheckReport(target="kernel equivalence (paper examples)")
@@ -254,7 +244,7 @@ def check_kernels_all_examples(
 def check_kernels_random(
     count: int = 10, seed: int = 0, n_ops: int = 24
 ) -> CheckReport:
-    """Cross-validate both kernels on generator-produced workloads."""
+    """Cross-validate the walks on generator-produced workloads."""
     from repro.dfg.analysis import TimingModel, critical_path_length
     from repro.dfg.generators import random_dfg
     from repro.dfg.ops import standard_operation_set

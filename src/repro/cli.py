@@ -128,18 +128,6 @@ def _backend(args) -> str:
     return "auto" if getattr(args, "parallel", False) else "serial"
 
 
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=["auto", "scalar", "vector"],
-        default="auto",
-        help="move-frame walk: 'vector' prices numpy frame masks, "
-        "'scalar' walks positions in python, 'auto' picks one per "
-        "operation (vector for the large frames of large designs); "
-        "results are byte-identical either way",
-    )
-
-
 def _add_verify_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verify",
@@ -303,7 +291,6 @@ def _command_synth(args) -> int:
         style=args.style,
         verify=args.verify,
         perf=perf,
-        kernel=args.kernel,
     )
     result = scheduler.run()
     _print_perf(perf)
@@ -785,7 +772,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--dot", action="store_true", help="Graphviz output")
     p.add_argument("--svg", help="write a Gantt chart SVG to this path")
-    _add_kernel_argument(p)
+    p.add_argument(
+        "--kernel",
+        choices=["auto", "scalar", "vector"],
+        default="auto",
+        help="move-frame walk: 'vector' prices numpy frame masks, "
+        "'scalar' walks positions in python, 'auto' picks one per "
+        "operation (vector for the large frames of large designs); "
+        "results are byte-identical either way",
+    )
     _add_verify_argument(p)
     _add_timing_arguments(p)
     _add_perf_argument(p)
@@ -835,8 +830,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kernels",
         action="store_true",
-        help="additionally cross-validate the scalar and vector scheduling "
-        "kernels byte-for-byte (see repro.core.kernel)",
+        help="additionally cross-validate MFS's scalar and vector walks, "
+        "and MFSA's bounded default run against its whole-frame run, "
+        "byte-for-byte (see repro.check.kernels)",
     )
     p.add_argument(
         "--no-differential",
@@ -868,7 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vcd", help="simulate and write a VCD waveform")
     p.add_argument("--inputs", help="simulation inputs, e.g. a=3,b=5")
     p.add_argument("--json", action="store_true")
-    _add_kernel_argument(p)
     _add_verify_argument(p)
     _add_timing_arguments(p)
     _add_perf_argument(p)

@@ -12,7 +12,8 @@ Scheduling-Allocation (MFSA).
 * :mod:`repro.core.stability` — trajectory recording and verification of
   the Liapunov monotone-decrease property;
 * :mod:`repro.core.engine` — the move-frame placement loop both share,
-  on a scalar or a numpy (:mod:`repro.core.kernel`) walk;
+  on the scalar walk or, for MFS, a numpy (:mod:`repro.core.kernel`)
+  walk;
 * :mod:`repro.core.mfs` — the MFS scheduling algorithm;
 * :mod:`repro.core.mfsa` — the MFSA mixed scheduling-allocation algorithm.
 """

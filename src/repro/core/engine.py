@@ -6,9 +6,9 @@ order, goes to the minimum-``V`` position of its move frame
 :class:`MoveFrameEngine` holds the loop's scaffolding — option checks,
 ``run()`` with its timer, the walk decision, the run's placement state
 advanced by one :meth:`~MoveFrameEngine._commit`, frame building on
-either walk, and the finish.  The schedulers keep what differs: their
-tables, the Liapunov function, how a frame is priced to its argmin,
-and when a column opens.
+either walk (MFSA always takes the scalar one), and the finish.  The
+schedulers keep what differs: their tables, the Liapunov function, how
+a frame is priced to its argmin, and when a column opens.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ class MoveFrameEngine:
 
     # -- per-run placement state -----------------------------------------
     def _vector_walk(self, pipelined_tables: Iterable[str], **features) -> bool:
-        """Whether this run may take the numpy mask walk (the rules are in
-        :mod:`repro.core.kernel`); :meth:`_frame` picks it per operation."""
+        """Whether this MFS run may take the numpy mask walk (the rules
+        are in :mod:`repro.core.kernel`); :meth:`_frame` picks it per
+        operation."""
         return _kernel.resolve_kernel(
             self.kernel, len(self.dfg)
         ) == "vector" and _kernel.vector_supported(
@@ -121,7 +122,6 @@ class MoveFrameEngine:
         )
         self.grid, self.asap, self.alap = grid, asap, alap
         self.view = _kernel.VectorGrid(grid) if vector else None
-        self.has_exclusions = vector and any(node.branch for node in self.dfg)
         self.placed_starts: Dict[str, int] = {}
         self.placed_ends: Dict[str, int] = {}
         self.chain_offsets: Dict[str, float] = {}
@@ -129,28 +129,14 @@ class MoveFrameEngine:
         self._bounds: Dict[str, tuple] = {}
         return grid
 
-    def _wide(self, rows: int, columns: int) -> bool:
-        """``auto``'s per-operation gate (:mod:`repro.core.kernel`): MFS
-        sends a frame rectangle of ``rows`` steps × ``columns`` open
-        columns to the vector walk from ``VECTOR_MIN_CELLS`` cells."""
-        return rows * columns >= _kernel.VECTOR_MIN_CELLS
-
-    def _frame(
-        self,
-        name: str,
-        table: str,
-        current: int,
-        excluded=(),
-        width: Optional[int] = None,
-    ):
+    def _frame(self, name: str, table: str, current: int, excluded=()):
         """The move frame of ``name`` in ``table`` with ``current``
         columns open and the instance columns ``excluded`` banned.
 
-        The walk is the vector one when the run allows it and either
-        ``kernel="vector"`` forces it or :meth:`_wide` passes the frame
-        rectangle — primary-frame rows clipped to the grid × ``width``
-        open columns (default ``current``); a caller passes one ``width``
-        for all frames of an operation to keep them on one walk.  Scalar
+        The walk is the vector one when the run allows it (only MFS's
+        may) and either ``kernel="vector"`` forces it or the frame
+        rectangle — primary-frame rows clipped to the grid × ``current``
+        open columns — holds ``VECTOR_MIN_CELLS`` cells or more.  Scalar
         walk: a :class:`~repro.core.frames.FrameSet`, recorded to the
         trace, whose steps are built as the pricer walks them.  Vector
         walk: ``(mask, lo_y)`` from
@@ -174,8 +160,9 @@ class MoveFrameEngine:
         if self.view is not None:
             lo_y = max(self.asap[name], 1)
             hi_y = min(self.alap[name], self.grid.cs - bounds[0] + 1)
-            if self.kernel == "vector" or self._wide(
-                hi_y - lo_y + 1, current if width is None else width
+            if (
+                self.kernel == "vector"
+                or (hi_y - lo_y + 1) * current >= _kernel.VECTOR_MIN_CELLS
             ):
                 return _kernel.move_frame_mask(
                     self.view,
@@ -187,7 +174,7 @@ class MoveFrameEngine:
                     hi_y,
                     current,
                     banned=excluded,
-                    has_exclusions=self.has_exclusions,
+                    has_exclusions=bool(self.dfg.node(name).branch),
                 )
         frame = compute_frames(
             self.dfg,

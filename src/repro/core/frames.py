@@ -36,10 +36,10 @@ class FrameSet:
     """The four frames of one operation at one scheduling iteration.
 
     ``rows`` are control steps, ``cols`` FU-instance indices; all ranges
-    are inclusive.  The move frame's positions are built per control step
-    when first walked (:meth:`steps`) and kept, so a later walk replays
-    them; ``mf`` is the explicit list of all placeable positions.  The
-    grid is read when a step is built: walk a frame before the next
+    are inclusive.  The move frame's free columns are built per control
+    step when first walked (:meth:`steps`) and kept, so a later walk
+    replays them; ``mf`` is the explicit list of all placeable positions.
+    The grid is read when a step is built: walk a frame before the next
     placement.
     """
 
@@ -53,50 +53,56 @@ class FrameSet:
     chain_rows: Tuple[int, ...]
     #: The instance columns a position may take (open, not excluded).
     columns: Tuple[int, ...] = ()
-    #: ``free(x, y)``: whether the grid admits the operation at ``(x, y)``.
-    free: Optional[Callable[[int, int], bool]] = field(
+    #: ``free(y)``: the bitmask (bit ``x``) of :attr:`columns` where the
+    #: grid admits the operation at step ``y``
+    #: (:meth:`~repro.core.grid.PlacementGrid.free_columns`).
+    free: Optional[Callable[[int], int]] = field(
         default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        self._built: List[Tuple[int, List[GridPosition]]] = []
+        self._built: List[Tuple[int, List[int]]] = []
         self._next_y = self.pf_rows[0]
 
     def steps(
         self, stop: Optional[Callable[[int], bool]] = None
-    ) -> Iterator[Tuple[int, List[GridPosition]]]:
-        """The move frame's non-empty control steps, ``(y, positions)`` in
-        step order with positions by instance column.
+    ) -> Iterator[Tuple[int, List[int]]]:
+        """The move frame's non-empty control steps, ``(y, xs)`` in step
+        order with the step's free instance columns ``xs`` ascending.
 
-        ``stop(y)`` is asked before each step ``y``; once it answers true
-        the walk ends, and the steps from ``y`` on stay unbuilt for a
-        later walk.
+        ``stop(y)`` is asked before each such step ``y``; once it answers
+        true the walk ends, and the steps from ``y`` on stay unbuilt for
+        a later walk.
         """
-        for y, positions in self._built:
+        for y, xs in self._built:
             if stop is not None and stop(y):
                 return
-            yield y, positions
+            yield y, xs
         latest_pred_end = self.ff_rows_before
         chain_rows, ff_rows_after = self.chain_rows, self.ff_rows_after
-        columns, free, table = self.columns, self.free, self.table
+        columns, free = self.columns, self.free
         while self._next_y <= self.pf_rows[1]:
             y = self._next_y
-            if stop is not None and stop(y):
-                return
             self._next_y = y + 1
             # Inline in_ff: forbidden below (unless chaining re-admits the
             # row) or at/above the placed-successor bound.
             if (y <= latest_pred_end and y not in chain_rows) or y >= ff_rows_after:
                 continue
-            positions = [GridPosition(table, x, y) for x in columns if free(x, y)]
-            if positions:
-                self._built.append((y, positions))
-                yield y, positions
+            open_columns = free(y)
+            if not open_columns:
+                continue
+            if stop is not None and stop(y):
+                self._next_y = y
+                return
+            xs = [x for x in columns if open_columns >> x & 1]
+            self._built.append((y, xs))
+            yield y, xs
 
     @property
     def mf(self) -> List[GridPosition]:
         """Every move-frame position, in (step, instance) order."""
-        return [position for _y, row in self.steps() for position in row]
+        table = self.table
+        return [GridPosition(table, x, y) for y, xs in self.steps() for x in xs]
 
     @property
     def empty(self) -> bool:
@@ -264,7 +270,11 @@ def compute_frames(
     latency, latest_pred_end, ff_rows_after, chain_rows = bounds
     max_cols = grid.columns(table)
     banned = set(excluded_instances)
-    is_free = grid.is_free
+    columns = tuple(
+        x for x in range(1, min(current, max_cols) + 1) if x not in banned
+    )
+    wanted = sum(1 << x for x in columns)
+    free_columns = grid.free_columns
     return FrameSet(
         node=node,
         table=table,
@@ -274,8 +284,6 @@ def compute_frames(
         ff_rows_before=latest_pred_end,
         ff_rows_after=ff_rows_after,
         chain_rows=chain_rows,
-        columns=tuple(
-            x for x in range(1, min(current, max_cols) + 1) if x not in banned
-        ),
-        free=lambda x, y: is_free(node, table, x, y, latency),
+        columns=columns,
+        free=lambda y: free_columns(node, table, y, latency, wanted),
     )

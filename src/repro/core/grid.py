@@ -76,6 +76,8 @@ class PlacementGrid:
         self._pipelined = set(pipelined_tables)
         # (table, x, folded_y) -> occupant node names
         self._occupants: Dict[Tuple[str, int, int], List[str]] = {}
+        # (table, folded_y) -> bit x set while column x has an occupant
+        self._masks: Dict[Tuple[str, int], int] = {}
         # node -> (position, occupied folded steps)
         self._placements: Dict[str, Tuple[GridPosition, Tuple[int, ...]]] = {}
 
@@ -135,20 +137,52 @@ class PlacementGrid:
         """
         if not 1 <= x <= self.columns(table):
             return False
+        return bool(self.free_columns(node, table, y, latency, 1 << x))
+
+    def free_columns(
+        self, node: str, table: str, y: int, latency: int, columns: int
+    ) -> int:
+        """:meth:`is_free` for a row of cells: the columns of the bitmask
+        ``columns`` (bit ``x``, all in the table) where ``node`` may start
+        at step ``y``.
+
+        The columns with no occupant over the span come from one OR of
+        the per-step bitmasks; an occupied one is checked occupant by
+        occupant only when ``node`` is on a branch, since §5.1 exclusion
+        needs both nodes on branches.
+        """
         if y < 1 or y + latency - 1 > self.cs:
-            return False
+            return 0
         span = 1 if table in self._pipelined else latency
-        occupants = self._occupants
         fold = self.latency_l
         if fold and span > fold:
             # The folded span wraps onto itself: the operation would need
             # the unit at one folded step for two different phases — a
             # collision with its own next initiation (§5.5.2).
-            return False
+            return 0
+        masks = self._masks
+        occupied = 0
+        for i in range(span):
+            step = ((y + i - 1) % fold) + 1 if fold else y + i
+            occupied |= masks.get((table, step), 0)
+        free = columns & ~occupied
+        clash = columns & occupied
+        if clash and self._dfg.node(node).branch:
+            for x in range(1, clash.bit_length()):
+                if clash >> x & 1 and self._admits(node, table, x, y, span):
+                    free |= 1 << x
+        return free
+
+    def _admits(self, node: str, table: str, x: int, y: int, span: int) -> bool:
+        """Whether every occupant of column ``x`` over the ``span`` steps
+        from ``y`` is mutually exclusive with ``node`` (§5.1)."""
+        fold = self.latency_l
+        occupants = self._occupants
+        exclusive = self._dfg.mutually_exclusive
         for i in range(span):
             step = ((y + i - 1) % fold) + 1 if fold else y + i
             for other in occupants.get((table, x, step), ()):
-                if not self._dfg.mutually_exclusive(node, other):
+                if not exclusive(node, other):
                     return False
         return True
 
@@ -158,18 +192,23 @@ class PlacementGrid:
             raise ScheduleError(f"node {node!r} is already placed")
         if not self.is_free(node, position.table, position.x, position.y, latency):
             raise ScheduleError(f"position {position} is not free for {node!r}")
-        steps = self.occupied_steps(position.table, position.y, latency)
+        table, x = position.table, position.x
+        steps = self.occupied_steps(table, position.y, latency)
+        masks = self._masks
         for folded in steps:
-            self._occupants.setdefault(
-                (position.table, position.x, folded), []
-            ).append(node)
+            self._occupants.setdefault((table, x, folded), []).append(node)
+            masks[table, folded] = masks.get((table, folded), 0) | 1 << x
         self._placements[node] = (position, steps)
 
     def remove(self, node: str) -> None:
         """Undo the placement of ``node``."""
         position, steps = self._placements.pop(node)
+        table, x = position.table, position.x
         for folded in steps:
-            self._occupants[(position.table, position.x, folded)].remove(node)
+            occupants = self._occupants[(table, x, folded)]
+            occupants.remove(node)
+            if not occupants:
+                self._masks[(table, folded)] &= ~(1 << x)
 
     def position_of(self, node: str) -> Optional[GridPosition]:
         """Where ``node`` is placed, or ``None``."""

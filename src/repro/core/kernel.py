@@ -1,11 +1,15 @@
-"""The two move-frame walks: scalar reference vs numpy-vectorised.
+"""MFS's two move-frame walks: scalar reference vs numpy-vectorised.
 
 MFS and MFSA share one engine (:mod:`repro.core.engine`) that prices
-every candidate grid position of every operation.  Two steps differ by
-walk — building a move frame and pricing it to an argmin.  The *scalar*
-walk lists the frame's positions (:func:`repro.core.frames.compute_frames`)
-and prices them one ``GridPosition`` at a time; the *vector* walk uses
-numpy bitmask arithmetic over whole frames:
+every candidate grid position of every operation.  MFSA has one walk,
+the scalar one: :meth:`repro.core.frames.FrameSet.steps` builds a frame
+one control step at a time from the grid's per-step column bitmasks,
+and MFSA prices it one position at a time, stopping at the first step
+that cannot win (:class:`repro.core.mfsa._StepBound`).  MFS has two.
+Two steps differ by walk — building a move frame and pricing it to an
+argmin.  The *scalar* walk is MFSA's frame builder with the static
+Liapunov function; the *vector* walk uses numpy bitmask arithmetic over
+whole frames:
 
 * the placement grid is mirrored into one boolean occupancy matrix per
   table (``[y, x]``, row-major, 1-based like the grid);
@@ -13,30 +17,29 @@ numpy bitmask arithmetic over whole frames:
   index vectors;
 * a latency-``k`` operation's availability is the sliding ``any`` of the
   occupancy window, an O(k) sequence of vectorised ORs;
-* the Liapunov energies of all admissible positions are one broadcasted
-  expression, evaluated with exactly the scalar path's operation order so
-  the floats — and therefore every tie-break — are bit-identical;
+* the static energies of all admissible positions are one broadcasted
+  integer expression, exact like the scalar values;
 * the argmin is a row-major flat ``argmin``, which reproduces the scalar
   tie order (energy, then step ``y``, then instance ``x``) because the
   matrix is laid out ``[y, x]``.
 
 Both walks produce **byte-identical results** — schedules, placements,
-trajectories, costs; :mod:`repro.check.kernels` and the hypothesis suite
-in ``tests/property/test_property_kernel.py`` enforce it.  numpy is a
+trajectories; :mod:`repro.check.kernels` and the hypothesis suite in
+``tests/property/test_property_kernel.py`` enforce it.  numpy is a
 required dependency, so both walks always exist, and each wins a regime:
 per position, python beats the numpy walk's per-frame setup on small
-frames, and the numpy walk wins once a frame holds many positions — 5–27x
-on the 1k-op tier with 400 steps of slack (``docs/PERFORMANCE.md``).
+frames, and the numpy walk wins once a frame holds many positions
+(``docs/PERFORMANCE.md``).
 
 numpy is imported on first use, by the functions below, not with this
-module: a process loads it when its first frame takes the vector walk,
-and pays the one-time import (about 150 ms) there.  A process that
-never takes that walk never loads it — the CLI and both serve roles at
-start-up, the serve pool workers, paper-size runs (below
-``VECTOR_MIN_OPS``), traced runs, and table/report sweeps of the paper's
-examples — which saves each of them 7–12 MB of peak RSS.
+module: a process loads it when its first MFS frame takes the vector
+walk, and pays the one-time import (about 150 ms) there.  A process
+that never takes that walk never loads it — the CLI and both serve
+roles at start-up, the serve pool workers, every MFSA run, paper-size
+runs (below ``VECTOR_MIN_OPS``), traced runs, and table/report sweeps
+of the paper's examples — which saves each of them 7–12 MB of peak RSS.
 
-Dispatch policy:
+MFS's dispatch policy (``MFSScheduler(kernel=...)``):
 
 * ``"scalar"`` — every frame takes the reference walk;
 * ``"vector"`` — every frame takes the numpy walk;
@@ -44,41 +47,32 @@ Dispatch policy:
   once its DFG is big enough to pay for the occupancy mirror
   (:func:`resolve_kernel`: ``n_ops >= VECTOR_MIN_OPS``); paper-sized
   examples stay scalar end to end.  Within such a run each *operation*
-  picks its walk (``MoveFrameEngine._wide``).  MFS takes the numpy walk
-  when the frame rectangle — primary-frame rows clipped to the grid ×
-  open columns — holds at least ``VECTOR_MIN_CELLS`` cells.  MFSA takes
-  it when its widest frame has at least ``VECTOR_MIN_COLUMNS`` open
-  columns: a default MFSA run stops each frame's walk a few steps in
-  (below), so its cost follows the open columns, not the rows.  Other
-  frames are built and priced by the scalar walk.  All frames of one
-  operation take one walk, so a mixed run's perf counters match the
-  scalar walk's as a forced vector run's do.
+  takes the numpy walk when its frame rectangle — primary-frame rows
+  clipped to the grid × open columns — holds at least
+  ``VECTOR_MIN_CELLS`` cells (``MoveFrameEngine._frame``).  Other frames
+  are built and priced by the scalar walk.
 
-Both walks build and price a move frame one control step at a time and
-stop at the first step past which no position can beat the best key so
-far: time-mode MFS with the paper's ``x + n·y`` stops after the first
-step with a free cell (exact under ``require_dominance``), and MFSA
-stops once the exact lower bound of :class:`repro.core.mfsa._StepBound`
-rules out every open column.  Both walks stop at the same step, so
-``auto``, ``scalar`` and ``vector`` runs with equal options count
-alike.  A run that records what a frame holds prices whole frames:
-recorded alternatives (``verify=True`` among them), trace recorders,
-MFS ``record_frames`` and resource mode, and MFSA ``no_cache``.
+Time-mode MFS with the paper's ``x + n·y`` stops each frame after the
+first step with a free cell on both walks (exact under
+``require_dominance``), so ``auto``, ``scalar`` and ``vector`` runs with
+equal options count alike.  A run that records what a frame holds
+prices whole frames: recorded alternatives (``verify=True`` among
+them), trace recorders, ``record_frames`` and resource mode.
 
-Independently of the requested kernel, the schedulers fall back to the
-scalar walk for the features the vector walk does not model: attached
-trace recorders (the per-candidate event stream *is* the scalar walk),
-MFS ``record_frames`` (the Figure-2 harness wants ``FrameSet`` logs),
+Independently of the requested kernel, MFS falls back to the scalar
+walk for the features the vector walk does not model: attached trace
+recorders (the per-candidate event stream *is* the scalar walk),
+``record_frames`` (the Figure-2 harness wants ``FrameSet`` logs),
 functional pipelining / structurally pipelined tables (folded
-occupancy), MFSA's ``no_cache`` reference mode, and — for MFS —
-user-supplied Liapunov subclasses (only the two paper functions have a
-closed form the kernel trusts).  :func:`vector_supported` centralises
-that decision so both schedulers and the audits agree on it.
+occupancy), and user-supplied Liapunov subclasses (only the two paper
+functions have a closed form the kernel trusts).
+:func:`vector_supported` centralises that decision so the scheduler and
+its callers agree on it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - numpy loads on first use (typing only)
     import numpy as np
@@ -104,31 +98,15 @@ VECTOR_MIN_OPS = 48
 #: 2395/2571 ms, every frame scalar 2131/2299 ms.
 VECTOR_MIN_CELLS = 64
 
-#: MFSA's per-operation gate in ``auto``: an operation whose widest
-#: frame has at least this many open columns takes the vector walk.  A
-#: bounded MFSA walk prices a few steps of every open column, so the walk
-#: that wins is decided by columns.  Fitted with default options on a
-#: 2-vCPU VM, variants alternated per round: ``compile_large`` (MFSA
-#: frames at most 16 wide) stays on the scalar walk under any gate from
-#: 17 columns.  The 10k-op ``kernel_scaling`` tier decides: over 14
-#: rounds, 32 / 48 / 64 columns read 3889 / 3600 / 3918 ms (medians) and
-#: 48 beat each neighbour in 10 of 14 rounds; a first 3-round pass read
-#: 4832 / 4414 / 4469 ms, with 96 columns at 6509 ms and every frame
-#: scalar 5270 ms.  Single runs there spread 3.3–5.6 s.  On 1 000 ops
-#: in 100-wide layers 32 / 48 / 64 tie (210 / 203 / 194 ms, medians of
-#: 6).  MFS keeps its cells gate: a 32-column gate sends the 1k-op
-#: tier's crowded 2-column steps to the scalar walk and read 86.6
-#: against 45.0 ms.
-VECTOR_MIN_COLUMNS = 48
-
 
 def resolve_kernel(name: str = "auto", n_ops: Optional[int] = None) -> str:
-    """Resolve a kernel request to ``"scalar"`` or ``"vector"``.
+    """Resolve an MFS kernel request to ``"scalar"`` or ``"vector"``.
 
     ``n_ops`` feeds the ``auto`` size gate; ``None`` means "assume big"
     (callers that resolve once per sweep rather than per design).  Under
     ``auto``, ``"vector"`` means the run *may* take the vector walk: each
     operation then picks its walk by frame size (``VECTOR_MIN_CELLS``).
+    MFSA runs never take it.
     """
     if name not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {name!r}")
@@ -169,10 +147,10 @@ class VectorGrid:
     :meth:`PlacementGrid.widen`.
 
     The mirror records "at least one occupant".  Mutual exclusion (§5.1)
-    makes some occupied cells still placeable; when the DFG carries any
-    branch information, the mask builders re-check exactly those cells
-    through :meth:`PlacementGrid.is_free`, so exclusion semantics stay
-    centralised in the grid.
+    makes some occupied cells still placeable for an operation on a
+    branch; for such an operation the mask builder re-checks exactly
+    those cells through :meth:`PlacementGrid.is_free`, so exclusion
+    semantics stay centralised in the grid.
     """
 
     def __init__(self, grid: PlacementGrid) -> None:
@@ -275,36 +253,6 @@ def first_free(
     return GridPosition(table, int(row.argmax()) + 1, lo_y + i), int(row.sum())
 
 
-def argmin_position(
-    mask: "np.ndarray", energy: "np.ndarray", table: str, lo_y: int
-) -> Tuple[GridPosition, float]:
-    """Row-major argmin over the masked energy matrix.
-
-    Equivalent to the scalar walk's ``min`` under the key
-    ``(energy, y, x)``: ``flat argmin`` returns the first minimal entry
-    in ``[y, x]`` order.
-    """
-    import numpy as np
-
-    masked = np.where(mask, energy, np.inf)
-    flat = int(np.argmin(masked))
-    i, j = divmod(flat, mask.shape[1])
-    return GridPosition(table, j + 1, lo_y + i), masked[i, j]
-
-
-def mask_positions(
-    mask: "np.ndarray", table: str, lo_y: int
-) -> List[GridPosition]:
-    """The mask's admissible positions, in the scalar walk's (y, x) order."""
-    import numpy as np
-
-    rows, cols = np.nonzero(mask)
-    return [
-        GridPosition(table, int(j) + 1, lo_y + int(i))
-        for i, j in zip(rows, cols)
-    ]
-
-
 def static_argmin(
     mask: "np.ndarray",
     lo_y: int,
@@ -317,8 +265,10 @@ def static_argmin(
     Evaluates ``liapunov.value_xy`` on the whole frame in one broadcast —
     both paper functions are integer-valued on integer coordinates, so
     the int64 matrix carries the exact scalar energies — and returns
-    ``(position, energy, alternatives)`` with the same tie order and, if
-    requested, the same (position, energy) candidate sequence the scalar
+    ``(position, energy, alternatives)``.  The row-major flat ``argmin``
+    returns the first minimal entry in ``[y, x]`` order, the scalar
+    walk's tie order under the key ``(energy, y, x)``; if requested, the
+    alternatives are the same (position, energy) sequence the scalar
     walk records.
     """
     import numpy as np
@@ -326,10 +276,12 @@ def static_argmin(
     ys = np.arange(lo_y, lo_y + mask.shape[0], dtype=np.int64)
     xs = np.arange(1, mask.shape[1] + 1, dtype=np.int64)
     energy = liapunov.value_xy(xs[None, :], ys[:, None])
-    chosen, best = argmin_position(mask, energy, table, lo_y)
+    i, j = divmod(int(np.argmin(np.where(mask, energy, np.inf))), mask.shape[1])
     alternatives: Tuple = ()
     if want_alternatives:
+        rows, cols = np.nonzero(mask)
         alternatives = tuple(
-            zip(mask_positions(mask, table, lo_y), energy[mask].tolist())
+            (GridPosition(table, int(x) + 1, lo_y + int(y)), value)
+            for y, x, value in zip(rows, cols, energy[mask].tolist())
         )
-    return chosen, int(best), alternatives
+    return GridPosition(table, j + 1, lo_y + i), int(energy[i, j]), alternatives

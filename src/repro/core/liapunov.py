@@ -225,22 +225,6 @@ class MFSALiapunov:
             + w.reg * f_reg
         )
 
-    def value_grid(self, ys, f_alu, f_mux, f_reg):
-        """Vectorised :meth:`value` over one frame (numpy arrays).
-
-        ``ys`` indexes rows, ``f_alu``/``f_mux`` columns, ``f_reg`` rows;
-        the result is the ``(len(ys), len(f_alu))`` energy matrix.  The
-        terms are combined in exactly :meth:`value`'s order —
-        ``((time + alu) + mux) + reg`` — so every float is bit-identical
-        to the per-position scalar evaluation (argmin ties included).
-        """
-        w = self.weights
-        f_time = w.time * (self.c_constant * ys)
-        return (
-            (f_time[:, None] + (w.alu * f_alu)[None, :])
-            + (w.mux * f_mux)[None, :]
-        ) + (w.reg * f_reg)[:, None]
-
     def hardware_value(self, f_alu: float, f_mux: float, f_reg: float) -> float:
         """The hardware-only part of :meth:`value` (for reporting)."""
         w = self.weights

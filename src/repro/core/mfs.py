@@ -276,10 +276,9 @@ class MFSScheduler(MoveFrameEngine):
                 if type(frame) is tuple:  # the vector walk's (mask, lo_y)
                     break
                 if frame is not None:
-                    positions = (
-                        next(frame.steps(), (0, []))[1] if first_step else frame.mf
-                    )
-                    if positions:
+                    # first_step: the first non-empty (y, xs), or None.
+                    found = next(frame.steps(), None) if first_step else frame.mf
+                    if found:
                         break
                 # §3.2 Step 4: local rescheduling — open one more FU; with
                 # automatic bounds, widen an exhausted table by one.
@@ -302,9 +301,13 @@ class MFSScheduler(MoveFrameEngine):
                     )
                 if trace is not None:
                     trace.reschedule(name, kind, step, current[kind])
-            if type(frame) is tuple and first_step:
+            if first_step:
                 # The first step's first free cell is V = x + n·y's argmin.
-                chosen, evaluated = _kernel.first_free(*frame, kind)
+                if type(frame) is tuple:
+                    chosen, evaluated = _kernel.first_free(*frame, kind)
+                else:
+                    y, xs = found
+                    chosen, evaluated = GridPosition(kind, xs[0], y), len(xs)
                 if perf is not None:
                     perf.incr("mfs.positions_evaluated", evaluated)
                 energy, alternatives = liapunov.value(chosen), ()
@@ -320,6 +323,7 @@ class MFSScheduler(MoveFrameEngine):
                     frames_log[name] = frame
                 # Single pass: every position is scored once, feeding both
                 # the trajectory record and the argmin.
+                positions = found
                 values = {
                     position: liapunov.value(position) for position in positions
                 }

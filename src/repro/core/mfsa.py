@@ -40,8 +40,8 @@ from repro.allocation.mux import (
     optimize_mux_inputs,
 )
 from repro.allocation.registers import IncrementalRegisterEstimator
-from repro.core import kernel as _kernel
 from repro.core.engine import MoveFrameEngine
+from repro.core.frames import FrameSet
 from repro.core.grid import GridPosition, PlacementGrid
 from repro.core.liapunov import LiapunovWeights, MFSALiapunov
 from repro.core.priorities import priority_order
@@ -340,11 +340,11 @@ class _StepBound:
     best ``(energy, y, rank, x)`` key so far (``best``, kept current by
     the pricer).  No position of the column at ``y`` or later can then
     win, and the column stays dead: the best key only falls, the bound
-    only rises.  :meth:`stops` tells a walk to stop before ``y`` once
+    only rises.  :meth:`stops` tells the walk to stop before ``y`` once
     every candidate column is dead.  It keeps its place at the first
-    column not yet found dead, so a walk pays O(1) amortised per step,
-    and both walks, which price the same columns at the same steps, stop
-    at the same step.
+    column not yet found dead, so the walk pays O(1) amortised per step
+    it asks about (:meth:`~repro.core.frames.FrameSet.steps` asks only
+    at steps that hold a free column).
     """
 
     def __init__(
@@ -401,15 +401,7 @@ class MFSAScheduler(MoveFrameEngine):
         Disable the incremental-evaluation layer (operand, mux, f_REG and
         shared-frame caches) and re-derive every Liapunov term from
         scratch for every candidate position — the slow reference path
-        the equivalence tests compare against.  Always the scalar walk.
-    kernel:
-        Move-frame walk: ``"scalar"`` (per-position python),
-        ``"vector"`` (numpy bitmask frames and one broadcasted §4.1
-        energy matrix per cell), or ``"auto"`` (vector for the large
-        frames of a large DFG, per operation).  Both walks are
-        byte-identical — :mod:`repro.core.kernel` documents the dispatch
-        rules, the features (tracing, pipelining, ``no_cache``) that pin
-        a run to the scalar walk, and the measured regimes each walk wins.
+        the equivalence tests compare against.
     record_alternatives:
         Keep the full (position, energy) candidate list per move in the
         trajectory.  Off by default, and ``verify=True`` records it; its
@@ -450,7 +442,6 @@ class MFSAScheduler(MoveFrameEngine):
         record_alternatives: bool = False,
         open_policy: str = "reuse-first",
         area_budget: Optional[float] = None,
-        kernel: str = "auto",
         verify: bool = False,
         perf: Optional[PerfCounters] = None,
         trace: Optional["TraceRecorder"] = None,
@@ -465,7 +456,7 @@ class MFSAScheduler(MoveFrameEngine):
             raise ValueError(f"area_budget must be positive, got {area_budget}")
         super().__init__(
             dfg, timing, cs, latency_l, pipelined_kinds,
-            record_alternatives, kernel, verify, perf, trace,
+            record_alternatives, "scalar", verify, perf, trace,
         )
         self.library = library
         self.style = style
@@ -487,12 +478,6 @@ class MFSAScheduler(MoveFrameEngine):
         # :class:`InfeasibleScheduleError`.
         self.area_budget = area_budget
         library.check_covers(dfg.kinds_used())
-
-    def _wide(self, rows: int, columns: int) -> bool:
-        """``auto``'s per-operation gate: a bounded walk prices a few steps
-        of every open column, so MFSA picks the vector walk by open
-        columns (``VECTOR_MIN_COLUMNS``), not by frame cells."""
-        return columns >= _kernel.VECTOR_MIN_COLUMNS
 
     # ------------------------------------------------------------------
     def _run(self) -> MFSAResult:
@@ -528,8 +513,7 @@ class MFSAScheduler(MoveFrameEngine):
         state = _AllocationState(
             dfg, timing, self.library, cache=not no_cache, perf=self.perf
         )
-        vector = self._vector_walk(pipelined_tables, no_cache=no_cache)
-        grid = self._begin(columns, pipelined_tables, asap, alap, vector)
+        grid = self._begin(columns, pipelined_tables, asap, alap, vector=False)
         placed_ends = self.placed_ends
 
         # Area-budget bookkeeping: cheapest capable cell per kind and how
@@ -574,100 +558,12 @@ class MFSAScheduler(MoveFrameEngine):
         for name in order:
             kind = dfg.node(name).kind
             latency = timing.latency(kind)
-            frames: Dict[str, object] = {}  # per cell; None: no position
+            frames: Dict[str, FrameSet] = {}  # per cell
             reg_cache: Dict[int, Tuple[float, List[Lifetime]]] = {}
             alternatives: List[Tuple[GridPosition, float]] = []
             # Traced candidates accumulate in a plain local list (cheap)
             # and land in the recorder as one batch at commit time.
             traced_cands: Optional[list] = [] if trace is not None else None
-            # All of the op's frames take one walk, picked by its widest
-            # frame: each pricer keeps its own per-op f_REG cache, whose
-            # counters must add up as on the scalar walk.
-            width = None
-            if self.view is not None:
-                width = max(
-                    min(
-                        state.opened_columns.get(cell.name, 0) + 1,
-                        grid.columns(cell.name),
-                    )
-                    for cell in candidates_by_kind[kind]
-                )
-
-            def price_vector(cell, sub, lo_y, overspend, best_key, bound):
-                """The vector pricer: ``(key, position)`` of the cell's
-                best candidate in its frame mask ``sub``, or ``None``.
-
-                It walks the mask's active rows as the scalar walk walks
-                steps: f_REG once per step from the op's ``reg_cache``,
-                f_ALU and f_MUX once per column, when a step first
-                reaches it — the same calls, with the same cache
-                counters, as the scalar walk makes — and each step priced
-                in one broadcast, until ``bound`` (when given) stops the
-                walk at the scalar walk's step.
-                """
-                import numpy as np
-
-                if overspend:
-                    # Opening would overspend: only already-open columns
-                    # stay eligible (the scalar walk's per-position filter).
-                    sub = sub & np.array(
-                        [state.instance_open(cell, j + 1) for j in range(sub.shape[1])]
-                    )[None, :]
-                width = sub.shape[1]
-                f_alu_vec = np.zeros(width)
-                f_mux_vec = np.zeros(width)
-                priced_cols = np.zeros(width, dtype=bool)
-                rank = cell_rank[cell.name]
-                best = None
-                for row in np.nonzero(sub.any(axis=1))[0].tolist():
-                    y = lo_y + row
-                    if bound is not None:
-                        bound.best = best_key
-                        if bound.stops(y):
-                            break
-                    step = sub[row : row + 1]
-                    n_candidates = int(step.sum())
-                    miss = y not in reg_cache
-                    if miss:
-                        lifetimes = state.input_lifetimes(
-                            name, y, placed_ends, self.pipelined_kinds
-                        )
-                        reg_cache[y] = (state.f_reg(lifetimes), lifetimes)
-                    if perf is not None:
-                        # As the scalar walk counts: a counter it never
-                        # touches stays absent.
-                        perf.incr("mfsa.candidates_evaluated", n_candidates)
-                        if miss:
-                            perf.incr("mfsa.reg_cache_misses")
-                        if n_candidates > miss:
-                            perf.incr("mfsa.reg_cache_hits", n_candidates - miss)
-                    new_cols = np.nonzero(step[0] & ~priced_cols)[0]
-                    priced_cols[new_cols] = True
-                    for j in new_cols.tolist():
-                        hw = (state.f_alu(cell, j + 1), state.f_mux(cell, j + 1, name))
-                        f_alu_vec[j], f_mux_vec[j] = hw
-                        if bound is not None:
-                            bound.priced[j + 1] = hw
-                    energy = liapunov.value_grid(
-                        np.array([y]), f_alu_vec, f_mux_vec,
-                        np.array([reg_cache[y][0]]),
-                    )
-                    if record_alternatives:
-                        alternatives.extend(
-                            zip(
-                                _kernel.mask_positions(step, cell.name, y),
-                                energy[step].tolist(),
-                            )
-                        )
-                    position, energy_min = _kernel.argmin_position(
-                        step, energy, cell.name, y
-                    )
-                    key = (float(energy_min), y, rank, position.x)
-                    if best is None or key < best[0]:
-                        best = (key, position)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                return best
 
             def gather(fresh_instance: bool):
                 """Collect candidate placements.
@@ -711,12 +607,9 @@ class MFSAScheduler(MoveFrameEngine):
                             cell.name,
                             opened if no_cache and not fresh_instance else top_col,
                             banned,
-                            width,
                         )
                         if not no_cache:
                             frames[cell.name] = frame
-                    if frame is None:
-                        continue
                     overspend = (
                         budget is not None
                         and state.alu_area_spent
@@ -742,32 +635,12 @@ class MFSAScheduler(MoveFrameEngine):
                             hw_cache,
                             best_key,
                         )
-                    if type(frame) is tuple:  # the vector walk's (mask, lo_y)
-                        mask, lo_y = frame
-                        priced = price_vector(
-                            cell,
-                            mask if fresh_instance else mask[:, :opened],
-                            lo_y,
-                            overspend,
-                            best_key,
-                            bound,
-                        )
-                        if priced is not None and (
-                            best_key is None or priced[0] < best_key
-                        ):
-                            best_key, position = priced
-                            best_choice = (
-                                cell, position, best_key[0],
-                                reg_cache[position.y][1],
-                            )
-                        continue
-                    # The scalar pricer, one step at a time.
                     stop = None if bound is None else bound.stops
-                    for y, positions in frame.steps(stop):
-                        for position in positions:
-                            if not fresh_instance and position.x > opened:
+                    for y, xs in frame.steps(stop):
+                        for x in xs:
+                            if not fresh_instance and x > opened:
                                 continue
-                            if overspend and not state.instance_open(cell, position.x):
+                            if overspend and not state.instance_open(cell, x):
                                 continue
                             if no_cache or y not in reg_cache:
                                 if perf is not None:
@@ -779,29 +652,27 @@ class MFSAScheduler(MoveFrameEngine):
                             elif perf is not None:
                                 perf.incr("mfsa.reg_cache_hits")
                             f_reg, lifetimes = reg_cache[y]
-                            hw = None if no_cache else hw_cache.get(position.x)
+                            hw = None if no_cache else hw_cache.get(x)
                             if hw is None:
-                                hw = (
-                                    state.f_alu(cell, position.x),
-                                    state.f_mux(cell, position.x, name),
-                                )
+                                hw = (state.f_alu(cell, x), state.f_mux(cell, x, name))
                                 if not no_cache:
-                                    hw_cache[position.x] = hw
+                                    hw_cache[x] = hw
                             f_alu, f_mux = hw
                             energy = liapunov.value(y, f_alu, f_mux, f_reg)
                             if perf is not None:
                                 perf.incr("mfsa.candidates_evaluated")
                             if traced_append is not None:
                                 traced_append((
-                                    cell.name, position.x, y,
-                                    energy, f_alu, f_mux, f_reg,
+                                    cell.name, x, y, energy, f_alu, f_mux, f_reg,
                                 ))
                             if record_alternatives:
-                                alternatives.append((position, energy))
-                            key = (energy, y, rank, position.x)
+                                alternatives.append(
+                                    (GridPosition(cell.name, x, y), energy)
+                                )
+                            key = (energy, y, rank, x)
                             if best_key is None or key < best_key:
                                 best_key = key
-                                best_choice = (cell, position, energy, lifetimes)
+                                best_choice = (cell, x, y, energy, lifetimes)
                         if bound is not None:
                             bound.best = best_key
                 return best_choice
@@ -821,7 +692,8 @@ class MFSAScheduler(MoveFrameEngine):
                     f"MFSA found no position for {name!r} ({kind}) in "
                     f"{self.cs} steps (style {self.style})"
                 )
-            cell, position, energy, lifetimes = best_choice
+            cell, x, y, energy, lifetimes = best_choice
+            position = GridPosition(cell.name, x, y)
             if trace is not None:
                 trace.candidates_detailed(name, traced_cands, liapunov.c_constant)
                 trace.commit(

@@ -15,8 +15,9 @@ everywhere) whose axes multiply out into concrete scenarios::
     pipelined = [false]
     defects = []
 
-Axes that only exist for some schedulers (``kernels`` for MFS/MFSA,
-``styles``/``libraries`` for MFSA, ``pipelined`` for MFS/MFSA) are
+Axes that only exist for some schedulers (``kernels`` for MFS, the one
+scheduler with a choice of move-frame walk, ``styles``/``libraries``
+for MFSA, ``pipelined`` for MFS/MFSA) are
 *collapsed* for the others instead of multiplying into duplicates, and
 the expansion is deduplicated by scenario id — so a config never runs
 the same work twice.
@@ -64,7 +65,8 @@ GRID_VERSION = 1
 
 #: Scheduler axis values and the capabilities that gate the other axes.
 SCHEDULERS = ("mfs", "mfsa", "list", "fds")
-_KERNEL_SCHEDULERS = frozenset({"mfs", "mfsa"})
+_KERNEL_SCHEDULERS = frozenset({"mfs"})
+_PIPELINED_SCHEDULERS = frozenset({"mfs", "mfsa"})
 _STYLE_SCHEDULERS = frozenset({"mfsa"})
 
 #: Cell-library axis values (MFSA only).
@@ -273,7 +275,7 @@ def expand_matrix(config: Mapping[str, Any]) -> List[Dict[str, Any]]:
                 )
                 pipe_flags = (
                     config["pipelined"]
-                    if scheduler in _KERNEL_SCHEDULERS
+                    if scheduler in _PIPELINED_SCHEDULERS
                     else [False]
                 )
                 for kernel in kernels:
@@ -358,7 +360,6 @@ def run_scenario(
                 _build_library(scenario.get("library") or "datapath"),
                 cs,
                 style=scenario.get("style") or 1,
-                kernel=scenario.get("kernel", "scalar"),
                 pipelined_kinds=pipelined_kinds,
                 record_alternatives=True,
             ).run()

@@ -1,6 +1,7 @@
-"""Kernel cross-validation audits (repro.check.kernels) and the CLI flag.
+"""Walk cross-validation audits (repro.check.kernels) and the CLI flag.
 
-The vector kernel must be byte-identical to the scalar reference on the
+MFS's vector walk must be byte-identical to the scalar reference, and
+MFSA's bounded default run to its recorded whole-frame run, on the
 paper's own examples — these tests enforce that through the same
 ``repro.check`` layer the CLI exposes as ``repro check --kernels``.
 """
@@ -28,14 +29,14 @@ class TestKernelAudits:
         report = check_kernels_example(key)
         assert report.ok, report.render()
         assert "kernel-schedule" in report.checks_run
-        assert "kernel-datapath" in report.checks_run
+        assert "mfsa-bounded-bytes" in report.checks_run
 
     def test_random_workloads_identical(self):
         report = check_kernels_random(count=3, seed=11)
         assert report.ok, report.render()
 
     def test_layered_workload_with_slack(self):
-        """The benchmark regime: tall grids, wide vector frames."""
+        """The benchmark regime: tall grids, wide frames."""
         g = layered_workload(seed=7, layers=5, width=20)
         cs = critical_path_length(g, TIMING) + 40
         report = check_mfs_kernels(g, TIMING, cs=cs)

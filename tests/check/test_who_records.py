@@ -1,8 +1,8 @@
 """Who records move-frame alternatives.
 
 The (position, energy) list of every move frame is an audit artifact,
-not part of the algorithm.  Default MFS and MFSA runs skip it on both
-walks.  Every entry point that audits or draws a finished run records
+not part of the algorithm.  Default MFS and MFSA runs skip it, MFS on
+both walks.  Every entry point that audits or draws a finished run records
 it, so the §2.2 argmin audit (``check_liapunov_descent``) always has a
 list to compare the chosen energy with: a spy on the audit sees only
 trajectories whose every event carries alternatives.
@@ -33,7 +33,7 @@ LIBRARY = datapath_library()
 
 
 def layered():
-    """100 ops at 10 steps of slack: ``auto`` mixes both walks."""
+    """100 ops at 10 steps of slack."""
     g = layered_workload(seed=7, layers=5, width=20)
     return g, critical_path_length(g, TIMING) + 10
 
@@ -58,20 +58,24 @@ def audited(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "vector", "auto"])
 class TestDefaultRunsRecordNothing:
+    @pytest.mark.parametrize("kernel", ["scalar", "vector", "auto"])
     def test_mfs(self, kernel):
         g, cs = layered()
         result = MFSScheduler(g, TIMING, cs=cs, kernel=kernel).run()
         assert len(result.trajectory) == len(g)
         assert not any(event.alternatives for event in result.trajectory)
 
+    @pytest.mark.parametrize("kernel", ["scalar", "vector", "auto"])
     @pytest.mark.parametrize("style", [1, 2])
     def test_mfsa(self, kernel, style):
+        """MFSA has one walk: it records nothing, also right after an MFS
+        run that recorded its alternatives on the ``kernel`` walk."""
         g, cs = layered()
-        result = MFSAScheduler(
-            g, TIMING, LIBRARY, cs=cs, style=style, kernel=kernel
+        MFSScheduler(
+            g, TIMING, cs=cs, kernel=kernel, record_alternatives=True
         ).run()
+        result = MFSAScheduler(g, TIMING, LIBRARY, cs=cs, style=style).run()
         assert len(result.trajectory) == len(g)
         assert not any(event.alternatives for event in result.trajectory)
 
@@ -81,12 +85,14 @@ class TestAuditedRunsRecord:
     def test_verify_true(self, audited, kernel):
         g, cs = layered()
         MFSScheduler(g, TIMING, cs=cs, kernel=kernel, verify=True).run()
-        MFSAScheduler(
-            g, TIMING, LIBRARY, cs=cs, kernel=kernel, verify=True
-        ).run()
-        assert len(audited) == 2
-        for trajectory in audited:
-            assert_recorded(trajectory)
+        assert len(audited) == 1
+        assert_recorded(audited[0])
+
+    def test_verify_true_mfsa(self, audited):
+        g, cs = layered()
+        MFSAScheduler(g, TIMING, LIBRARY, cs=cs, verify=True).run()
+        assert len(audited) == 1
+        assert_recorded(audited[0])
 
     def test_check_example(self, audited):
         report = check_example("ex3", differential=False)

@@ -87,45 +87,64 @@ def assert_mfs_pinned(kernel, slack):
 
 
 def assert_mfsa_pinned(kernel, slack, style):
+    """MFSA's bytes, pinned right after an MFS run on the ``kernel`` walk
+    at the same ``cs`` in the same process: MFSA has one walk, and the
+    engine it shares with MFS must carry nothing of either MFS walk
+    into it."""
+    from repro.core.mfs import MFSScheduler
     from repro.core.mfsa import MFSAScheduler
     from repro.io.jsonio import synthesis_to_json
     from repro.library.ncr import datapath_library
 
     dfg, timing, critical = layered_design()
     cs = critical + slack
+    MFSScheduler(dfg, timing, cs=cs, kernel=kernel).run()
     result = MFSAScheduler(
-        dfg, timing, datapath_library(), cs=cs, style=style, kernel=kernel
+        dfg, timing, datapath_library(), cs=cs, style=style
     ).run()
     assert synthesis_to_json(result) + "\n" == golden(
         f"layered_cs{cs}_mfsa_s{style}.json"
     )
 
 
-@pytest.mark.parametrize("kernel", ["auto", "scalar", "vector"])
-@pytest.mark.parametrize("slack", [40, 2])
+WALKS = pytest.mark.parametrize("kernel", ["auto", "scalar", "vector"])
+SLACKS = pytest.mark.parametrize("slack", [40, 2])
+STYLES = pytest.mark.parametrize("style", [1, 2])
+
+
 class TestGoldenWalks:
     """Every move-frame walk must reproduce the same pinned bytes.
 
-    ``scalar`` and ``vector`` force one walk for every frame; at 100 ops
-    ``auto`` mixes them, each operation picking its walk by frame size.
-    The suite's audit records move-frame alternatives; the
-    ``default_options`` tests run as program callers do, without them,
-    and must reproduce the same bytes.
+    MFS's ``scalar`` and ``vector`` force one walk for every frame; at
+    100 ops ``auto`` mixes them, each operation picking its walk by
+    frame size.  MFSA has one walk; its tests run it right after MFS on
+    each walk, so its bytes are pinned whichever walk ran before it in
+    the process.  The suite's audit records
+    move-frame alternatives; the ``default_options`` tests run as
+    program callers do, without them, and must reproduce the same bytes.
     """
 
+    @WALKS
+    @SLACKS
     def test_mfs_schedule_pinned(self, kernel, slack):
         assert_mfs_pinned(kernel, slack)
 
     @pytest.mark.default_options
+    @WALKS
+    @SLACKS
     def test_mfs_schedule_pinned_with_default_options(self, kernel, slack):
         assert_mfs_pinned(kernel, slack)
 
-    @pytest.mark.parametrize("style", [1, 2])
+    @WALKS
+    @SLACKS
+    @STYLES
     def test_mfsa_synthesis_pinned(self, kernel, slack, style):
         assert_mfsa_pinned(kernel, slack, style)
 
     @pytest.mark.default_options
-    @pytest.mark.parametrize("style", [1, 2])
+    @WALKS
+    @SLACKS
+    @STYLES
     def test_mfsa_synthesis_pinned_with_default_options(
         self, kernel, slack, style
     ):

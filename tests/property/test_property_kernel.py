@@ -1,20 +1,21 @@
-"""Property-based tests (hypothesis): scalar and vector kernels agree.
+"""Property-based tests (hypothesis): the move-frame walks agree.
 
-Strategy: generate random DFGs through the seeded generator, run MFS
-and MFSA under both kernels, and assert the results are *byte-identical*
-— schedule starts, Liapunov trajectories, FU mixes, datapath costs and
-every perf counter.  The vector kernel is a pure performance layer; any
-observable divergence is a bug, so these tests lean on
-:mod:`repro.check.kernels` for the comparison and only add the
-hypothesis-driven workload space on top.
+Strategy: generate random DFGs through the seeded generator and lean on
+:mod:`repro.check.kernels` for the comparison, adding only the
+hypothesis-driven workload space on top.  MFS runs under both of its
+walks, and the results must be *byte-identical* — schedule starts,
+Liapunov trajectories, FU mixes and every perf counter: the vector walk
+is a pure performance layer, and any observable divergence is a bug.
+MFSA has one walk; its default-option run must render the recorded
+whole-frame run's bytes and make its moves.
 
-``kernel="auto"`` mixes the walks within one run on designs of
+MFS's ``kernel="auto"`` mixes the walks within one run on designs of
 ``VECTOR_MIN_OPS`` and more, each operation picking its walk by frame
 size; with alternatives recorded, the mixed runs must equal the scalar
 walk in every counter too.  With default options (alternatives off)
 every walk stops building a move frame at the first step that cannot
 win: the runs must still render the recorded whole-frame run's bytes
-and make its moves, and the three walks must count every event alike.
+and make its moves, and MFS's three walks must count every event alike.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -130,37 +131,8 @@ def test_nondefault_weights_and_latency_agree(seed):
     assert report.ok, report.render()
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    slack=st.integers(min_value=0, max_value=4),
-)
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_counters_identical_when_alternatives_recorded(seed, slack):
-    """Every counter matches — mux and operand cache traffic included."""
-    g = random_dfg(seed=seed, n_ops=20)
-    cs = critical_path_length(g, TIMING) + slack
-    counters = {}
-    for kern in ("scalar", "vector"):
-        perf = PerfCounters()
-        MFSAScheduler(
-            g,
-            TIMING,
-            LIBRARY,
-            cs=cs,
-            kernel=kern,
-            perf=perf,
-            record_alternatives=True,
-        ).run()
-        counters[kern] = dict(perf.counters)
-    assert counters["scalar"] == counters["vector"]
-
-
 # ----------------------------------------------------------------------
-# kernel="auto": one walk per operation, picked by frame size
+# MFS kernel="auto": one walk per operation, picked by frame size
 # ----------------------------------------------------------------------
 large_designs = st.one_of(
     st.builds(
@@ -196,11 +168,11 @@ def run_design(g, cs, style, library=LIBRARY, **options):
     return text, result.trajectory, perf
 
 
-def run_walk(g, cs, kern, style):
-    """(JSON bytes, trajectory, counters) of one run with alternatives
-    recorded."""
+def run_walk(g, cs, kern):
+    """(JSON bytes, trajectory, counters) of one MFS run with
+    alternatives recorded."""
     text, trajectory, perf = run_design(
-        g, cs, style, kernel=kern, record_alternatives=True
+        g, cs, 0, kernel=kern, record_alternatives=True
     )
     return text, trajectory, dict(perf.counters)
 
@@ -210,21 +182,17 @@ def moves(trajectory):
     return [(event.node, event.position, event.energy) for event in trajectory]
 
 
-@given(
-    g=large_designs,
-    slack=st.integers(min_value=0, max_value=40),
-    style=st.sampled_from([0, 1, 2]),
-)
+@given(g=large_designs, slack=st.integers(min_value=0, max_value=40))
 @settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_auto_mixed_walks_equal_scalar(g, slack, style):
-    """Bytes, trajectory (alternatives included) and every counter."""
+def test_auto_mixed_walks_equal_scalar(g, slack):
+    """MFS: bytes, trajectory (alternatives included) and every counter."""
     assert len(g) >= kernel.VECTOR_MIN_OPS
     cs = critical_path_length(g, TIMING) + slack
-    assert run_walk(g, cs, "auto", style) == run_walk(g, cs, "scalar", style)
+    assert run_walk(g, cs, "auto") == run_walk(g, cs, "scalar")
 
 
 @given(
@@ -240,25 +208,30 @@ def test_auto_mixed_walks_equal_scalar(g, slack, style):
 )
 def test_default_options_equal_recorded_scalar(g, slack, style, library):
     """Default options — alternatives off, frames stopped at the first
-    step that cannot win — on the ``auto``, ``scalar`` and ``vector``
-    walks give the recorded whole-frame scalar walk's bytes and moves
-    (placements and energies), and count every event alike."""
+    step that cannot win — give the recorded whole-frame scalar walk's
+    bytes and moves (placements and energies): MFSA's one walk, and
+    MFS's ``auto``, ``scalar`` and ``vector`` walks, which also count
+    every event alike."""
     cs = critical_path_length(g, TIMING) + slack
+    walks = [{}]
+    if style == 0:
+        walks = [{"kernel": kern} for kern in ("scalar", "auto", "vector")]
     ref_text, ref_trajectory, _ = run_design(
-        g, cs, style, library, kernel="scalar", record_alternatives=True
+        g, cs, style, library, record_alternatives=True, **walks[0]
     )
-    counters = {}
-    for kern in ("auto", "scalar", "vector"):
-        text, trajectory, perf = run_design(g, cs, style, library, kernel=kern)
-        assert text == ref_text, kern
-        assert moves(trajectory) == moves(ref_trajectory), kern
-        counters[kern] = perf.counters
-    assert counters["auto"] == counters["scalar"] == counters["vector"]
+    counters = []
+    for walk in walks:
+        text, trajectory, perf = run_design(g, cs, style, library, **walk)
+        assert text == ref_text, walk
+        assert moves(trajectory) == moves(ref_trajectory), walk
+        counters.append(perf.counters)
+    assert all(c == counters[0] for c in counters)
 
 
 def test_auto_builds_frames_on_both_walks(monkeypatch):
-    """A 192-op MFSA run at its critical path mixes the walks: the
-    operations with 48 or more open columns take the vector walk."""
+    """A 192-op MFS run at its critical path mixes the walks: the
+    operations whose frame rectangle holds ``VECTOR_MIN_CELLS`` cells or
+    more take the vector walk."""
     built = {"scalar": 0, "vector": 0}
 
     def counting(walk, build):
@@ -276,5 +249,5 @@ def test_auto_builds_frames_on_both_walks(monkeypatch):
     )
     g = layered_workload(seed=7, layers=2, width=96)
     cs = critical_path_length(g, TIMING)
-    MFSAScheduler(g, TIMING, LIBRARY, cs=cs, kernel="auto").run()
+    MFSScheduler(g, TIMING, cs=cs, kernel="auto").run()
     assert built["scalar"] > 0 and built["vector"] > 0, built

@@ -135,10 +135,11 @@ class TestExpand:
         by_sched = {}
         for s in scenarios:
             by_sched.setdefault(s["scheduler"], []).append(s)
-        # mfs: 2 kernels; mfsa: 2 kernels × 2 styles × 2 libraries;
+        # mfs: 2 kernels; mfsa (one walk): 2 styles × 2 libraries;
         # list: everything collapsed to one cell.
         assert len(by_sched["mfs"]) == 2
-        assert len(by_sched["mfsa"]) == 8
+        assert len(by_sched["mfsa"]) == 4
+        assert {s["kernel"] for s in by_sched["mfsa"]} == {"scalar"}
         assert len(by_sched["list"]) == 1
         assert {s["style"] for s in by_sched["list"]} == {0}
         assert {s["library"] for s in by_sched["list"]} == {""}
