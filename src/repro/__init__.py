@@ -27,142 +27,118 @@ Public API highlights
   Table-2 / Figure-1 / Figure-2 regeneration harnesses.
 """
 
-from repro.errors import (
-    AllocationError,
-    DFGError,
-    InfeasibleScheduleError,
-    LibraryError,
-    ReproError,
-    ScheduleError,
-    SimulationError,
-    StabilityError,
-)
-from repro.dfg import (
-    DFG,
-    DFGBuilder,
-    LoopFolder,
-    OpKind,
-    OperationSet,
-    OpSpec,
-    TimingModel,
-    add_loop_control,
-    balance_tree,
-    common_subexpression_elimination,
-    constant_fold,
-    critical_path_length,
-    eliminate_dead_code,
-    merge_conditional_shared_ops,
-    parse_behavior,
-    standard_operation_set,
-)
-from repro.library import (
-    ALUCell,
-    CellLibrary,
-    MuxCostTable,
-    ncr_like_library,
-    simple_fu_library,
-)
-from repro.schedule import (
-    Schedule,
-    annealing_schedule,
-    exact_schedule,
-    force_directed_schedule,
-    list_schedule_resource_constrained,
-    list_schedule_time_constrained,
-    schedule_alap,
-    schedule_asap,
-)
-from repro.core import (
-    GridPosition,
-    LiapunovWeights,
-    MFSAResult,
-    MFSAScheduler,
-    MFSResult,
-    MFSScheduler,
-    PlacementGrid,
-    ResourceConstrainedLiapunov,
-    TimeConstrainedLiapunov,
-    Trajectory,
-    mfs_schedule,
-    mfsa_synthesize,
-)
-from repro.allocation import (
-    Datapath,
-    bind_functional_units,
-    compare_interconnect_styles,
-    left_edge_allocate,
-    value_lifetimes,
-    verify_datapath,
-)
-from repro.explore import design_space, knee_point, pareto_front
+import importlib
+import importlib.util
+import sys
+from typing import Callable, Dict, List, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+
+def _lazy_package(
+    package: str, exports: Dict[str, str]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """A package's PEP 562 ``__getattr__`` and ``__dir__``.
+
+    ``exports`` maps each public name to the submodule of ``package``
+    that defines it.  A name is imported on first access and then bound
+    in the package, so later lookups never reach ``__getattr__``; any
+    other name resolves to the submodule of that name, so
+    ``repro.core.mfsa`` works after a bare ``import repro``.  Importing
+    a package therefore loads none of its submodules, and a process
+    loads only what it touches.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> object:
+        if name in exports:
+            module = importlib.import_module(f"{package}.{exports[name]}")
+            value = getattr(module, name)
+        # Tools probe dunders (``__wrapped__``, ``__test__``); none is a
+        # submodule to import, and ``repro.__main__`` runs the CLI.
+        elif not name.startswith("__") and importlib.util.find_spec(
+            f"{package}.{name}"
+        ):
+            value = importlib.import_module(f"{package}.{name}")
+        else:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
+
+
+#: Public name -> the subpackage (or module) that exports it.
+_EXPORTS = {
     # errors
-    "ReproError",
-    "DFGError",
-    "ScheduleError",
-    "InfeasibleScheduleError",
-    "AllocationError",
-    "LibraryError",
-    "StabilityError",
-    "SimulationError",
+    "ReproError": "errors",
+    "DFGError": "errors",
+    "ScheduleError": "errors",
+    "InfeasibleScheduleError": "errors",
+    "AllocationError": "errors",
+    "LibraryError": "errors",
+    "StabilityError": "errors",
+    "SimulationError": "errors",
     # dfg
-    "DFG",
-    "DFGBuilder",
-    "OpKind",
-    "OpSpec",
-    "OperationSet",
-    "TimingModel",
-    "standard_operation_set",
-    "parse_behavior",
-    "critical_path_length",
-    "constant_fold",
-    "eliminate_dead_code",
-    "balance_tree",
-    "merge_conditional_shared_ops",
-    "common_subexpression_elimination",
-    "add_loop_control",
-    "LoopFolder",
+    "DFG": "dfg",
+    "DFGBuilder": "dfg",
+    "OpKind": "dfg",
+    "OpSpec": "dfg",
+    "OperationSet": "dfg",
+    "TimingModel": "dfg",
+    "standard_operation_set": "dfg",
+    "parse_behavior": "dfg",
+    "critical_path_length": "dfg",
+    "constant_fold": "dfg",
+    "eliminate_dead_code": "dfg",
+    "balance_tree": "dfg",
+    "merge_conditional_shared_ops": "dfg",
+    "common_subexpression_elimination": "dfg",
+    "add_loop_control": "dfg",
+    "LoopFolder": "dfg",
     # library
-    "ALUCell",
-    "CellLibrary",
-    "MuxCostTable",
-    "ncr_like_library",
-    "simple_fu_library",
+    "ALUCell": "library",
+    "CellLibrary": "library",
+    "MuxCostTable": "library",
+    "ncr_like_library": "library",
+    "simple_fu_library": "library",
     # schedules
-    "Schedule",
-    "schedule_asap",
-    "schedule_alap",
-    "list_schedule_resource_constrained",
-    "list_schedule_time_constrained",
-    "force_directed_schedule",
-    "exact_schedule",
-    "annealing_schedule",
+    "Schedule": "schedule",
+    "schedule_asap": "schedule",
+    "schedule_alap": "schedule",
+    "list_schedule_resource_constrained": "schedule",
+    "list_schedule_time_constrained": "schedule",
+    "force_directed_schedule": "schedule",
+    "exact_schedule": "schedule",
+    "annealing_schedule": "schedule",
     # core
-    "GridPosition",
-    "PlacementGrid",
-    "TimeConstrainedLiapunov",
-    "ResourceConstrainedLiapunov",
-    "LiapunovWeights",
-    "Trajectory",
-    "MFSScheduler",
-    "MFSResult",
-    "mfs_schedule",
-    "MFSAScheduler",
-    "MFSAResult",
-    "mfsa_synthesize",
+    "GridPosition": "core",
+    "PlacementGrid": "core",
+    "TimeConstrainedLiapunov": "core",
+    "ResourceConstrainedLiapunov": "core",
+    "LiapunovWeights": "core",
+    "Trajectory": "core",
+    "MFSScheduler": "core",
+    "MFSResult": "core",
+    "mfs_schedule": "core",
+    "MFSAScheduler": "core",
+    "MFSAResult": "core",
+    "mfsa_synthesize": "core",
     # allocation
-    "Datapath",
-    "bind_functional_units",
-    "left_edge_allocate",
-    "value_lifetimes",
-    "verify_datapath",
-    "compare_interconnect_styles",
+    "Datapath": "allocation",
+    "bind_functional_units": "allocation",
+    "left_edge_allocate": "allocation",
+    "value_lifetimes": "allocation",
+    "verify_datapath": "allocation",
+    "compare_interconnect_styles": "allocation",
     # exploration
-    "design_space",
-    "pareto_front",
-    "knee_point",
-]
+    "design_space": "explore",
+    "pareto_front": "explore",
+    "knee_point": "explore",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

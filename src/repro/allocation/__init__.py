@@ -12,31 +12,25 @@
   its cost roll-up.
 """
 
-from repro.allocation.lifetimes import Lifetime, value_lifetimes
-from repro.allocation.registers import RegisterAllocation, left_edge_allocate
-from repro.allocation.mux import MuxAssignment, optimize_mux_inputs
-from repro.allocation.binding import bind_functional_units
-from repro.allocation.datapath import ALUInstance, Datapath, CostBreakdown
-from repro.allocation.buses import (
-    BusAllocation,
-    allocate_buses,
-    compare_interconnect_styles,
-)
-from repro.allocation.verify import verify_datapath
+from repro import _lazy_package
 
-__all__ = [
-    "BusAllocation",
-    "allocate_buses",
-    "compare_interconnect_styles",
-    "verify_datapath",
-    "Lifetime",
-    "value_lifetimes",
-    "RegisterAllocation",
-    "left_edge_allocate",
-    "MuxAssignment",
-    "optimize_mux_inputs",
-    "bind_functional_units",
-    "ALUInstance",
-    "Datapath",
-    "CostBreakdown",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BusAllocation": "buses",
+    "allocate_buses": "buses",
+    "compare_interconnect_styles": "buses",
+    "verify_datapath": "verify",
+    "Lifetime": "lifetimes",
+    "value_lifetimes": "lifetimes",
+    "RegisterAllocation": "registers",
+    "left_edge_allocate": "registers",
+    "MuxAssignment": "mux",
+    "optimize_mux_inputs": "mux",
+    "bind_functional_units": "binding",
+    "ALUInstance": "datapath",
+    "Datapath": "datapath",
+    "CostBreakdown": "datapath",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

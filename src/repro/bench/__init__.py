@@ -12,38 +12,28 @@
   list / force-directed / exact schedulers (§6's literature comparison).
 """
 
-from repro.bench.suites import (
-    EXAMPLES,
-    ExampleSpec,
-    Table1Case,
-    ar_lattice,
-    chained_addsub,
-    conditional_example,
-    ewf,
-    facet_like,
-    fir16,
-    hal_diffeq,
-    iir_bandpass,
-)
-from repro.bench.table1 import Table1Row, table1_rows, render_table1
-from repro.bench.table2 import Table2Row, table2_rows, render_table2
+from repro import _lazy_package
 
-__all__ = [
-    "EXAMPLES",
-    "ExampleSpec",
-    "Table1Case",
-    "facet_like",
-    "chained_addsub",
-    "hal_diffeq",
-    "iir_bandpass",
-    "ar_lattice",
-    "ewf",
-    "fir16",
-    "conditional_example",
-    "Table1Row",
-    "table1_rows",
-    "render_table1",
-    "Table2Row",
-    "table2_rows",
-    "render_table2",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "EXAMPLES": "suites",
+    "ExampleSpec": "suites",
+    "Table1Case": "suites",
+    "facet_like": "suites",
+    "chained_addsub": "suites",
+    "hal_diffeq": "suites",
+    "iir_bandpass": "suites",
+    "ar_lattice": "suites",
+    "ewf": "suites",
+    "fir16": "suites",
+    "conditional_example": "suites",
+    "Table1Row": "table1",
+    "table1_rows": "table1",
+    "render_table1": "table1",
+    "Table2Row": "table2",
+    "table2_rows": "table2",
+    "render_table2": "table2",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

@@ -31,55 +31,33 @@ behind ``repro check``.  Schedulers expose the same audit as an opt-in
 post-condition (``verify=True``).
 """
 
-from repro.check.report import CheckReport, Violation
-from repro.check.schedule import (
-    check_frame_containment,
-    check_grid_consistency,
-    check_schedule_legality,
-)
-from repro.check.liapunov import check_liapunov_descent, check_time_dominance
-from repro.check.allocation import (
-    check_datapath_consistency,
-    check_netlist_consistency,
-)
-from repro.check.differential import DifferentialOutcome, cross_validate
-from repro.check.kernels import (
-    check_kernels_all_examples,
-    check_kernels_example,
-    check_kernels_random,
-    check_mfs_kernels,
-    check_mfsa_kernels,
-)
-from repro.check.runner import (
-    check_all_examples,
-    check_example,
-    check_mfs_result,
-    check_mfsa_result,
-    check_random_dfgs,
-    check_schedule,
-)
+from repro import _lazy_package
 
-__all__ = [
-    "CheckReport",
-    "Violation",
-    "check_schedule_legality",
-    "check_frame_containment",
-    "check_grid_consistency",
-    "check_liapunov_descent",
-    "check_time_dominance",
-    "check_datapath_consistency",
-    "check_netlist_consistency",
-    "cross_validate",
-    "DifferentialOutcome",
-    "check_mfs_result",
-    "check_mfsa_result",
-    "check_mfs_kernels",
-    "check_mfsa_kernels",
-    "check_kernels_example",
-    "check_kernels_all_examples",
-    "check_kernels_random",
-    "check_schedule",
-    "check_example",
-    "check_all_examples",
-    "check_random_dfgs",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "CheckReport": "report",
+    "Violation": "report",
+    "check_schedule_legality": "schedule",
+    "check_frame_containment": "schedule",
+    "check_grid_consistency": "schedule",
+    "check_liapunov_descent": "liapunov",
+    "check_time_dominance": "liapunov",
+    "check_datapath_consistency": "allocation",
+    "check_netlist_consistency": "allocation",
+    "cross_validate": "differential",
+    "DifferentialOutcome": "differential",
+    "check_mfs_result": "runner",
+    "check_mfsa_result": "runner",
+    "check_mfs_kernels": "kernels",
+    "check_mfsa_kernels": "kernels",
+    "check_kernels_example": "kernels",
+    "check_kernels_all_examples": "kernels",
+    "check_kernels_random": "kernels",
+    "check_schedule": "runner",
+    "check_example": "runner",
+    "check_all_examples": "runner",
+    "check_random_dfgs": "runner",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

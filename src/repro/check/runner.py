@@ -14,7 +14,6 @@ from repro.check.allocation import (
     check_datapath_consistency,
     check_netlist_consistency,
 )
-from repro.check.differential import cross_validate
 from repro.check.liapunov import check_liapunov_descent, check_time_dominance
 from repro.check.report import CheckReport, Violation
 from repro.check.schedule import (
@@ -46,6 +45,8 @@ def check_mfs_result(
     report.extend(check_liapunov_descent(result.trajectory))
 
     if differential and len(schedule.dfg):
+        from repro.check.differential import cross_validate
+
         report.ran("differential")
         violations, _outcome = cross_validate(
             schedule.dfg,
@@ -87,6 +88,8 @@ def check_mfsa_result(result, differential: bool = False) -> CheckReport:
     report.extend(check_netlist_consistency(result.datapath))
 
     if differential:
+        from repro.check.differential import cross_validate
+
         report.ran("differential")
         violations, _outcome = cross_validate(
             schedule.dfg,

@@ -30,28 +30,32 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.dfg.analysis import TimingModel, critical_path_length
-from repro.dfg.ops import standard_operation_set
-from repro.dfg.parser import parse_behavior
 from repro.errors import ReproError
-from repro.core.mfs import MFSScheduler
-from repro.core.mfsa import MFSAScheduler
-from repro.library.ncr import datapath_library
-from repro.io.text import render_datapath, render_schedule
-from repro.perf import PerfCounters
+
+if TYPE_CHECKING:
+    from repro.dfg.analysis import TimingModel
+    from repro.perf import PerfCounters
+
+# Each command imports the library modules it runs, so ``--help``, a
+# client command and the shard router load no scheduler.
 
 
 def _load_dfg(path: str):
     """The design in the behavioral file ``path``, named by the file's
     stem, so output does not depend on how the path was spelled."""
+    from repro.dfg.parser import parse_behavior
+
     stem = os.path.splitext(os.path.basename(path))[0]
     with open(path) as handle:
         return parse_behavior(handle.read(), name=stem)
 
 
 def _timing(args) -> TimingModel:
+    from repro.dfg.analysis import TimingModel
+    from repro.dfg.ops import standard_operation_set
+
     mul_latency = 1 if args.mul_latency is None else args.mul_latency
     ops = standard_operation_set(mul_latency=mul_latency)
     return TimingModel(ops=ops, clock_period_ns=args.clock_ns)
@@ -71,6 +75,8 @@ def _resolve_design(args):
         )
     if not args.generate:
         return _load_dfg(args.file), _timing(args)
+    from repro.dfg.analysis import TimingModel
+    from repro.dfg.ops import standard_operation_set
     from repro.scenarios.generator import (
         generate_dfg,
         parse_generator_spec,
@@ -91,7 +97,11 @@ def _resolve_design(args):
 
 
 def _make_perf(args) -> Optional[PerfCounters]:
-    return PerfCounters() if getattr(args, "perf", False) else None
+    if not getattr(args, "perf", False):
+        return None
+    from repro.perf import PerfCounters
+
+    return PerfCounters()
 
 
 def _print_perf(perf: Optional[PerfCounters]) -> None:
@@ -202,6 +212,9 @@ def _command_baselines(_args) -> int:
 
 
 def _command_schedule(args) -> int:
+    from repro.core.mfs import MFSScheduler
+    from repro.dfg.analysis import critical_path_length
+
     dfg, timing = _resolve_design(args)
     cs = args.cs or critical_path_length(dfg, timing)
     perf = _make_perf(args)
@@ -227,6 +240,8 @@ def _command_schedule(args) -> int:
 
         print(schedule_to_dot(result.schedule))
     else:
+        from repro.io.text import render_schedule
+
         print(render_schedule(result.schedule))
     if args.svg:
         from repro.io.svg import schedule_to_svg
@@ -280,6 +295,10 @@ def _command_explore(args) -> int:
 
 
 def _command_synth(args) -> int:
+    from repro.core.mfsa import MFSAScheduler
+    from repro.dfg.analysis import critical_path_length
+    from repro.library.ncr import datapath_library
+
     dfg, timing = _resolve_design(args)
     cs = args.cs or critical_path_length(dfg, timing)
     perf = _make_perf(args)
@@ -299,6 +318,8 @@ def _command_synth(args) -> int:
 
         print(synthesis_to_json(result))
     else:
+        from repro.io.text import render_datapath
+
         print(render_datapath(result.datapath))
     if args.verilog:
         if args.structural:
@@ -380,8 +401,8 @@ def _command_trace(args) -> int:
         latency_l=args.latency_l,
         pipelined_kinds=tuple(args.pipelined.split(",")) if args.pipelined else (),
     )
-    jsonl_path = args.jsonl or f"{stem}.trace.jsonl"
-    report_path = args.report or f"{stem}.report.md"
+    jsonl_path = args.jsonl or f"{dfg.name}.trace.jsonl"
+    report_path = args.report or f"{dfg.name}.report.md"
     with open(jsonl_path, "w") as handle:
         handle.write(run.jsonl)
     with open(report_path, "w") as handle:
@@ -404,10 +425,10 @@ def _command_trace(args) -> int:
 
 
 def _command_serve(args) -> int:
-    from repro.serve import ServeApp, ServeConfig
-
     if args.shards is not None:
         return _command_serve_sharded(args)
+    from repro.serve.app import ServeApp, ServeConfig
+
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -426,7 +447,7 @@ def _command_serve(args) -> int:
 
 
 def _command_serve_sharded(args) -> int:
-    from repro.serve import RouterConfig, ShardRouter
+    from repro.serve.router import RouterConfig, ShardRouter
 
     # Tuning knobs are forwarded verbatim to every worker shard; the
     # router itself only needs the fleet-level settings.

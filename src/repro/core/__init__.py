@@ -18,37 +18,29 @@ Scheduling-Allocation (MFSA).
 * :mod:`repro.core.mfsa` — the MFSA mixed scheduling-allocation algorithm.
 """
 
-from repro.core.grid import GridPosition, PlacementGrid
-from repro.core.frames import FrameSet, compute_frames
-from repro.core.liapunov import (
-    MFSALiapunov,
-    ResourceConstrainedLiapunov,
-    StaticLiapunov,
-    TimeConstrainedLiapunov,
-    LiapunovWeights,
-)
-from repro.core.priorities import priority_order
-from repro.core.stability import Trajectory, TrajectoryEvent
-from repro.core.mfs import MFSResult, MFSScheduler, mfs_schedule
-from repro.core.mfsa import MFSAResult, MFSAScheduler, mfsa_synthesize
+from repro import _lazy_package
 
-__all__ = [
-    "GridPosition",
-    "PlacementGrid",
-    "FrameSet",
-    "compute_frames",
-    "StaticLiapunov",
-    "TimeConstrainedLiapunov",
-    "ResourceConstrainedLiapunov",
-    "MFSALiapunov",
-    "LiapunovWeights",
-    "priority_order",
-    "Trajectory",
-    "TrajectoryEvent",
-    "MFSScheduler",
-    "MFSResult",
-    "mfs_schedule",
-    "MFSAScheduler",
-    "MFSAResult",
-    "mfsa_synthesize",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "GridPosition": "grid",
+    "PlacementGrid": "grid",
+    "FrameSet": "frames",
+    "compute_frames": "frames",
+    "StaticLiapunov": "liapunov",
+    "TimeConstrainedLiapunov": "liapunov",
+    "ResourceConstrainedLiapunov": "liapunov",
+    "MFSALiapunov": "liapunov",
+    "LiapunovWeights": "liapunov",
+    "priority_order": "priorities",
+    "Trajectory": "stability",
+    "TrajectoryEvent": "stability",
+    "MFSScheduler": "mfs",
+    "MFSResult": "mfs",
+    "mfs_schedule": "mfs",
+    "MFSAScheduler": "mfsa",
+    "MFSAResult": "mfsa",
+    "mfsa_synthesize": "mfsa",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

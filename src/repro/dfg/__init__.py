@@ -14,51 +14,33 @@ This package provides everything the schedulers consume:
 * :mod:`repro.dfg.generators` — random DFGs for property testing.
 """
 
-from repro.dfg.ops import OpKind, OpSpec, OperationSet, standard_operation_set
-from repro.dfg.graph import DFG, Node, Port
-from repro.dfg.builder import DFGBuilder
-from repro.dfg.parser import parse_behavior
-from repro.dfg.analysis import (
-    TimingModel,
-    asap_schedule,
-    alap_schedule,
-    critical_path_length,
-    mobilities,
-    type_concurrency,
-)
-from repro.dfg.optimize import (
-    balance_tree,
-    constant_fold,
-    eliminate_dead_code,
-)
-from repro.dfg.transforms import (
-    LoopFolder,
-    add_loop_control,
-    common_subexpression_elimination,
-    merge_conditional_shared_ops,
-)
+from repro import _lazy_package
 
-__all__ = [
-    "OpKind",
-    "OpSpec",
-    "OperationSet",
-    "standard_operation_set",
-    "DFG",
-    "Node",
-    "Port",
-    "DFGBuilder",
-    "parse_behavior",
-    "TimingModel",
-    "asap_schedule",
-    "alap_schedule",
-    "critical_path_length",
-    "mobilities",
-    "type_concurrency",
-    "constant_fold",
-    "eliminate_dead_code",
-    "balance_tree",
-    "merge_conditional_shared_ops",
-    "common_subexpression_elimination",
-    "add_loop_control",
-    "LoopFolder",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "OpKind": "ops",
+    "OpSpec": "ops",
+    "OperationSet": "ops",
+    "standard_operation_set": "ops",
+    "DFG": "graph",
+    "Node": "graph",
+    "Port": "graph",
+    "DFGBuilder": "builder",
+    "parse_behavior": "parser",
+    "TimingModel": "analysis",
+    "asap_schedule": "analysis",
+    "alap_schedule": "analysis",
+    "critical_path_length": "analysis",
+    "mobilities": "analysis",
+    "type_concurrency": "analysis",
+    "constant_fold": "optimize",
+    "eliminate_dead_code": "optimize",
+    "balance_tree": "optimize",
+    "merge_conditional_shared_ops": "transforms",
+    "common_subexpression_elimination": "transforms",
+    "add_loop_control": "transforms",
+    "LoopFolder": "transforms",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

@@ -8,30 +8,24 @@
   frames of one operation.
 """
 
-from repro.io.dot import dfg_to_dot, schedule_to_dot
-from repro.io.text import render_schedule, render_datapath
-from repro.io.gridviz import render_grid, render_move
-from repro.io.frameviz import render_frames
-from repro.io.jsonio import (
-    dfg_from_json,
-    dfg_to_json,
-    schedule_to_json,
-    synthesis_to_json,
-)
-from repro.io.svg import frames_to_svg, schedule_to_svg
+from repro import _lazy_package
 
-__all__ = [
-    "dfg_to_dot",
-    "schedule_to_dot",
-    "render_schedule",
-    "render_datapath",
-    "render_grid",
-    "render_move",
-    "render_frames",
-    "dfg_to_json",
-    "dfg_from_json",
-    "schedule_to_json",
-    "synthesis_to_json",
-    "schedule_to_svg",
-    "frames_to_svg",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "dfg_to_dot": "dot",
+    "schedule_to_dot": "dot",
+    "render_schedule": "text",
+    "render_datapath": "text",
+    "render_grid": "gridviz",
+    "render_move": "gridviz",
+    "render_frames": "frameviz",
+    "dfg_to_json": "jsonio",
+    "dfg_from_json": "jsonio",
+    "schedule_to_json": "jsonio",
+    "synthesis_to_json": "jsonio",
+    "schedule_to_svg": "svg",
+    "frames_to_svg": "svg",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

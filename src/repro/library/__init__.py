@@ -5,13 +5,16 @@ The paper costs RTL structures in µm² against the NCR ASIC data book
 synthetic library of the same shape (see DESIGN.md, substitutions).
 """
 
-from repro.library.cells import ALUCell, CellLibrary, MuxCostTable
-from repro.library.ncr import ncr_like_library, simple_fu_library
+from repro import _lazy_package
 
-__all__ = [
-    "ALUCell",
-    "CellLibrary",
-    "MuxCostTable",
-    "ncr_like_library",
-    "simple_fu_library",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ALUCell": "cells",
+    "CellLibrary": "cells",
+    "MuxCostTable": "cells",
+    "ncr_like_library": "ncr",
+    "simple_fu_library": "ncr",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

@@ -22,48 +22,30 @@ around them the same property:
 See ``docs/ROBUSTNESS.md`` for the operator's guide.
 """
 
-from repro.resilience.checkpoint import (
-    CHECKPOINT_VERSION,
-    SweepCheckpoint,
-    resume_map,
-)
-from repro.resilience.faults import (
-    FAULT_SITES,
-    FaultPlan,
-    FaultRule,
-    InjectedFault,
-    active_plan,
-    arm,
-    fault_point,
-)
-from repro.resilience.journal import (
-    JOURNAL_VERSION,
-    JobJournal,
-    JournalEntry,
-    JournalState,
-    audit_journal,
-    load_records,
-)
-from repro.resilience.retry import CircuitBreaker, CircuitOpen, RetryPolicy
+from repro import _lazy_package
 
-__all__ = [
-    "FAULT_SITES",
-    "FaultPlan",
-    "FaultRule",
-    "InjectedFault",
-    "arm",
-    "active_plan",
-    "fault_point",
-    "JOURNAL_VERSION",
-    "JobJournal",
-    "JournalEntry",
-    "JournalState",
-    "audit_journal",
-    "load_records",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "CircuitOpen",
-    "CHECKPOINT_VERSION",
-    "SweepCheckpoint",
-    "resume_map",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "FAULT_SITES": "faults",
+    "FaultPlan": "faults",
+    "FaultRule": "faults",
+    "InjectedFault": "faults",
+    "arm": "faults",
+    "active_plan": "faults",
+    "fault_point": "faults",
+    "JOURNAL_VERSION": "journal",
+    "JobJournal": "journal",
+    "JournalEntry": "journal",
+    "JournalState": "journal",
+    "audit_journal": "journal",
+    "load_records": "journal",
+    "RetryPolicy": "retry",
+    "CircuitBreaker": "retry",
+    "CircuitOpen": "retry",
+    "CHECKPOINT_VERSION": "checkpoint",
+    "SweepCheckpoint": "checkpoint",
+    "resume_map": "checkpoint",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

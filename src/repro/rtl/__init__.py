@@ -12,20 +12,19 @@ Datapath`:
 * :mod:`repro.rtl.cost` — area roll-up including a controller estimate.
 """
 
-from repro.rtl.netlist import Netlist, build_netlist
-from repro.rtl.controller import Controller, build_controller
-from repro.rtl.verilog import emit_verilog
-from repro.rtl.structural import emit_structural_verilog
-from repro.rtl.testbench import emit_testbench
-from repro.rtl.cost import total_area
+from repro import _lazy_package
 
-__all__ = [
-    "Netlist",
-    "build_netlist",
-    "Controller",
-    "build_controller",
-    "emit_verilog",
-    "emit_structural_verilog",
-    "emit_testbench",
-    "total_area",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "Netlist": "netlist",
+    "build_netlist": "netlist",
+    "Controller": "controller",
+    "build_controller": "controller",
+    "emit_verilog": "verilog",
+    "emit_structural_verilog": "structural",
+    "emit_testbench": "testbench",
+    "total_area": "cost",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

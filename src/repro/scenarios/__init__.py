@@ -26,68 +26,38 @@ The ``repro-hls scenarios`` CLI (``run`` / ``replay`` / ``shrink``)
 fronts all of it; see ``docs/SCENARIOS.md`` for the walkthrough.
 """
 
-from repro.scenarios.generator import (
-    GeneratorSpec,
-    GeneratorSpecError,
-    generate_dfg,
-    parse_generator_spec,
-    scenario_timing,
-    spec_fingerprint,
-)
-from repro.scenarios.matrix import (
-    SYNTHETIC_DEFECTS,
-    MatrixConfigError,
-    config_fingerprint,
-    expand_matrix,
-    failing_results,
-    grid_payload,
-    load_config,
-    normalize_config,
-    render_grid,
-    run_matrix,
-    write_grid,
-)
-from repro.scenarios.replay import (
-    ArrivalPattern,
-    ReplayReport,
-    arrival_offsets,
-    parse_arrival_spec,
-    run_replay,
-)
-from repro.scenarios.shrink import (
-    ShrinkResult,
-    load_reproducer,
-    save_reproducer,
-    shrink_dfg,
-    shrink_scenario,
-)
+from repro import _lazy_package
 
-__all__ = [
-    "GeneratorSpec",
-    "GeneratorSpecError",
-    "generate_dfg",
-    "parse_generator_spec",
-    "scenario_timing",
-    "spec_fingerprint",
-    "MatrixConfigError",
-    "SYNTHETIC_DEFECTS",
-    "config_fingerprint",
-    "expand_matrix",
-    "failing_results",
-    "grid_payload",
-    "load_config",
-    "normalize_config",
-    "render_grid",
-    "run_matrix",
-    "write_grid",
-    "ArrivalPattern",
-    "ReplayReport",
-    "arrival_offsets",
-    "parse_arrival_spec",
-    "run_replay",
-    "ShrinkResult",
-    "load_reproducer",
-    "save_reproducer",
-    "shrink_dfg",
-    "shrink_scenario",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "GeneratorSpec": "generator",
+    "GeneratorSpecError": "generator",
+    "generate_dfg": "generator",
+    "parse_generator_spec": "generator",
+    "scenario_timing": "generator",
+    "spec_fingerprint": "generator",
+    "MatrixConfigError": "matrix",
+    "SYNTHETIC_DEFECTS": "matrix",
+    "config_fingerprint": "matrix",
+    "expand_matrix": "matrix",
+    "failing_results": "matrix",
+    "grid_payload": "matrix",
+    "load_config": "matrix",
+    "normalize_config": "matrix",
+    "render_grid": "matrix",
+    "run_matrix": "matrix",
+    "write_grid": "matrix",
+    "ArrivalPattern": "replay",
+    "ReplayReport": "replay",
+    "arrival_offsets": "replay",
+    "parse_arrival_spec": "replay",
+    "run_replay": "replay",
+    "ShrinkResult": "shrink",
+    "load_reproducer": "shrink",
+    "save_reproducer": "shrink",
+    "shrink_dfg": "shrink",
+    "shrink_scenario": "shrink",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

@@ -14,27 +14,22 @@ builds upon:
   small graphs (stand-in for the ILP formulations, paper refs. [9-11]).
 """
 
-from repro.schedule.types import Schedule
-from repro.schedule.asap_alap import schedule_asap, schedule_alap
-from repro.schedule.list_scheduler import (
-    list_schedule_resource_constrained,
-    list_schedule_time_constrained,
-)
-from repro.schedule.force_directed import force_directed_schedule
-from repro.schedule.exact import exact_schedule
-from repro.schedule.annealing import annealing_schedule
-from repro.schedule.compare import ScheduleDiff, diff_schedules, render_diff
+from repro import _lazy_package
 
-__all__ = [
-    "Schedule",
-    "schedule_asap",
-    "schedule_alap",
-    "list_schedule_resource_constrained",
-    "list_schedule_time_constrained",
-    "force_directed_schedule",
-    "exact_schedule",
-    "annealing_schedule",
-    "ScheduleDiff",
-    "diff_schedules",
-    "render_diff",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "Schedule": "types",
+    "schedule_asap": "asap_alap",
+    "schedule_alap": "asap_alap",
+    "list_schedule_resource_constrained": "list_scheduler",
+    "list_schedule_time_constrained": "list_scheduler",
+    "force_directed_schedule": "force_directed",
+    "exact_schedule": "exact",
+    "annealing_schedule": "annealing",
+    "ScheduleDiff": "compare",
+    "diff_schedules": "compare",
+    "render_diff": "compare",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

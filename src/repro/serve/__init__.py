@@ -10,52 +10,34 @@ over N worker-shard subprocesses behind the same HTTP API.  See
 for how the pieces fit.
 """
 
-from repro.serve.app import ServeApp, ServeConfig
-from repro.serve.cache import ResultCache
-from repro.serve.hashring import HashRing
-from repro.serve.client import (
-    Backpressure,
-    Client,
-    JobFailedError,
-    ServiceError,
-)
-from repro.serve.jobs import (
-    JobSpecError,
-    cache_key,
-    execute_spec,
-    normalize_spec,
-    response_text,
-)
-from repro.serve.metrics import Metrics
-from repro.serve.queue import Job, JobFailed, JobQueue, JobTimeout, QueueFull
-from repro.serve.router import RouterConfig, ShardRouter
-from repro.serve.httpcore import ServerHandle
+from repro import _lazy_package
 
-#: Both roles share one thread-handle class; the role names stay importable.
-ServeHandle = RouterHandle = ServerHandle
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ServeApp": "app",
+    "ServeConfig": "app",
+    "ServeHandle": "httpcore",
+    "ShardRouter": "router",
+    "RouterConfig": "router",
+    "RouterHandle": "httpcore",
+    "HashRing": "hashring",
+    "ResultCache": "cache",
+    "Client": "client",
+    "ServiceError": "client",
+    "Backpressure": "client",
+    "JobFailedError": "client",
+    "JobSpecError": "jobs",
+    "cache_key": "jobs",
+    "normalize_spec": "jobs",
+    "execute_spec": "jobs",
+    "response_text": "jobs",
+    "Metrics": "metrics",
+    "Job": "queue",
+    "JobQueue": "queue",
+    "JobFailed": "queue",
+    "JobTimeout": "queue",
+    "QueueFull": "queue",
+}
 
-__all__ = [
-    "ServeApp",
-    "ServeConfig",
-    "ServeHandle",
-    "ShardRouter",
-    "RouterConfig",
-    "RouterHandle",
-    "HashRing",
-    "ResultCache",
-    "Client",
-    "ServiceError",
-    "Backpressure",
-    "JobFailedError",
-    "JobSpecError",
-    "cache_key",
-    "normalize_spec",
-    "execute_spec",
-    "response_text",
-    "Metrics",
-    "Job",
-    "JobQueue",
-    "JobFailed",
-    "JobTimeout",
-    "QueueFull",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

@@ -34,6 +34,7 @@ running batch, flush a final metrics snapshot, close the listener.
 from __future__ import annotations
 
 import asyncio
+import importlib
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
@@ -51,6 +52,7 @@ from repro.serve.httpcore import (
 )
 from repro.serve.batcher import MicroBatcher
 from repro.serve.jobs import (
+    JOB_IMPORTS,
     cache_key,
     key_and_fingerprint,
     normalize_spec,
@@ -103,6 +105,13 @@ class ServeApp(BaseServer):
     def __init__(self, config: Optional[ServeConfig] = None, **overrides) -> None:
         super().__init__(config, **overrides)
         config = self.config
+        # Before the batcher forks its pool, so fork workers inherit the
+        # modules instead of each compiling its own and no timed job pays
+        # a first import; and on this thread (a shard's main thread),
+        # where importing measured a smaller fleet than on the pool-start
+        # thread (docs/PERFORMANCE.md, "Start-up").
+        for module in JOB_IMPORTS:
+            importlib.import_module(module)
         self.perf = PerfCounters()
         self.queue = JobQueue(config.queue_size)
         self.inflight: Dict[str, Job] = {}

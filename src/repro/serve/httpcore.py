@@ -713,3 +713,7 @@ class ServerHandle:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+#: Both roles share one thread-handle class; the role names stay importable.
+ServeHandle = RouterHandle = ServerHandle

@@ -41,7 +41,19 @@ from repro.errors import DFGError, LibraryError, ScheduleError
 from repro.io.jsonio import dfg_from_json, dfg_from_obj, dfg_to_json, sorted_json
 from repro.perf import PerfCounters
 from repro.resilience.faults import fault_point
-from repro.sweep import worker_cached
+from repro.sweep import WARM_IMPORTS, worker_cached
+
+#: Every module a job can import: the scheduler stack every sweep worker
+#: warms, plus what :func:`execute_job` imports on demand for ``verify``
+#: (the audit, whose MFSA datapath checks build a controller and a
+#: netlist) and ``trace``.  A shard imports them before its pool forks
+#: (:class:`~repro.serve.app.ServeApp`), so no job pays a first import.
+JOB_IMPORTS = WARM_IMPORTS + (
+    "repro.check.runner",
+    "repro.rtl.controller",
+    "repro.rtl.netlist",
+    "repro.trace.recorder",
+)
 
 #: Algorithms the service can run.
 ALGORITHMS = ("mfs", "mfsa")
@@ -394,7 +406,7 @@ def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
 
     trace = None
     if spec["trace"]:
-        from repro.trace import TraceRecorder
+        from repro.trace.recorder import TraceRecorder
 
         trace = TraceRecorder()
 
@@ -434,7 +446,7 @@ def _execute(spec: Mapping[str, Any], perf: PerfCounters) -> Dict[str, Any]:
         "result": result_obj,
     }
     if spec["verify"]:
-        from repro.check import check_mfs_result, check_mfsa_result
+        from repro.check.runner import check_mfs_result, check_mfsa_result
 
         checker = (
             check_mfs_result if spec["algorithm"] == "mfs" else check_mfsa_result

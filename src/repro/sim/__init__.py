@@ -8,21 +8,18 @@
   evaluator's outputs.
 """
 
-from repro.sim.evaluator import evaluate_dfg
-from repro.sim.executor import (
-    ExecutionTrace,
-    execute_datapath,
-    execute_schedule,
-    verify_equivalence,
-)
-from repro.sim.vcd import trace_to_vcd, write_vcd
+from repro import _lazy_package
 
-__all__ = [
-    "evaluate_dfg",
-    "execute_datapath",
-    "execute_schedule",
-    "verify_equivalence",
-    "ExecutionTrace",
-    "trace_to_vcd",
-    "write_vcd",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "evaluate_dfg": "evaluator",
+    "execute_datapath": "executor",
+    "execute_schedule": "executor",
+    "verify_equivalence": "executor",
+    "ExecutionTrace": "executor",
+    "trace_to_vcd": "vcd",
+    "write_vcd": "vcd",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

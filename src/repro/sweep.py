@@ -33,8 +33,11 @@ keeping the *contract* of the serial loop:
   perturb exactly this machinery.
 
 * **warm workers** — pool processes start through an initializer that
-  pre-imports the scheduler stack (:data:`WARM_IMPORTS`) and installs the
-  executor's shared ``context`` exactly once per worker; worker functions
+  imports the scheduler stack (:data:`WARM_IMPORTS`) and installs the
+  executor's shared ``context`` exactly once per worker.  A fork-start
+  pool inherits every module its parent imported, so the initializer's
+  import costs it nothing when the parent imported the stack first (a
+  serve shard does); a spawn-start pool imports it there.  Worker functions
   memoise heavyweight per-process builds (cell library, timing model)
   through :func:`worker_cached`, keyed by fingerprint.  Items stay
   *compact* — indices and small parameter tuples — instead of re-pickling
@@ -88,10 +91,12 @@ R = TypeVar("R")
 #: Recognised backend names.
 BACKENDS = ("auto", "process", "serial")
 
-#: Modules every pool worker imports at start-up (the warm-worker
-#: initializer).  Importing the scheduler stack once per *worker* instead
-#: of lazily on the first item moves the import cost out of the first
-#: map's critical path and off the per-item clock entirely.
+#: The scheduler stack a pool worker needs before its first item.  A
+#: fork-start pool inherits what its parent imported, so a parent that
+#: imports these before the pool forks (a serve shard, through
+#: :data:`repro.serve.jobs.JOB_IMPORTS`) pays for them once for all its
+#: workers; the initializer's import is what a spawn-start pool needs,
+#: and it keeps the cost out of the first item's clock either way.
 WARM_IMPORTS = (
     "repro.core.kernel",
     "repro.core.mfs",
@@ -120,7 +125,8 @@ _WORKER_CONTEXT: Optional[Tuple[str, Any]] = None
 
 
 def _init_worker(context_blob) -> None:
-    """Pool initializer: pre-import modules, install the shared context."""
+    """Pool initializer: import :data:`WARM_IMPORTS` (a no-op for modules
+    a fork-start worker inherited), install the shared context."""
     global _WORKER_INITS, _WORKER_CONTEXT
     _WORKER_INITS += 1
     for module in WARM_IMPORTS:

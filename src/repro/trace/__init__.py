@@ -20,38 +20,26 @@ markdown/SVG run-report renderer.
 Schema: ``docs/TRACING.md``; paper mapping: ``docs/PAPER_MAP.md``.
 """
 
-from repro.trace.events import (
-    SCHEMA_VERSION,
-    validate_event,
-    validate_events,
-)
-from repro.trace.recorder import TraceRecorder, events_to_jsonl
-from repro.trace.replay import (
-    check_descent,
-    descent_curve,
-    node_energy_sequences,
-    parse_jsonl,
-    read_jsonl,
-    split_runs,
-    to_trajectory,
-)
-from repro.trace.report import render_run_report
-from repro.trace.driver import TracedRun, trace_run
+from repro import _lazy_package
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "TraceRecorder",
-    "TracedRun",
-    "check_descent",
-    "descent_curve",
-    "events_to_jsonl",
-    "node_energy_sequences",
-    "parse_jsonl",
-    "read_jsonl",
-    "render_run_report",
-    "split_runs",
-    "to_trajectory",
-    "trace_run",
-    "validate_event",
-    "validate_events",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "SCHEMA_VERSION": "events",
+    "TraceRecorder": "recorder",
+    "TracedRun": "driver",
+    "check_descent": "replay",
+    "descent_curve": "replay",
+    "events_to_jsonl": "recorder",
+    "node_energy_sequences": "replay",
+    "parse_jsonl": "replay",
+    "read_jsonl": "replay",
+    "render_run_report": "report",
+    "split_runs": "replay",
+    "to_trajectory": "replay",
+    "trace_run": "driver",
+    "validate_event": "events",
+    "validate_events": "events",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_package(__name__, _EXPORTS)

@@ -1,6 +1,7 @@
 """Run-report rendering and the ``repro-hls trace`` CLI end to end."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +125,15 @@ class TestTraceCLI:
         start = events[1]
         assert start["scheduler"] == "mfs"
         assert start["cs"] == 4
+
+    def test_trace_subcommand_names_outputs_after_the_design(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Without --jsonl/--report the files are named by the design,
+        # which is named by the file's stem, in the working directory.
+        design = str(Path(GRADIENT).resolve())
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", design]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "gradient.trace.jsonl").read_text()
+        assert "<svg" in (tmp_path / "gradient.report.md").read_text()
